@@ -1,11 +1,7 @@
 #include "harness.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <pthread.h>
 #include <signal.h>
 #include <spawn.h>
-#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -25,8 +21,6 @@
 
 #include "api/codec.hpp"
 #include "data/corpus_store.hpp"
-#include "federation/federated_server.hpp"
-#include "net/tcp_server.hpp"
 #include "service/profiles.hpp"
 #include "util/hash.hpp"
 
@@ -111,68 +105,43 @@ void print_report(std::ostream& out, const run_report& r) {
 
 // --- the server ---------------------------------------------------------------
 
-int serve_main(const std::string& store_dir, std::uint64_t seed) {
-    // Never outlive the benchmark that started this server.
-    prctl(PR_SET_PDEATHSIG, SIGTERM);
-    // Collect SIGTERM with sigwait, as serve_tcp does: block it before any
-    // thread exists so every thread inherits the mask.
-    sigset_t sigs;
-    sigemptyset(&sigs);
-    sigaddset(&sigs, SIGINT);
-    sigaddset(&sigs, SIGTERM);
-    if (pthread_sigmask(SIG_BLOCK, &sigs, nullptr) != 0) return EXIT_FAILURE;
-
-    federation::federation_config cfg;
-    cfg.service = service::quick_profile(seed, k_pipeline_workers);
-    cfg.num_backends = 1;
-    cfg.store_dirs = {store_dir};
-    federation::federated_server fleet(cfg);
-    net::tcp_server srv(net::make_backend(fleet), net::tcp_server_config{});
-
-    std::cout << srv.port() << std::endl;
-    std::thread loop([&srv] { srv.run(); });
-    int sig = 0;
-    sigwait(&sigs, &sig);
-    srv.drain();
-    loop.join();
-    return EXIT_SUCCESS;
-}
-
-server_process::server_process(const std::string& self_exe, const std::string& store_dir,
-                               std::uint64_t seed) {
-    int fds[2];
-    if (pipe2(fds, O_CLOEXEC) != 0) throw std::runtime_error("pipe2 failed");
-    posix_spawn_file_actions_t actions;
-    posix_spawn_file_actions_init(&actions);
-    posix_spawn_file_actions_adddup2(&actions, fds[1], STDOUT_FILENO);
-    const std::string seed_s = std::to_string(seed);
-    std::vector<std::string> args = {self_exe, "serve", "--store", store_dir, "--seed", seed_s};
+server_process::server_process(const std::string& store_dir, std::uint64_t seed) {
+    const std::string port_file = store_dir + ".port";
+    std::filesystem::remove(port_file);
+    // The shipped front door: one backend over the store, the benchmark's
+    // pipeline workers, the default (quick) profile.
+    std::vector<std::string> args = {FISBENCH_SERVE_TCP, "--stores", store_dir,
+                                     "--backends", "1",
+                                     "--threads", std::to_string(k_pipeline_workers),
+                                     "--seed", std::to_string(seed),
+                                     "--port-file", port_file, "--quiet"};
     std::vector<char*> argv;
     for (std::string& a : args) argv.push_back(a.data());
     argv.push_back(nullptr);
-    const int rc = posix_spawn(&pid_, self_exe.c_str(), &actions, nullptr, argv.data(), environ);
-    posix_spawn_file_actions_destroy(&actions);
-    close(fds[1]);
-    if (rc != 0) {
-        close(fds[0]);
-        throw std::runtime_error("cannot start the server process");
+    if (posix_spawn(&pid_, argv[0], nullptr, nullptr, argv.data(), environ) != 0) {
+        pid_ = -1;
+        throw std::runtime_error(std::string("cannot start ") + FISBENCH_SERVE_TCP);
     }
-    // The child prints its port once it listens (store mounted, fleet up).
-    std::string line;
-    pollfd pfd{fds[0], POLLIN, 0};
+    // serve_tcp writes the port file (write-then-rename) once it listens,
+    // with the store mounted and the fleet up.
     const clock_type::time_point deadline = clock_type::now() + std::chrono::seconds(60);
-    while (line.find('\n') == std::string::npos && clock_type::now() < deadline) {
-        if (poll(&pfd, 1, 1000) <= 0) continue;
-        char buf[64];
-        const ssize_t n = read(fds[0], buf, sizeof buf);
-        if (n <= 0) break;
-        line.append(buf, static_cast<std::size_t>(n));
+    int port = 0;
+    while (port == 0 && clock_type::now() < deadline) {
+        int status = 0;
+        if (waitpid(pid_, &status, WNOHANG) == pid_) {
+            pid_ = -1;
+            throw std::runtime_error("serve_tcp exited before it listened");
+        }
+        std::ifstream f(port_file);
+        if (!(f >> port)) {
+            port = 0;
+            std::this_thread::sleep_for(std::chrono::microseconds(500));
+        }
     }
-    close(fds[0]);
-    const int port = line.find('\n') == std::string::npos ? 0 : std::atoi(line.c_str());
+    std::filesystem::remove(port_file);
     if (port <= 0 || port > 65535) {
         stop();
-        throw std::runtime_error("the server process did not report a port");
+        throw std::runtime_error("serve_tcp did not report a port");
     }
     port_ = static_cast<std::uint16_t>(port);
 }
@@ -321,7 +290,8 @@ std::optional<watcher::push> watcher::wait(const std::string& name, std::uint64_
 
 void append_loop(net::frame_conn& conn, watcher& w, const std::vector<corpus_building>& corpus,
                  const std::vector<std::size_t>& rotation,
-                 const std::function<bool(std::size_t)>& keep_going, ingest_samples& out) {
+                 const std::function<bool(std::size_t)>& keep_going, ingest_samples& out,
+                 std::atomic<std::size_t>* acked) {
     std::map<std::size_t, data::building> effective;
     for (std::size_t step = 0; keep_going(step); ++step) {
         const std::size_t idx = rotation[step % rotation.size()];
@@ -343,6 +313,7 @@ void append_loop(net::frame_conn& conn, watcher& w, const std::vector<corpus_bui
             ++out.failed;
             continue;
         }
+        if (acked) ++*acked;
         auto [it, fresh] = effective.try_emplace(idx, cb.base);
         data::apply_delta_record(it->second, rec);
 

@@ -8,6 +8,7 @@
 
 #include <sys/types.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -61,6 +62,7 @@ struct run_report {
     std::uint64_t attempted = 0;
     std::uint64_t failed = 0;
     std::vector<metric> metrics;
+    std::vector<metric> measured;    ///< end-to-end metrics before host scaling
     std::vector<std::string> lines;  ///< report lines printed before the JSON
 
     void add(std::string name, double value, std::string unit) {
@@ -73,18 +75,14 @@ struct run_report {
 /// Print the report lines, then the JSON object as the last stdout line.
 void print_report(std::ostream& out, const run_report& r);
 
-/// `serve_tcp`-equivalent front door over one mounted store: a federated
-/// fleet of one backend with `k_pipeline_workers` workers at
-/// `service::quick_profile`, behind a `net::tcp_server`. Writes the bound
-/// port to stdout, serves until SIGTERM, drains and returns.
-int serve_main(const std::string& store_dir, std::uint64_t seed);
-
-/// The server as a child process (this executable's `serve` mode), so its
-/// CPU time and peak RSS are measured apart from the load generator's.
+/// The shipped `serve_tcp` front door as a child process: a fleet of one
+/// backend with `k_pipeline_workers` workers at the default profile over
+/// \p store_dir, so its CPU time and peak RSS are measured apart from the
+/// load generator's.
 class server_process {
 public:
-    server_process(const std::string& self_exe, const std::string& store_dir,
-                   std::uint64_t seed);
+    /// Starts serve_tcp and waits until it listens (its `--port-file`).
+    server_process(const std::string& store_dir, std::uint64_t seed);
     ~server_process();
 
     server_process(const server_process&) = delete;
@@ -114,7 +112,7 @@ private:
 /// The public `get_stats` view. \throws std::runtime_error on another answer.
 [[nodiscard]] fisone::service::service_stats get_stats(fisone::net::frame_conn& conn);
 
-/// The campaign's pipeline template (what `serve_main` runs).
+/// The campaign's pipeline template (what the server runs).
 [[nodiscard]] fisone::core::fis_one_config pipeline_template(std::uint64_t seed);
 
 /// Bitwise comparison of the served result with the reference: assignment,
@@ -199,11 +197,13 @@ struct ingest_samples {
     std::uint64_t failed = 0;
 };
 
-/// Appends while \p keep_going(appends done so far) holds.
+/// Appends while \p keep_going(appends done so far) holds; counts each
+/// acked append in \p acked when given.
 void append_loop(fisone::net::frame_conn& conn, watcher& w,
                  const std::vector<corpus_building>& corpus,
                  const std::vector<std::size_t>& rotation,
-                 const std::function<bool(std::size_t)>& keep_going, ingest_samples& out);
+                 const std::function<bool(std::size_t)>& keep_going, ingest_samples& out,
+                 std::atomic<std::size_t>* acked = nullptr);
 
 /// The base buildings of \p buildings as one corpus named `k_corpus_name`.
 [[nodiscard]] fisone::data::corpus as_corpus(const std::vector<corpus_building>& buildings);

@@ -175,7 +175,7 @@ struct ladder {
         r.add(name, value, unit);
     }
     [[nodiscard]] double e2e_metric(const std::string& name) const {
-        for (const run_report::metric& x : e2e.metrics)
+        for (const run_report::metric& x : e2e.measured)
             if (x.name == name) return x.value;
         return 0.0;
     }
@@ -476,7 +476,7 @@ void ladder::front_ends() {
     // --- TCP to the server process --------------------------------------------
     {
         write_store(as_corpus(corpus), store_dir);
-        server_process srv(o.self_exe, store_dir, o.seed);
+        server_process srv(store_dir, o.seed);
         net::frame_conn conn("127.0.0.1", srv.port());
         std::uint64_t corr = 0, sheds = 0, errors = 0;
         std::vector<double> queue_wait;

@@ -8,11 +8,9 @@
 /// workload, then the outside-in layer ladder, and prints the per-layer
 /// metrics. Either way the last stdout line is one JSON object
 /// {correct, attempted, failed, metrics}, and the exit code is non-zero on
-/// any correctness mismatch or violated workload invariant.
-///
-///   fisbench serve --store DIR --seed N
-///
-/// is the server the workloads start as a child process.
+/// any correctness mismatch or violated workload invariant. The server is
+/// the repository's `serve_tcp`, built beside fisbench and started as a
+/// child process.
 
 #include <unistd.h>
 
@@ -28,11 +26,6 @@
 
 int main(int argc, char** argv) try {
     using namespace perfbench;
-    if (argc > 1 && std::string(argv[1]) == "serve") {
-        const fisone::util::cli_args args(argc - 1, argv + 1);
-        return serve_main(args.get("store", ""),
-                          static_cast<std::uint64_t>(args.get_int("seed", 1)));
-    }
     const fisone::util::cli_args args(argc, argv);
     run_options o;
     o.workload = args.get("workload", "");
@@ -48,8 +41,6 @@ int main(int argc, char** argv) try {
         std::cerr << "fisbench: --seconds must be positive\n";
         return EXIT_FAILURE;
     }
-    // Exec the running image even if the file was rebuilt under it.
-    o.self_exe = "/proc/self/exe";
     o.dir = ".bench_build/run-" + std::to_string(getpid());
     std::filesystem::create_directories(o.dir);
 

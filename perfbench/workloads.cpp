@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "calibration.hpp"
 #include "data/corpus_store.hpp"
 
 namespace perfbench {
@@ -18,8 +19,13 @@ using namespace fisone;
 
 namespace {
 
-/// Set-up runs this many times per run; `setup_s` is their median.
-constexpr int k_setups = 5;
+/// Set-ups per run (`setup_s` is their median): more where a set-up is
+/// short and its time spreads more.
+constexpr int k_cold_setups = 15;  ///< store write, start, connect: 0.03–0.07 s
+constexpr int k_warm_setups = 5;   ///< plus 24 pipeline runs: 1–2 s
+constexpr int k_live_setups = 9;   ///< plus 4 pipeline runs and watches: 0.2–0.4 s
+/// Repetitions of each host-speed probe at each sampling point.
+constexpr int k_calibration_reps = 10;
 /// Threads that recompute reference results after the server has stopped.
 constexpr std::size_t k_verify_threads = 4;
 /// Appends in the post-measurement probe of cold_campaign and warm_cache,
@@ -73,7 +79,7 @@ std::unique_ptr<fleet> start_fleet(const run_options& o, const data::corpus& c, 
     auto f = std::make_unique<fleet>();
     f->store_dir = o.dir + "/store-" + std::to_string(setup);
     write_store(c, f->store_dir);
-    f->server = std::make_unique<server_process>(o.self_exe, f->store_dir, o.seed);
+    f->server = std::make_unique<server_process>(f->store_dir, o.seed);
     for (std::size_t i = 0; i < connections; ++i)
         f->conns.push_back(std::make_unique<net::frame_conn>("127.0.0.1", f->server->port()));
     return f;
@@ -108,14 +114,14 @@ void fill_cache(fleet& f, const std::vector<corpus_building>& corpus,
               [](const served_result& a, const served_result& b) { return a.index < b.index; });
 }
 
-/// Set up `k_setups` times, tearing each down before the next; keep the
+/// Set up \p count times, tearing each down before the next; keep the
 /// last. Each set-up is timed from the store write to the moment the first
 /// measured request could be sent.
 template <class Setup>
-std::unique_ptr<fleet> timed_setups(run_report& r, Setup&& setup) {
+std::unique_ptr<fleet> timed_setups(run_report& r, int count, Setup&& setup) {
     std::unique_ptr<fleet> f;
     std::vector<double> secs;
-    for (int k = 0; k < k_setups; ++k) {
+    for (int k = 0; k < count; ++k) {
         f.reset();
         const clock_type::time_point t0 = clock_type::now();
         f = setup(k);
@@ -142,21 +148,26 @@ std::vector<std::string> names_of(const std::vector<corpus_building>& corpus,
     return out;
 }
 
-/// The measured-phase bookkeeping every workload shares.
+/// The measured-phase bookkeeping every workload shares. The host's speed
+/// is sampled just before the phase starts and again as it ends
+/// (`add_server_costs`), while the server is idle.
 struct phase {
+    host_calibration& host;
     service::service_stats before;
     double cpu_before = 0.0;
     double rss_setup_mb = 0.0;  ///< the server's peak RSS through set-up
     clock_type::time_point start;
     clock_type::time_point deadline;
 
-    phase(fleet& f, net::frame_conn& stats_conn, double seconds)
-        : before(get_stats(stats_conn)),
-          cpu_before(f.server->cpu_seconds()),
-          rss_setup_mb(f.server->rss_peak_mb()),
-          start(clock_type::now()),
-          deadline(start + std::chrono::duration_cast<clock_type::duration>(
-                               std::chrono::duration<double>(seconds))) {}
+    phase(const run_options& o, fleet& f, net::frame_conn& stats_conn) : host(*o.host) {
+        host.sample(k_calibration_reps);
+        before = get_stats(stats_conn);
+        cpu_before = f.server->cpu_seconds();
+        rss_setup_mb = f.server->rss_peak_mb();
+        start = clock_type::now();
+        deadline = start + std::chrono::duration_cast<clock_type::duration>(
+                               std::chrono::duration<double>(o.seconds));
+    }
 };
 
 /// Per-connection results of a closed loop, merged after the threads join.
@@ -255,17 +266,24 @@ void verify(run_report& r, const std::vector<served_result>& results,
     r.lines.push_back(line.str());
 }
 
-void add_server_costs(run_report& r, fleet& f, const phase& p, std::size_t requests) {
+/// Server CPU per answered request and peak RSS, read as the measured
+/// phase ends. cold_campaign reports the peak through its measured phase
+/// (its pipeline runs are its main memory cost). warm_cache and live_ingest
+/// report the peak through set-up: under their cached reads the server heap
+/// grows by a different amount each run (warm 23 to 64 MB, live 36 to
+/// 338 MB on identical runs), so that peak is printed but not bounded.
+void add_server_costs(run_report& r, fleet& f, const phase& p, std::size_t requests,
+                      bool serving_peak) {
     const double cpu_ms = (f.server->cpu_seconds() - p.cpu_before) * 1e3;
     r.add("cpu_ms_per_request", cpu_ms / static_cast<double>(std::max<std::size_t>(1, requests)),
           "ms");
-    // Peak RSS is taken through set-up: what holding the workload's state
-    // (mounted store, filled cache) costs. The measured phase's own peak is
-    // reported but not bounded: under warm_cache's cached reads glibc's heap
-    // grows by a different amount each run (23 to 64 MB on identical runs).
-    r.add("rss_peak_mb", p.rss_setup_mb, "MB");
-    r.lines.push_back("server peak RSS after the measured phase: " +
-                      std::to_string(f.server->rss_peak_mb()) + " MB (not bounded)");
+    const double served_mb = f.server->rss_peak_mb();
+    r.add("rss_peak_mb", serving_peak ? served_mb : p.rss_setup_mb, "MB");
+    r.lines.push_back("server peak RSS: " + std::to_string(p.rss_setup_mb) +
+                      " MB through set-up, " + std::to_string(served_mb) +
+                      " MB through the measured phase; rss_peak_mb is the " +
+                      (serving_peak ? "second" : "first"));
+    p.host.sample(k_calibration_reps);
 }
 
 /// Run \p body(connection, log) on one thread per connection; merge.
@@ -303,9 +321,10 @@ run_report run_cold(const run_options& o) {
     const std::vector<corpus_building> corpus =
         make_corpus(o.seed, k_cold_store, k_pool_per_floor, 4);
     const data::corpus c = as_corpus(corpus);
-    std::unique_ptr<fleet> f = timed_setups(r, [&](int k) { return start_fleet(o, c, k, 2); });
+    std::unique_ptr<fleet> f =
+        timed_setups(r, k_cold_setups, [&](int k) { return start_fleet(o, c, k, 2); });
 
-    const phase p(*f, *f->conns[0], o.seconds);
+    const phase p(o, *f, *f->conns[0]);
     // Past the deadline the run goes on until the tail percentile has its
     // samples, up to three times the nominal length; each building is
     // requested once, so the run also ends when the store runs out.
@@ -333,7 +352,7 @@ run_report run_cold(const run_options& o) {
             l.served.push_back(served_result{idx, corpus[idx].base, std::move(a.report)});
         }
     });
-    add_server_costs(r, *f, p, log.ms.size());
+    add_server_costs(r, *f, p, log.ms.size(), true);
     const service::service_stats after = get_stats(*f->conns[0]);
     r.attempted = log.attempted;
     r.failed = log.failed;
@@ -367,13 +386,13 @@ run_report run_warm(const run_options& o) {
         make_corpus(o.seed, k_warm_working_set, k_pool_per_floor, 4);
     const data::corpus c = as_corpus(corpus);
     constexpr std::size_t k_conns = 3;
-    std::unique_ptr<fleet> f = timed_setups(r, [&](int k) {
+    std::unique_ptr<fleet> f = timed_setups(r, k_warm_setups, [&](int k) {
         std::unique_ptr<fleet> fl = start_fleet(o, c, k, k_conns);
         fill_cache(*fl, corpus, iota_indices(0, corpus.size()), k_conns);
         return fl;
     });
 
-    const phase p(*f, *f->conns[0], o.seconds);
+    const phase p(o, *f, *f->conns[0]);
     loop_log log = closed_loops(k_conns, [&](std::size_t conn, loop_log& l) {
         l.ms.reserve(1 << 16);
         l.done.reserve(1 << 16);
@@ -381,7 +400,7 @@ run_report run_warm(const run_options& o) {
             cached_read(*f->conns[conn], j + 1, f->filled[(conn + k_conns * j) % corpus.size()],
                         l);
     });
-    add_server_costs(r, *f, p, log.ms.size());
+    add_server_costs(r, *f, p, log.ms.size(), false);
     const service::service_stats after = get_stats(*f->conns[0]);
     r.attempted = log.attempted;
     r.failed = log.failed;
@@ -416,25 +435,38 @@ run_report run_live(const run_options& o) {
     const data::corpus c = as_corpus(corpus);
     const std::vector<std::size_t> rotation = ingest_rotation(o.workload);
     // Connections: 0 reader, 1 appender, 2 watcher.
-    std::unique_ptr<fleet> f = timed_setups(r, [&](int k) {
+    std::unique_ptr<fleet> f = timed_setups(r, k_live_setups, [&](int k) {
         std::unique_ptr<fleet> fl = start_fleet(o, c, k, 3);
         fill_cache(*fl, corpus, iota_indices(0, k_live_readers), 2);
         fl->watch = std::make_unique<watcher>(*fl->conns[2], names_of(corpus, rotation));
         return fl;
     });
 
-    const phase p(*f, *f->conns[0], o.seconds);
+    const phase p(o, *f, *f->conns[0]);
+    // The first read after each append is reported apart, with its count,
+    // so a read-path cost of appends (a resident directory rebuild, a lock
+    // held by the ingest worker) shows: such reads are about one in 700,
+    // too few to reach the p50 or p90.
+    std::atomic<std::size_t> acked{0};
     loop_log reads;
+    std::vector<double> first_after_append;
     std::thread reader([&] {
         reads.ms.reserve(1 << 15);
-        for (std::uint64_t j = 0; clock_type::now() < p.deadline; ++j)
+        std::size_t seen = 0;
+        for (std::uint64_t j = 0; clock_type::now() < p.deadline; ++j) {
+            const std::size_t appends = acked.load();
+            const std::size_t before = reads.ms.size();
             cached_read(*f->conns[0], j + 1, f->filled[j % f->filled.size()], reads);
+            if (appends != seen && reads.ms.size() > before)
+                first_after_append.push_back(reads.ms.back());
+            seen = appends;
+        }
     });
     ingest_samples s;
     append_loop(*f->conns[1], *f->watch, corpus, rotation,
-                [&](std::size_t) { return clock_type::now() < p.deadline; }, s);
+                [&](std::size_t) { return clock_type::now() < p.deadline; }, s, &acked);
     reader.join();
-    add_server_costs(r, *f, p, reads.ms.size() + s.pushes.size());
+    add_server_costs(r, *f, p, reads.ms.size() + s.pushes.size(), false);
     const service::service_stats after = get_stats(*f->conns[0]);
     r.attempted = reads.attempted;
     r.failed = reads.failed;
@@ -443,6 +475,10 @@ run_report run_live(const run_options& o) {
     r.lines.push_back("throughput_rps counts append -> push cycles; " +
                       std::to_string(reads.ms.size()) + " cached reads beside them");
     add_latency(r, reads, k_read_window, "identify_resident cached, beside appends");
+    r.lines.push_back("reader: " + std::to_string(first_after_append.size()) +
+                      " first reads after an append, p50 " +
+                      std::to_string(median(first_after_append)) +
+                      " ms (not bounded)");
     add_ingest(r, s, "measured phase");
     check(r, after.ingest_appends - p.before.ingest_appends == s.attempted,
           "live_ingest: ingest_appends != appends sent");
@@ -475,19 +511,40 @@ bool known_workload(const std::string& name) {
     return name == "cold_campaign" || name == "warm_cache" || name == "live_ingest";
 }
 
-run_report run_workload(const run_options& o) {
+run_report run_workload(run_options o) {
+    // The host's speed, sampled before set-up, around the measured phase
+    // and after verification.
+    host_calibration host;
+    o.host = &host;
+    host.sample(k_calibration_reps);
     run_report r = o.workload == "cold_campaign" ? run_cold(o)
                    : o.workload == "warm_cache"  ? run_warm(o)
                                                  : run_live(o);
+    host.sample(k_calibration_reps);
     r.lines.insert(r.lines.begin(), "workload " + o.workload + ", seed " +
                                         std::to_string(o.seed) + ", " +
                                         std::to_string(o.seconds) + " s measured");
     std::ostringstream ops;
     ops << "ops attempted " << r.attempted << ", failed " << r.failed;
     r.lines.push_back(ops.str());
-    for (const run_report::metric& m : r.metrics) {
+
+    // Timings are reported at the reference host's speed; the measured
+    // values stay in `r.measured` (the layer ladder compares against them).
+    const double slowdown = host.slowdown();
+    std::ostringstream cal;
+    cal << "host calibration: compute " << host.compute_ms() << " ms, memory "
+        << host.memory_ms() << " ms; slowdown " << slowdown << " against the reference host";
+    r.lines.push_back(cal.str());
+    r.lines.push_back("end-to-end metrics (as measured -> at reference host speed):");
+    r.measured = r.metrics;
+    for (run_report::metric& m : r.metrics) {
         std::ostringstream line;
-        line << "  " << m.name << " = " << m.value << ' ' << m.unit;
+        line << "  " << m.name << " = " << m.value;
+        if (m.unit == "ms" || m.unit == "s" || m.unit == "1/s") {
+            m.value = m.unit == "1/s" ? m.value * slowdown : m.value / slowdown;
+            line << " -> " << m.value;
+        }
+        line << ' ' << m.unit;
         r.lines.push_back(line.str());
     }
     return r;

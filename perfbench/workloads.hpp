@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file workloads.hpp
-/// The three end-to-end workloads. Each drives a `serve_tcp`-equivalent
-/// server (a child process) over TCP from closed loops in this process, and
+/// The three end-to-end workloads. Each drives the repository's `serve_tcp`
+/// (a child process) over TCP from closed loops in this process, and
 /// each loads a different layer while the others stay idle:
 ///
 ///  - `cold_campaign`: 2 connections, one `identify_resident{fresh}` each
@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "calibration.hpp"
 #include "harness.hpp"
 
 namespace perfbench {
@@ -35,8 +36,8 @@ struct run_options {
     std::string workload;
     std::uint64_t seed = 1;
     double seconds = 10.0;
-    std::string self_exe;  ///< this executable, started again as the server
-    std::string dir;       ///< scratch directory inside the checkout
+    std::string dir;  ///< scratch directory inside the checkout
+    host_calibration* host = nullptr;  ///< set by `run_workload`
 };
 
 /// Scans per floor each building holds back for appends.
@@ -59,6 +60,6 @@ inline constexpr std::size_t k_pool_per_floor = 8;
 /// Run the workload's end-to-end measurement: set-up (timed, repeated),
 /// the measured phase, the workload invariants read through `get_stats`,
 /// and verification of every served result.
-[[nodiscard]] run_report run_workload(const run_options& o);
+[[nodiscard]] run_report run_workload(run_options o);
 
 }  // namespace perfbench
