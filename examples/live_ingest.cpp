@@ -18,13 +18,15 @@
 ///   live_ingest --mode append --port P [--host A] [--corpus NAME]
 ///               [--touch I] [--new K] [--extra-seed S] [--expect-crash]
 ///   live_ingest --mode campaign --port P --dir DIR [--out PATH]
-///               [--min-cache-hits N]
+///               [--min-cache-hits N] [--resident]
 ///   live_ingest --mode cold-rebuild --dir DIR [--out PATH]
 ///
 /// `campaign` submits the store's *effective* (delta-applied) corpus over
-/// TCP pinned at its global indices; `cold-rebuild` runs the same corpus
-/// through a fresh in-process server. Both write input-order NDJSON, so
-/// `cmp` between them is the acceptance check. Defaults (profile quick,
+/// TCP pinned at its global indices — or, with `--resident`, names each
+/// building in an `identify_resident{fresh}` and lets the server read it
+/// from its own store; `cold-rebuild` runs the same corpus through a fresh
+/// in-process server. All write input-order NDJSON, so `cmp` between them
+/// is the acceptance check. Defaults (profile quick,
 /// seed 7, threads 2) match `serve_tcp`'s, so the two sides derive the
 /// same per-building pipeline seeds.
 
@@ -70,7 +72,7 @@ void print_usage() {
         "       live_ingest --mode append --port P [--host A] [--corpus NAME]\n"
         "                   [--touch I] [--new K] [--extra-seed S] [--expect-crash]\n"
         "       live_ingest --mode campaign --port P --dir DIR [--out PATH]\n"
-        "                   [--min-cache-hits N]\n"
+        "                   [--min-cache-hits N] [--resident]\n"
         "       live_ingest --mode cold-rebuild --dir DIR [--out PATH]\n"
         "\n"
         "  make-store    write a base corpus store of --count buildings\n"
@@ -79,7 +81,9 @@ void print_usage() {
         "                --expect-crash, succeed only if the server dies\n"
         "                before answering (crash_on_append drills)\n"
         "  campaign      submit the store's effective corpus over TCP pinned\n"
-        "                at its global indices; write input-order NDJSON\n"
+        "                at its global indices; write input-order NDJSON;\n"
+        "                with --resident, request each building by name\n"
+        "                (identify_resident, fresh) instead\n"
         "  cold-rebuild  run the same effective corpus through a fresh\n"
         "                in-process server; write input-order NDJSON\n";
 }
@@ -139,10 +143,13 @@ service::service_stats stats_now(net::frame_conn& conn) {
     throw std::runtime_error("unexpected frame while awaiting stats");
 }
 
-/// Submit \p buildings over \p conn pinned at indices [0, N) and collect
-/// one report per building, in index order.
+/// Submit \p buildings over \p conn pinned at indices [0, N) — or, when
+/// \p resident, by name as fresh `identify_resident` requests, which the
+/// server resolves against its mounted stores — and collect one report per
+/// building, in index order.
 std::vector<runtime::building_report> campaign_over(net::frame_conn& conn,
                                                     const std::vector<data::building>& bs,
+                                                    bool resident = false,
                                                     std::size_t window = 8) {
     std::map<std::uint64_t, runtime::building_report> by_index;
     std::size_t outstanding = 0;
@@ -160,12 +167,17 @@ std::vector<runtime::building_report> campaign_over(net::frame_conn& conn,
     };
     for (std::size_t i = 0; i < bs.size(); ++i) {
         while (outstanding >= window) consume_one();
-        api::identify_building_request req;
-        req.correlation_id = i + 1;
-        req.has_index = true;
-        req.corpus_index = i;
-        req.b = bs[i];
-        conn.send(api::encode(api::request{std::move(req)}));
+        if (resident) {
+            conn.send(api::encode(
+                api::request{api::identify_resident_request{i + 1, bs[i].name, true}}));
+        } else {
+            api::identify_building_request req;
+            req.correlation_id = i + 1;
+            req.has_index = true;
+            req.corpus_index = i;
+            req.b = bs[i];
+            conn.send(api::encode(api::request{std::move(req)}));
+        }
         ++outstanding;
     }
     while (outstanding > 0) consume_one();
@@ -277,18 +289,21 @@ int run_campaign(const util::cli_args& args) {
         throw std::runtime_error("--mode campaign needs --port and --dir");
     const std::string host = args.get("host", "127.0.0.1");
     const auto min_cache_hits = static_cast<std::uint64_t>(args.get_int("min-cache-hits", 0));
+    const bool resident = args.has("resident");
 
     const data::corpus effective = data::corpus_store::open(dir).load_all_effective();
     net::frame_conn conn(host, port);
     const std::uint64_t hits_before = stats_now(conn).cache_hits;
-    std::vector<runtime::building_report> reports = campaign_over(conn, effective.buildings);
+    std::vector<runtime::building_report> reports =
+        campaign_over(conn, effective.buildings, resident);
     const std::uint64_t hits_delta = stats_now(conn).cache_hits - hits_before;
     conn.shutdown_write();
 
     const std::size_t got = reports.size();
     write_ndjson(args.get("out", ""), std::move(reports));
-    std::cerr << "live_ingest: campaign served " << got << '/' << effective.buildings.size()
-              << " buildings, " << hits_delta << " cache hits\n";
+    std::cerr << "live_ingest: " << (resident ? "resident " : "") << "campaign served " << got
+              << '/' << effective.buildings.size() << " buildings, " << hits_delta
+              << " cache hits\n";
     if (got != effective.buildings.size()) return EXIT_FAILURE;
     if (hits_delta < min_cache_hits) {
         std::cerr << "live_ingest: cache hits " << hits_delta << " < required "

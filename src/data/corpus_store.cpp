@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
@@ -25,7 +26,138 @@ std::string join_path(const std::string& dir, const std::string& name) {
     return (std::filesystem::path(dir) / name).string();
 }
 
+/// Check a shard file's header line. \throws std::invalid_argument when
+/// it is not the shard magic.
+void expect_shard_magic(std::istream& in, const char* who, const std::string& path) {
+    std::string line;
+    if (!std::getline(in, line) || util::trim(line) != kShardMagic)
+        throw std::invalid_argument(std::string(who) + ": bad shard magic in " + path);
+}
+
+/// Gather one building block (everything up to its `end` marker) and parse
+/// it — the block is the only corpus text resident. nullopt at a clean end
+/// of file. \throws std::invalid_argument on a truncated or malformed block.
+std::optional<building> parse_next_block(std::istream& in, const char* who,
+                                         std::size_t position, const std::string& path) {
+    std::string block;
+    std::string line;
+    bool saw_end = false;
+    while (std::getline(in, line)) {
+        if (util::trim(line) == kBlockEnd) {
+            saw_end = true;
+            break;
+        }
+        block += line;
+        block += '\n';
+    }
+    if (!saw_end) {
+        if (block.empty()) return std::nullopt;  // clean end of shard
+        throw std::invalid_argument(std::string(who) + ": truncated block " +
+                                    std::to_string(position) + " in " + path);
+    }
+    std::istringstream block_stream(std::move(block));
+    return load_building(block_stream);
+}
+
+/// Where one block starts in its file, and the name its `name` row carries.
+struct block_ref {
+    std::uint64_t offset = 0;
+    std::string name;
+};
+
+/// List the blocks of one shard or delta file without parsing a building:
+/// a line scan for `name` rows and `end` markers. \throws exactly where
+/// streaming the file would (bad magic, truncated final block).
+std::vector<block_ref> scan_blocks(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) throw std::ios_base::failure("corpus_store: cannot open " + path);
+    expect_shard_magic(in, "corpus_store", path);
+    auto offset = static_cast<std::uint64_t>(in.tellg());
+    std::vector<block_ref> blocks;
+    std::string line;
+    block_ref current{offset, {}};
+    bool open_block = false;
+    while (std::getline(in, line)) {
+        offset += line.size() + 1;
+        const std::string_view row = util::trim(line);
+        if (row == kBlockEnd) {
+            blocks.push_back(std::move(current));
+            current = block_ref{offset, {}};
+            open_block = false;
+            continue;
+        }
+        open_block = true;
+        // Parsed as `load_building` parses it: the last name row wins.
+        if (row.rfind("name,", 0) == 0) {
+            const auto fields = util::split_fields(line);
+            if (fields.size() == 2) current.name = fields[1];
+        }
+    }
+    if (open_block)
+        throw std::invalid_argument("corpus_store: truncated block " +
+                                    std::to_string(blocks.size()) + " in " + path);
+    return blocks;
+}
+
+/// Parse the block that starts at byte \p offset of \p path.
+building read_block_at(const std::string& path, std::uint64_t offset) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) throw std::ios_base::failure("corpus_store: cannot open " + path);
+    in.seekg(static_cast<std::streamoff>(offset));
+    std::optional<building> b = parse_next_block(in, "corpus_store", 0, path);
+    if (!b)
+        throw std::invalid_argument("corpus_store: no block at byte " + std::to_string(offset) +
+                                    " of " + path);
+    return std::move(*b);
+}
+
 }  // namespace
+
+/// Byte offsets and names of a store's blocks. The base part is immutable
+/// (base shards never change) and shared by every handle `reopen` derives;
+/// the delta part covers the delta rows of its handle's manifest.
+struct corpus_store::block_index {
+    struct base_blocks {
+        std::vector<std::uint64_t> offsets;  ///< by base corpus index
+        std::unordered_map<std::string, std::size_t> first_index;  ///< first block per name
+    };
+    struct record_ref {
+        std::size_t delta = 0;  ///< delta row
+        std::uint64_t offset = 0;
+    };
+
+    std::shared_ptr<const base_blocks> base;
+    /// Delta records by building name, in append order.
+    std::unordered_map<std::string, std::vector<record_ref>> records;
+    /// Names no base block holds, in first-appearance order: the building
+    /// at local index `total_buildings() + i` is `tail[i]`.
+    std::vector<std::string> tail;
+    std::unordered_map<std::string, std::size_t> tail_position;
+
+    /// Index delta row \p d of \p m; rows are added in order.
+    void add_delta(const corpus_manifest& m, std::size_t d, const std::string& path) {
+        const std::vector<block_ref> blocks = scan_blocks(path);
+        if (blocks.size() != m.deltas[d].num_records)
+            throw std::invalid_argument("corpus_store: delta " + m.deltas[d].filename +
+                                        " holds " + std::to_string(blocks.size()) +
+                                        " records, manifest says " +
+                                        std::to_string(m.deltas[d].num_records));
+        for (const block_ref& r : blocks) {
+            auto [it, fresh] = records.try_emplace(r.name);
+            it->second.push_back(record_ref{d, r.offset});
+            if (fresh && base->first_index.count(r.name) == 0) {
+                tail_position.emplace(r.name, tail.size());
+                tail.push_back(r.name);
+            }
+        }
+    }
+};
+
+/// What copies of one handle share: its block index, built once.
+struct corpus_store::index_slot {
+    std::mutex m;
+    std::shared_ptr<const block_index> index;
+};
 
 // --- manifest ---------------------------------------------------------------
 
@@ -178,33 +310,12 @@ void shard_writer::close() {
 
 shard_reader::shard_reader(const std::string& path) : path_(path), in_(path) {
     if (!in_) throw std::ios_base::failure("shard_reader: cannot open " + path);
-    std::string line;
-    if (!std::getline(in_, line) || util::trim(line) != kShardMagic)
-        throw std::invalid_argument("shard_reader: bad shard magic in " + path);
+    expect_shard_magic(in_, "shard_reader", path);
 }
 
 std::optional<building> shard_reader::next() {
-    // Gather one building block (everything up to the `end` marker) and
-    // hand it to dataset_io — the block is the only corpus text resident.
-    std::string block;
-    std::string line;
-    bool saw_end = false;
-    while (std::getline(in_, line)) {
-        if (util::trim(line) == kBlockEnd) {
-            saw_end = true;
-            break;
-        }
-        block += line;
-        block += '\n';
-    }
-    if (!saw_end) {
-        if (block.empty()) return std::nullopt;  // clean end of shard
-        throw std::invalid_argument("shard_reader: truncated block " +
-                                    std::to_string(position_) + " in " + path_);
-    }
-    std::istringstream block_stream(std::move(block));
-    building b = load_building(block_stream);
-    ++position_;
+    std::optional<building> b = parse_next_block(in_, "shard_reader", position_, path_);
+    if (b) ++position_;
     return b;
 }
 
@@ -273,6 +384,7 @@ corpus_store corpus_store::open(const std::string& dir) {
     corpus_store store;
     store.dir_ = dir;
     store.manifest_ = load_manifest(in);
+    store.slot_ = std::make_shared<index_slot>();
     return store;
 }
 
@@ -367,6 +479,105 @@ corpus corpus_store::load_all_effective() const {
         c.buildings[index] = std::move(b);
     });
     return c;
+}
+
+std::shared_ptr<const corpus_store::block_index> corpus_store::index() const {
+    const std::lock_guard<std::mutex> lock(slot_->m);
+    if (slot_->index) return slot_->index;
+    auto base = std::make_shared<block_index::base_blocks>();
+    base->offsets.reserve(manifest_.total_buildings());
+    for (std::size_t s = 0; s < manifest_.shards.size(); ++s) {
+        const shard_entry& entry = manifest_.shards[s];
+        const std::vector<block_ref> blocks = scan_blocks(shard_path(s));
+        if (blocks.size() != entry.num_buildings)
+            throw std::invalid_argument("corpus_store: shard " + entry.filename + " holds " +
+                                        std::to_string(blocks.size()) +
+                                        " buildings, manifest says " +
+                                        std::to_string(entry.num_buildings));
+        for (const block_ref& b : blocks) {
+            base->first_index.try_emplace(b.name, base->offsets.size());
+            base->offsets.push_back(b.offset);
+        }
+    }
+    auto ix = std::make_shared<block_index>();
+    ix->base = std::move(base);
+    for (std::size_t d = 0; d < manifest_.deltas.size(); ++d)
+        ix->add_delta(manifest_, d, join_path(dir_, manifest_.deltas[d].filename));
+    slot_->index = std::move(ix);
+    return slot_->index;
+}
+
+building corpus_store::read_at(const block_index& ix, std::size_t index) const {
+    const std::size_t base_count = ix.base->offsets.size();
+    std::optional<building> b;
+    std::string name;
+    if (index < base_count) {
+        // The shard owning `index`: the last whose first index is <= it.
+        const auto shard = std::upper_bound(
+            manifest_.shards.begin(), manifest_.shards.end(), index,
+            [](std::size_t i, const shard_entry& e) { return i < e.first_index; });
+        b = read_block_at(
+            shard_path(static_cast<std::size_t>(shard - manifest_.shards.begin()) - 1),
+            ix.base->offsets[index]);
+        // Delta records fold onto the first base block of their name only.
+        const auto first = ix.base->first_index.find(b->name);
+        if (first == ix.base->first_index.end() || first->second != index) return std::move(*b);
+        name = b->name;
+    } else {
+        name = ix.tail[index - base_count];
+    }
+    const auto recs = ix.records.find(name);
+    if (recs != ix.records.end()) {
+        for (const block_index::record_ref& r : recs->second) {
+            building record =
+                read_block_at(join_path(dir_, manifest_.deltas[r.delta].filename), r.offset);
+            // A new building is its first record; later records fold onto it.
+            if (b)
+                apply_delta_record(*b, record);
+            else
+                b = std::move(record);
+        }
+    }
+    return std::move(*b);
+}
+
+std::optional<building> corpus_store::read_effective(std::size_t index) const {
+    const std::shared_ptr<const block_index> ix = this->index();
+    if (index >= ix->base->offsets.size() + ix->tail.size()) return std::nullopt;
+    return read_at(*ix, index);
+}
+
+std::optional<located_building> corpus_store::read_effective(const std::string& name) const {
+    const std::shared_ptr<const block_index> ix = this->index();
+    std::size_t index = 0;
+    if (const auto it = ix->base->first_index.find(name); it != ix->base->first_index.end())
+        index = it->second;
+    else if (const auto tail = ix->tail_position.find(name); tail != ix->tail_position.end())
+        index = ix->base->offsets.size() + tail->second;
+    else
+        return std::nullopt;
+    return located_building{index, read_at(*ix, index)};
+}
+
+corpus_store corpus_store::reopen() const {
+    corpus_store next = open(dir_);
+    std::shared_ptr<const block_index> built;
+    {
+        const std::lock_guard<std::mutex> lock(slot_->m);
+        built = slot_->index;
+    }
+    const std::vector<delta_entry>& deltas = next.manifest_.deltas;
+    // Carry the index over only when the new manifest extends this one:
+    // same base shards, and this handle's delta rows as its prefix.
+    if (!built || next.manifest_.shards != manifest_.shards ||
+        deltas.size() < manifest_.deltas.size() ||
+        !std::equal(manifest_.deltas.begin(), manifest_.deltas.end(), deltas.begin()))
+        return next;
+    auto ix = std::make_shared<block_index>(*built);
+    for (std::size_t d = manifest_.deltas.size(); d < deltas.size(); ++d)
+        ix->add_delta(next.manifest_, d, join_path(dir_, deltas[d].filename));
+    next.slot_->index = std::move(ix);
+    return next;
 }
 
 }  // namespace fisone::data

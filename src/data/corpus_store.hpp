@@ -40,11 +40,25 @@
 /// rename over `manifest.csv` — see `ingest::append_scans`); `open` sweeps
 /// a leftover `.tmp` from an interrupted append instead of failing the
 /// mount.
+///
+/// **Per-building reads.** `read_effective` returns one building of the
+/// effective view — by local index or by name — without streaming the
+/// rest: its base block plus the delta records that name it, folded in
+/// append order, or, past the base, a new building's records. The result
+/// equals, field for field, what `for_each_building_effective` yields at
+/// that index. The first read builds a block index once: one pass over
+/// every shard and delta file that records each block's byte offset and
+/// name, without parsing any building. After that a read seeks to its
+/// blocks and parses only them, so its cost depends on the building's size
+/// and its record count, not on the store's. `reopen` follows appends: it
+/// re-reads the manifest and carries the index over, so base shards
+/// (immutable) are never rescanned and each new delta file is scanned once.
 
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -58,6 +72,8 @@ struct shard_entry {
     std::string filename;
     std::size_t first_index = 0;    ///< corpus index of the shard's first building
     std::size_t num_buildings = 0;
+
+    bool operator==(const shard_entry&) const = default;
 };
 
 /// One delta shard's manifest row: the scan records of one append batch.
@@ -65,6 +81,8 @@ struct shard_entry {
 struct delta_entry {
     std::string filename;
     std::size_t num_records = 0;
+
+    bool operator==(const delta_entry&) const = default;
 };
 
 /// Parsed `manifest.csv`.
@@ -180,9 +198,16 @@ void apply_delta_record(building& base, const building& record);
 corpus_manifest write_corpus_store(const corpus& c, const std::string& dir,
                                    std::size_t shard_size);
 
+/// One building of the effective view with its local effective index.
+struct located_building {
+    std::size_t index = 0;
+    building b;
+};
+
 /// A store opened for reading: the manifest plus path resolution. Shard
 /// contents are *not* loaded — use `open_shard` / `for_each_building` to
-/// stream them.
+/// stream them, or `read_effective` to read one building. Copies share the
+/// block index; every method is safe to call from several threads.
 class corpus_store {
 public:
     /// Read `<dir>/manifest.csv`. A leftover `manifest.csv.tmp` from an
@@ -223,9 +248,42 @@ public:
     /// Materialise the effective (delta-applied) corpus.
     [[nodiscard]] corpus load_all_effective() const;
 
+    /// The building at local effective index \p index, equal to what
+    /// `for_each_building_effective` yields there; nullopt past the end of
+    /// the effective view. The first read of a handle (or of its copies)
+    /// builds the block index. \throws std::invalid_argument on a malformed
+    /// or truncated block, or a shard holding a different block count than
+    /// its manifest row; std::ios_base::failure when a file cannot be opened.
+    [[nodiscard]] std::optional<building> read_effective(std::size_t index) const;
+
+    /// The building named \p name with its local effective index; nullopt
+    /// when no block carries the name. A name held by several base blocks
+    /// resolves to the first — the one its delta records fold onto.
+    /// Throws as the index overload.
+    [[nodiscard]] std::optional<located_building> read_effective(const std::string& name) const;
+
+    /// The store as its manifest stands on disk now. When this handle's
+    /// block index is built and the base shard rows are unchanged, the
+    /// index carries over and only delta rows it has not seen are scanned;
+    /// otherwise the new handle builds its own on first read. Throws as
+    /// `open`.
+    [[nodiscard]] corpus_store reopen() const;
+
 private:
+    struct block_index;
+    struct index_slot;
+
+    corpus_store() = default;
+
+    /// The block index, built on first use. Never null.
+    [[nodiscard]] std::shared_ptr<const block_index> index() const;
+
+    /// The effective building at local index \p index, which \p ix holds.
+    [[nodiscard]] building read_at(const block_index& ix, std::size_t index) const;
+
     std::string dir_;
     corpus_manifest manifest_;
+    std::shared_ptr<index_slot> slot_;
 };
 
 }  // namespace fisone::data

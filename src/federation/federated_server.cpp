@@ -137,71 +137,65 @@ struct federated_server::routing {
     }
 };
 
-/// Name → global-corpus-index directory over the mounted stores, plus an
-/// in-memory cache of the buildings `identify_resident` has actually been
-/// asked for (resident mode pins served buildings in memory — that is its
-/// point: neither the wire nor the disk should gate the pipeline). The
-/// directory is fingerprinted on the stores' manifest versions and rebuilt
-/// lazily whenever an append moves one forward, so post-append names (new
-/// buildings included) resolve without a restart.
+/// Name → building cache over the mounted stores for `identify_resident`
+/// (resident mode pins served buildings in memory — that is its point:
+/// neither the wire nor the disk should gate the pipeline). A miss reads
+/// only the named building, through the stores' per-building reads of the
+/// effective view. Appends land through the ingest manager's own store
+/// handle, so the front-end reports each successful one here: the touched
+/// names leave the cache and the store's handle is reopened on the next
+/// miss, which resolves the post-append scans and any new names at their
+/// tail indices. Cached resolutions of untouched names stay.
 struct federated_server::resident_directory {
-    struct entry {
-        std::size_t store = 0;         ///< which mounted store holds the name
-        std::size_t global_index = 0;  ///< its global corpus index
-    };
-
-    std::mutex m;
-    std::string fingerprint;  ///< store count + manifest versions at last build
-    bool built = false;
-    std::unordered_map<std::string, entry> index;
-    std::unordered_map<std::string, std::shared_ptr<const data::building>> cache;
-
-    static std::string current_fingerprint(const store_registry& reg) {
-        std::string fp = std::to_string(reg.num_stores());
-        for (std::size_t s = 0; s < reg.num_stores(); ++s)
-            fp += ":" + std::to_string(reg.store(s).manifest().version);
-        return fp;
-    }
-
-    /// Resolve \p name to (global index, building), loading the building
-    /// from its store on the first request. Serialised under the directory
-    /// lock — a store scan stalls concurrent resolutions, but only the
-    /// first request of each name (per store version) ever scans.
     struct hit {
         std::size_t global_index = 0;
         std::shared_ptr<const data::building> b;
     };
-    std::optional<hit> resolve(const store_registry& reg, const std::string& name) {
+
+    explicit resident_directory(const store_registry& reg) {
+        for (std::size_t s = 0; s < reg.num_stores(); ++s) {
+            stores.push_back(reg.store(s));
+            offsets.push_back(reg.store_offset(s));
+        }
+        appended.assign(stores.size(), false);
+    }
+
+    std::mutex m;
+    std::vector<data::corpus_store> stores;  ///< one handle per mounted store
+    std::vector<std::size_t> offsets;        ///< global index of each store's first building
+    std::vector<bool> appended;  ///< an append landed since the handle was opened
+    std::unordered_map<std::string, hit> cache;
+
+    /// Resolve \p name to (global index, building), reading the building
+    /// from its store on a cache miss. Serialised under the directory lock;
+    /// a miss reads one building, so it stalls concurrent resolutions only
+    /// briefly. Stores are searched in mount order.
+    std::optional<hit> resolve(const std::string& name) {
         const std::lock_guard<std::mutex> lock(m);
-        const std::string fp = current_fingerprint(reg);
-        if (!built || fp != fingerprint) {
-            index.clear();
-            cache.clear();  // an append may have changed any building's scans
-            for (std::size_t s = 0; s < reg.num_stores(); ++s) {
-                const std::size_t offset = reg.store_offset(s);
-                reg.store(s).for_each_building_effective(
-                    [&](std::size_t local, data::building&& b) {
-                        index[b.name] = entry{s, offset + local};
-                    });
+        if (const auto cached = cache.find(name); cached != cache.end()) return cached->second;
+        obs::scoped_span span("federation.resident_load");
+        for (std::size_t s = 0; s < stores.size(); ++s) {
+            if (appended[s]) {
+                stores[s] = stores[s].reopen();
+                appended[s] = false;
             }
-            fingerprint = fp;
-            built = true;
+            std::optional<data::located_building> found = stores[s].read_effective(name);
+            if (!found) continue;
+            hit h{offsets[s] + found->index,
+                  std::make_shared<const data::building>(std::move(found->b))};
+            cache.emplace(name, h);
+            return h;
         }
-        const auto it = index.find(name);
-        if (it == index.end()) return std::nullopt;
-        auto cached = cache.find(name);
-        if (cached == cache.end()) {
-            obs::scoped_span span("federation.resident_load");
-            const std::size_t local = it->second.global_index - reg.store_offset(it->second.store);
-            std::shared_ptr<const data::building> loaded;
-            reg.store(it->second.store)
-                .for_each_building_effective([&](std::size_t i, data::building&& b) {
-                    if (i == local) loaded = std::make_shared<const data::building>(std::move(b));
-                });
-            if (!loaded) return std::nullopt;  // store mutated underneath us
-            cached = cache.emplace(name, std::move(loaded)).first;
-        }
-        return hit{it->second.global_index, cached->second};
+        return std::nullopt;
+    }
+
+    /// A durable append to the store serving \p corpus_name carried
+    /// \p touched: only those buildings (and new names) changed.
+    void on_append(const std::string& corpus_name, const std::vector<std::string>& touched) {
+        const std::lock_guard<std::mutex> lock(m);
+        for (std::size_t s = 0; s < stores.size(); ++s)
+            if (stores[s].manifest().corpus_name == corpus_name) appended[s] = true;
+        for (const std::string& name : touched) cache.erase(name);
     }
 };
 
@@ -667,16 +661,22 @@ void federated_server::session::handle(const api::request& req) {
                 // versioned forward (or the batch was refused). The emitter
                 // is captured shared: the ack must deliver even if this
                 // session handle is dropped meanwhile.
+                // The resident directory learns of the append before the
+                // client does, so a read sent after the ack sees it.
                 const std::uint64_t corr = m.correlation_id;
                 const std::shared_ptr<detail::emitter> out = st->out;
+                const std::shared_ptr<resident_directory> residents = st->residents;
                 st->ingest->enqueue_append(
-                    m.corpus_name, m.records, [out, corr](const ingest::append_ack& ack) {
-                        if (ack.error.empty())
+                    m.corpus_name, m.records,
+                    [out, corr, residents, corpus = m.corpus_name](const ingest::append_ack& ack) {
+                        if (ack.error.empty()) {
+                            residents->on_append(corpus, ack.touched);
                             out->respond(api::append_response{corr, ack.version, ack.accepted,
                                                               ack.dirty});
-                        else
+                        } else {
                             out->respond(api::error_response{
                                 corr, api::error_code::bad_request, ack.error});
+                        }
                     });
             } else if constexpr (std::is_same_v<T, api::watch_request>) {
                 // One subscription per (building, connection); the emitter
@@ -710,7 +710,7 @@ void federated_server::session::handle(const api::request& req) {
                         "identify_resident: no corpus stores mounted"});
                     return;
                 }
-                const auto hit = st->residents->resolve(*st->registry, m.name);
+                const auto hit = st->residents->resolve(m.name);
                 if (!hit) {
                     st->out->respond(api::error_response{
                         m.correlation_id, api::error_code::bad_request,
@@ -843,7 +843,7 @@ federated_server::federated_server(federation_config cfg) : cfg_(std::move(cfg))
         backends_.push_back(std::make_unique<api::server>(std::move(bc)));
     }
     watches_ = std::make_shared<watch_registry>();
-    residents_ = std::make_shared<resident_directory>();
+    residents_ = std::make_shared<resident_directory>(registry_);
     if (registry_.num_stores() > 0) {
         std::vector<ingest::store_binding> bindings;
         bindings.reserve(registry_.num_stores());

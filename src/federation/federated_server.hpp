@@ -37,11 +37,13 @@
 ///    append-triggered re-identification of the watched building is pushed
 ///    to the subscribed connection as a `push_update`.
 ///  - `identify_resident` — the request names a building already resident
-///    in a mounted store; the front-end resolves the name to its global
-///    corpus index through the server-wide resident directory (rebuilt
-///    when a store's manifest versions forward), loads the building once
-///    into an in-memory cache (span `federation.resident_load`), and
-///    dispatches it as a pinned `identify_building` — so resident requests
+///    in a mounted store; the front-end resolves the name through the
+///    server-wide resident directory, which on a miss reads that one
+///    building of the store's effective view (and its global corpus index)
+///    into an in-memory cache (span `federation.resident_load`). A
+///    successful append drops the names it touched, so they and new names
+///    resolve to the post-append scans. The request then dispatches as a
+///    pinned `identify_building` — so resident requests
 ///    ride the exact routing/protection path client-supplied buildings do,
 ///    with a few name bytes on the wire instead of the whole building.
 ///    Unknown names and store-less fleets answer `bad_request`.
@@ -238,10 +240,9 @@ private:
     /// pointer during teardown); null when protection is off. Destroyed
     /// after `backends_`, so the watchdog outlives draining jobs.
     std::shared_ptr<fleet_health> health_;
-    /// Name → global-corpus-index directory over the mounted stores, plus
-    /// the in-memory cache of buildings `identify_resident` has served.
-    /// Shared with every session; rebuilt lazily when a store's manifest
-    /// version moves.
+    /// The in-memory cache of buildings `identify_resident` has served,
+    /// over per-building reads of the mounted stores. Shared with every
+    /// session; each successful append drops the names it touched.
     std::shared_ptr<resident_directory> residents_;
     /// Standing `watch` subscriptions, shared with every session. Entries
     /// expire with their connection's emitter, so no teardown ordering

@@ -1,12 +1,12 @@
 #include "ingest_manager.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
 #include "append.hpp"
-#include "data/corpus_store.hpp"
 #include "obs/trace.hpp"
 
 namespace fisone::ingest {
@@ -98,21 +98,51 @@ void ingest_manager::worker_loop() {
     }
 }
 
-void ingest_manager::scan_store(const store_binding& binding, store_state& ss,
-                                std::vector<dirty_item>* dirty) {
-    const data::corpus_store store = data::corpus_store::open(binding.dir);
-    store.for_each_building_effective([&](std::size_t local_index, data::building&& b) {
-        if (binding.faults.slow_read_ms != 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(binding.faults.slow_read_ms));
-        const std::uint64_t hash = data::content_hash(b);
-        const std::size_t global_index = binding.base_offset + local_index;
-        const auto it = ss.hashes.find(b.name);
-        const bool changed = it == ss.hashes.end() || it->second != hash;
-        ss.hashes[b.name] = hash;
-        ss.indices[b.name] = global_index;
-        if (dirty != nullptr && changed)
-            dirty->push_back(dirty_item{b.name, global_index, std::move(b)});
-    });
+namespace {
+
+/// Sleep for the store owner's `slow_read_ms` drill, once per building read.
+void slow_read(const store_binding& binding) {
+    if (binding.faults.slow_read_ms != 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(binding.faults.slow_read_ms));
+}
+
+}  // namespace
+
+void ingest_manager::snapshot(const store_binding& binding, store_state& ss) {
+    data::corpus_store store = data::corpus_store::open(binding.dir);
+    std::unordered_map<std::string, std::uint64_t> hashes;
+    for (std::size_t i = 0;; ++i) {
+        const std::optional<data::building> b = store.read_effective(i);
+        if (!b) break;
+        slow_read(binding);
+        // A name several base blocks share is the first one's, as in a read
+        // by name.
+        hashes.try_emplace(b->name, data::content_hash(*b));
+    }
+    ss.store = std::move(store);
+    ss.hashes = std::move(hashes);
+}
+
+std::vector<ingest_manager::dirty_item> ingest_manager::reindex(
+    const store_binding& binding, store_state& ss, const std::vector<std::string>& touched) {
+    ss.store = ss.store->reopen();
+    std::vector<dirty_item> dirty;
+    for (const std::string& name : touched) {
+        std::optional<data::located_building> found = ss.store->read_effective(name);
+        if (!found)
+            throw std::runtime_error("ingest: appended building \"" + name +
+                                     "\" is missing from the store at " + binding.dir);
+        slow_read(binding);
+        const std::uint64_t hash = data::content_hash(found->b);
+        const auto [it, fresh] = ss.hashes.try_emplace(name, hash);
+        if (!fresh && it->second == hash) continue;
+        it->second = hash;
+        dirty.push_back(dirty_item{name, binding.base_offset + found->index, std::move(found->b)});
+    }
+    // Re-runs go out in corpus order, whatever order the batch named them.
+    std::sort(dirty.begin(), dirty.end(),
+              [](const dirty_item& a, const dirty_item& b) { return a.index < b.index; });
+    return dirty;
 }
 
 void ingest_manager::process(op& item) {
@@ -128,18 +158,17 @@ void ingest_manager::process(op& item) {
     if (binding == nullptr) {
         if (item.ack)
             item.ack(append_ack{0, 0, 0,
-                                "no mounted store serves corpus \"" + item.corpus_name + "\""});
+                                "no mounted store serves corpus \"" + item.corpus_name + "\"",
+                                {}});
         return;
     }
     try {
         // The pre-append baseline: hashes of the effective view as it
         // stands, so only this batch's actual changes count as dirty.
         // Built once per store (deltas already on disk at mount are part
-        // of the baseline — a warm restart does not re-run them).
-        if (!ss->snapshotted) {
-            scan_store(*binding, *ss, nullptr);
-            ss->snapshotted = true;
-        }
+        // of the baseline — a warm restart does not re-run them); each
+        // append then updates the hashes of the names it carried.
+        if (!ss->store) snapshot(*binding, *ss);
 
         append_hooks hooks;
         if (binding->faults.crash_on_append != 0) {
@@ -154,14 +183,14 @@ void ingest_manager::process(op& item) {
         appends_total_.fetch_add(1, std::memory_order_relaxed);
 
         obs::scoped_span span("ingest.reindex");
-        std::vector<dirty_item> dirty;
-        scan_store(*binding, *ss, &dirty);
+        std::vector<dirty_item> dirty = reindex(*binding, *ss, outcome.touched);
         dirty_total_.fetch_add(dirty.size(), std::memory_order_relaxed);
 
         // Ack now: durable on disk, dirty set known. The re-runs below are
         // asynchronous — `flush` is the barrier that waits for them.
         if (item.ack)
-            item.ack(append_ack{outcome.version, outcome.accepted, dirty.size(), ""});
+            item.ack(append_ack{outcome.version, outcome.accepted, dirty.size(), "",
+                                outcome.touched});
 
         for (dirty_item& d : dirty) {
             std::uint64_t corr = 0;
@@ -179,7 +208,7 @@ void ingest_manager::process(op& item) {
             }
         }
     } catch (const std::exception& e) {
-        if (item.ack) item.ack(append_ack{0, 0, 0, e.what()});
+        if (item.ack) item.ack(append_ack{0, 0, 0, e.what(), {}});
     }
 }
 

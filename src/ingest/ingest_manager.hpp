@@ -11,10 +11,13 @@
 ///      span). The store owner's `service::fault_plan::crash_on_append`
 ///      is armed here: the process `std::abort()`s at the configured
 ///      checkpoint, exactly as kill -9 mid-append would.
-///   2. **Dirty detection** — the store's effective (delta-applied) view is
-///      re-streamed and `data::content_hash`ed against the pre-append
-///      snapshot; only buildings whose bits changed (or that are new) are
-///      dirty. The stream honors the owner's `slow_read_ms`.
+///   2. **Dirty detection** — each building the batch names is read back
+///      from the store's effective (delta-applied) view on its own and
+///      `data::content_hash`ed against its pre-append hash; only buildings
+///      whose bits changed (or that are new) are dirty. No other building
+///      can have changed: base shards are immutable and a delta record
+///      changes only the building it names. Every read honors the owner's
+///      `slow_read_ms`.
 ///   3. **Ack** — the caller's `append_response` fires now: the append is
 ///      durable and the dirty count known, while the re-runs follow
 ///      asynchronously (barrier: `flush`).
@@ -44,11 +47,13 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "data/corpus_store.hpp"
 #include "data/rf_sample.hpp"
 #include "runtime/batch_runner.hpp"
 #include "service/fault_plan.hpp"
@@ -73,6 +78,9 @@ struct append_ack {
     std::uint64_t accepted = 0;
     std::uint64_t dirty = 0;
     std::string error;
+    /// Building names the batch carried, deduplicated, in first-appearance
+    /// order (empty on error).
+    std::vector<std::string> touched;
 };
 
 class ingest_manager {
@@ -131,12 +139,12 @@ private:
         std::function<void(const append_ack&)> ack;
     };
 
-    /// Pre-append identity snapshot of one store: building name → content
-    /// hash and global index, over the *effective* (delta-applied) view.
+    /// One store as of its last append: the open handle (its block index
+    /// carries from append to append) and every building's content hash
+    /// over the *effective* (delta-applied) view.
     struct store_state {
-        bool snapshotted = false;
+        std::optional<data::corpus_store> store;  ///< unset until the first append
         std::unordered_map<std::string, std::uint64_t> hashes;
-        std::unordered_map<std::string, std::size_t> indices;
     };
 
     struct dirty_item {
@@ -153,10 +161,14 @@ private:
     void worker_loop();
     void process(op& item);
 
-    /// Stream \p binding's effective view, updating \p ss; with \p dirty
-    /// set, also collect buildings whose hash changed (or are new).
-    static void scan_store(const store_binding& binding, store_state& ss,
-                           std::vector<dirty_item>* dirty);
+    /// Open \p binding's store and hash every building of its effective
+    /// view: the baseline the first append is diffed against.
+    static void snapshot(const store_binding& binding, store_state& ss);
+
+    /// Re-read each of \p touched from the advanced store, collecting the
+    /// ones whose hash changed (or that are new) in global index order.
+    static std::vector<dirty_item> reindex(const store_binding& binding, store_state& ss,
+                                           const std::vector<std::string>& touched);
 
     std::vector<store_binding> stores_;
     std::vector<store_state> states_;  ///< worker-thread-only after construction

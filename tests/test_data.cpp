@@ -7,7 +7,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -465,6 +467,134 @@ TEST(corpus_store, open_sweeps_leftover_manifest_tmp) {
     const corpus_store store = corpus_store::open(s.dir);
     EXPECT_EQ(store.manifest().version, 0u);
     EXPECT_FALSE(std::filesystem::exists(manifest_temp_path(s.dir)));
+}
+
+namespace fs_test {
+
+/// Land one delta batch by hand, the way `ingest::append_scans` does (minus
+/// the crash-safety steps the data layer does not need here).
+void write_delta(const std::string& dir, const std::vector<building>& records) {
+    corpus_manifest m = corpus_store::open(dir).manifest();
+    const std::string file = "delta-" + std::to_string(m.version + 1) + ".csv";
+    shard_writer w(dir + "/" + file);
+    for (const building& r : records) w.append(r);
+    w.close();
+    m.version += 1;
+    m.deltas.push_back({file, records.size()});
+    std::ofstream f(manifest_path(dir), std::ios::trunc);
+    save_manifest(m, f);
+    f.close();
+    ASSERT_TRUE(f.good());
+}
+
+void expect_same_building(const building& got, const building& want, const std::string& where) {
+    EXPECT_EQ(got.name, want.name) << where;
+    EXPECT_EQ(got.num_floors, want.num_floors) << where;
+    EXPECT_EQ(got.num_macs, want.num_macs) << where;
+    EXPECT_EQ(got.labeled_sample, want.labeled_sample) << where;
+    EXPECT_EQ(got.labeled_floor, want.labeled_floor) << where;
+    ASSERT_EQ(got.samples.size(), want.samples.size()) << where;
+    for (std::size_t i = 0; i < got.samples.size(); ++i) {
+        const rf_sample& g = got.samples[i];
+        const rf_sample& w = want.samples[i];
+        EXPECT_EQ(g.true_floor, w.true_floor) << where << " sample " << i;
+        EXPECT_EQ(g.device_id, w.device_id) << where << " sample " << i;
+        ASSERT_EQ(g.observations.size(), w.observations.size()) << where << " sample " << i;
+        for (std::size_t k = 0; k < g.observations.size(); ++k) {
+            EXPECT_EQ(g.observations[k].mac_id, w.observations[k].mac_id) << where;
+            EXPECT_EQ(g.observations[k].rss_dbm, w.observations[k].rss_dbm) << where;
+        }
+    }
+    EXPECT_EQ(content_hash(got), content_hash(want)) << where;
+}
+
+/// Every index of \p store's effective view, read on its own and by name,
+/// equals what the streaming view yields there; one past the end misses.
+void expect_reads_match_stream(const corpus_store& store, const std::string& stage) {
+    std::size_t count = 0;
+    store.for_each_building_effective([&](std::size_t index, building&& want) {
+        const std::string where = stage + ", index " + std::to_string(index);
+        const std::optional<building> by_index = store.read_effective(index);
+        ASSERT_TRUE(by_index.has_value()) << where;
+        expect_same_building(*by_index, want, where);
+        const std::optional<located_building> by_name = store.read_effective(want.name);
+        ASSERT_TRUE(by_name.has_value()) << where;
+        EXPECT_EQ(by_name->index, index) << where;
+        expect_same_building(by_name->b, want, where + " (by name)");
+        ++count;
+    });
+    EXPECT_FALSE(store.read_effective(count).has_value()) << stage;
+}
+
+}  // namespace fs_test
+
+TEST(corpus_store, per_building_reads_equal_the_streamed_effective_view) {
+    fs_test::scoped_store s("fisone-per-building");
+    corpus base;
+    base.name = "city";
+    for (const char* name : {"a", "b", "c", "d", "e"})
+        base.buildings.push_back(fs_test::named_building(name, base.buildings.size() + 1));
+    write_corpus_store(base, s.dir, 2);  // three shards: [a b] [c d] [e]
+
+    // A handle opened before any append; its block index is built now and
+    // must carry over through every reopen below.
+    corpus_store carried = corpus_store::open(s.dir);
+    fs_test::expect_reads_match_stream(carried, "base only");
+
+    const std::vector<std::vector<building>> batches = {
+        // "b" gains scans; "x" is new; "c" gains scans.
+        {fs_test::named_building("b", 20), fs_test::named_building("x", 21),
+         fs_test::named_building("c", 22)},
+        // "b" again (a name appended in two batches), "x" again (a new
+        // building appended twice), "y" new, "e" twice in one batch.
+        {fs_test::named_building("b", 30), fs_test::named_building("y", 31),
+         fs_test::named_building("x", 32), fs_test::named_building("e", 33),
+         fs_test::named_building("e", 34)},
+        // "y" again and the first base building.
+        {fs_test::named_building("y", 40), fs_test::named_building("a", 41)},
+    };
+    for (std::size_t k = 0; k < batches.size(); ++k) {
+        fs_test::write_delta(s.dir, batches[k]);
+        const std::string stage = "after batch " + std::to_string(k + 1);
+        carried = carried.reopen();
+        EXPECT_EQ(carried.manifest().version, k + 1);
+        fs_test::expect_reads_match_stream(carried, stage + " (reopened)");
+        fs_test::expect_reads_match_stream(corpus_store::open(s.dir), stage + " (fresh)");
+    }
+
+    // The new names sit at the tail in first-appearance order.
+    ASSERT_TRUE(carried.read_effective("x").has_value());
+    EXPECT_EQ(carried.read_effective("x")->index, 5u);
+    EXPECT_EQ(carried.read_effective("y")->index, 6u);
+
+    // Misses are typed, not exceptions.
+    EXPECT_FALSE(carried.read_effective(std::string("no-such-building")).has_value());
+    EXPECT_FALSE(carried.read_effective(std::size_t{7}).has_value());
+    EXPECT_FALSE(carried.read_effective(std::size_t{1000}).has_value());
+}
+
+TEST(corpus_store, per_building_read_of_a_truncated_block_throws) {
+    fs_test::scoped_store s("fisone-per-building-torn");
+    corpus base;
+    base.name = "city";
+    base.buildings = {fs_test::named_building("a", 1), fs_test::named_building("b", 2)};
+    write_corpus_store(base, s.dir, 2);
+
+    const corpus_store indexed = corpus_store::open(s.dir);
+    ASSERT_TRUE(indexed.read_effective(std::size_t{0}).has_value());  // builds the index
+
+    // Cut the shard inside its last block: "b" loses its `end` marker.
+    const std::string shard = indexed.shard_path(0);
+    const auto size = std::filesystem::file_size(shard);
+    std::filesystem::resize_file(shard, size - 20);
+
+    // A handle whose index predates the damage seeks into the torn block;
+    // a fresh handle meets it while building its index.
+    EXPECT_THROW((void)indexed.read_effective(std::size_t{1}), std::invalid_argument);
+    EXPECT_THROW((void)corpus_store::open(s.dir).read_effective(std::size_t{0}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)corpus_store::open(s.dir).read_effective(std::string("a")),
+                 std::invalid_argument);
 }
 
 // ---------- matrix view ----------

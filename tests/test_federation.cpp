@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <sstream>
@@ -24,6 +26,7 @@
 #include "federation/federated_server.hpp"
 #include "federation/router.hpp"
 #include "federation/store_registry.hpp"
+#include "runtime/batch_runner.hpp"
 #include "service/floor_service.hpp"
 #include "service/ndjson_export.hpp"
 #include "sim/building_generator.hpp"
@@ -1071,6 +1074,86 @@ TEST(live_ingestion, slow_reads_during_reindex_serialise_appends_and_stay_correc
     std::ostringstream served_out;
     service::export_input_order(served_out, std::move(served));
     EXPECT_EQ(served_out.str(), cold_rebuild_ndjson(effective.buildings));
+}
+
+/// Bitwise equality of two served results: assignment, cluster_to_floor,
+/// and the embedding's bits.
+void expect_bit_identical(const runtime::building_report& got,
+                          const runtime::building_report& want, const std::string& what) {
+    ASSERT_TRUE(got.ok) << what << ": " << got.error;
+    ASSERT_TRUE(want.ok) << what << ": " << want.error;
+    EXPECT_EQ(got.index, want.index) << what;
+    EXPECT_EQ(got.name, want.name) << what;
+    EXPECT_EQ(got.result.assignment, want.result.assignment) << what;
+    EXPECT_EQ(got.result.cluster_to_floor, want.result.cluster_to_floor) << what;
+    const linalg::matrix& a = got.result.embeddings;
+    const linalg::matrix& b = want.result.embeddings;
+    ASSERT_EQ(a.rows(), b.rows()) << what;
+    ASSERT_EQ(a.cols(), b.cols()) << what;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0) << what;
+}
+
+TEST(live_ingestion, identify_resident_serves_post_append_scans_and_new_names) {
+    const std::string root = scratch_dir("ingest_resident");
+    const data::corpus city = tiny_corpus(5);
+    // Two stores, [fed-0 .. fed-2] and [fed-3, fed-4]; appends go to the
+    // last-mounted one, so a new building takes the merged tail index.
+    const std::vector<std::string> dirs = split_into_stores(city, 2, root, 2);
+
+    federation::federation_config cfg;
+    cfg.service = fast_service_config(1);
+    cfg.num_backends = 2;
+    cfg.store_dirs = dirs;
+    federation::federated_server srv(cfg);
+    response_collector collected;
+    federation::federated_server::session s = srv.open(collected.sink());
+
+    // Resolve X (fed-3) and an untouched building before the append, so
+    // the resident cache holds X's pre-append scans.
+    s.handle(api::request{api::identify_resident_request{10, "fed-3", false}});
+    s.handle(api::request{api::identify_resident_request{11, "fed-0", false}});
+    s.handle(api::flush_request{20});
+    ASSERT_EQ(collected.of<api::building_response>().size(), 2u);
+
+    // Append new scans for X and a brand-new building Y (fed-9).
+    api::append_scans_request ap;
+    ap.correlation_id = 30;
+    ap.corpus_name = "fed-city-part-1";
+    ap.records = {fresh_scans_for(3, 8801), fresh_scans_for(9, 8802)};
+    s.handle(api::request{std::move(ap)});
+    s.handle(api::flush_request{31});
+    ASSERT_EQ(collected.of<api::append_response>().size(), 1u);
+
+    // Fresh resident reads by name, after the ack, with no restart.
+    const std::vector<std::pair<std::uint64_t, std::string>> reads = {
+        {40, "fed-3"}, {41, "fed-9"}, {42, "fed-0"}};
+    for (const auto& [corr, name] : reads)
+        s.handle(api::request{api::identify_resident_request{corr, name, true}});
+    s.handle(api::flush_request{43});
+    s.finish();
+    ASSERT_TRUE(collected.of<api::error_response>().empty())
+        << collected.of<api::error_response>().front().message;
+
+    // Each must equal the task run over the effective corpus at the same
+    // global index: store 0's buildings, then store 1's effective view.
+    data::corpus effective = data::corpus_store::open(dirs[0]).load_all_effective();
+    for (data::building& b : data::corpus_store::open(dirs[1]).load_all_effective().buildings)
+        effective.buildings.push_back(std::move(b));
+    ASSERT_EQ(effective.buildings.size(), 6u);
+    const std::vector<api::building_response> served = collected.of<api::building_response>();
+    for (const auto& [corr, name] : reads) {
+        const auto it = std::find_if(served.begin(), served.end(), [c = corr](const auto& b) {
+            return b.correlation_id == c;
+        });
+        ASSERT_NE(it, served.end()) << "no answer for " << name;
+        const auto at = std::find_if(effective.buildings.begin(), effective.buildings.end(),
+                                     [&n = name](const data::building& b) { return b.name == n; });
+        ASSERT_NE(at, effective.buildings.end()) << name;
+        const auto index = static_cast<std::size_t>(at - effective.buildings.begin());
+        expect_bit_identical(it->report,
+                             runtime::run_building_task(fast_pipeline(), 4242, index, *at, false),
+                             name);
+    }
 }
 
 TEST(live_ingestion, crash_mid_append_leaves_manifest_intact_for_warm_restart) {

@@ -7,13 +7,17 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -398,6 +402,98 @@ TEST(ingest_manager, concurrent_appenders_serialise_without_losing_batches) {
     // Base 2 + one new "hot-<t>" building per writer thread.
     EXPECT_EQ(store.load_all_effective().buildings.size(), 2u + 4u);
     EXPECT_GE(pushes.load(), 4u);
+}
+
+/// (name, global index, content hash) of every building a step re-ran.
+using dirty_set = std::set<std::tuple<std::string, std::size_t, std::uint64_t>>;
+
+/// The dirty set an append must produce, by brute force: every building of
+/// the effective view after it whose bits differ from the view before it
+/// (or that is new), at its global index.
+dirty_set diff_of_snapshots(const data::corpus& before, const data::corpus& after,
+                            std::size_t base_offset) {
+    std::map<std::string, std::uint64_t> old_hashes;
+    for (const data::building& b : before.buildings)
+        old_hashes.emplace(b.name, data::content_hash(b));
+    dirty_set expected;
+    for (std::size_t i = 0; i < after.buildings.size(); ++i) {
+        const data::building& b = after.buildings[i];
+        const std::uint64_t hash = data::content_hash(b);
+        const auto it = old_hashes.find(b.name);
+        if (it == old_hashes.end() || it->second != hash)
+            expected.emplace(b.name, base_offset + i, hash);
+    }
+    return expected;
+}
+
+TEST(ingest_manager, dirty_set_equals_a_diff_of_full_snapshots) {
+    constexpr std::size_t k_base_offset = 10;
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        scoped_dir s("fisone-mgr-dirty-" + std::to_string(seed));
+        std::vector<std::string> names = {"b0", "b1", "b2", "b3", "b4", "b5"};
+        make_store(s, names);
+
+        // Re-runs are answered inline; each records what it was asked to run.
+        std::mutex m;
+        dirty_set submitted;
+        ingest::ingest_manager* mgr_ptr = nullptr;
+        std::vector<ingest::store_binding> bindings(1);
+        bindings[0].dir = s.dir;
+        bindings[0].corpus_name = "city";
+        bindings[0].base_offset = k_base_offset;
+        ingest::ingest_manager mgr(
+            bindings,
+            [&](std::uint64_t corr, std::size_t index, data::building b) {
+                {
+                    const std::lock_guard<std::mutex> lock(m);
+                    submitted.emplace(b.name, index, data::content_hash(b));
+                }
+                const runtime::building_report r = make_report(index, b.name);
+                mgr_ptr->on_reindex_result(corr, &r);
+            },
+            nullptr);
+        mgr_ptr = &mgr;
+
+        std::mt19937_64 rng(seed);
+        std::size_t fresh_names = 0;
+        for (std::size_t step = 0; step < 12; ++step) {
+            // One to three records: mostly known names, some new ones, and
+            // now and then the previous record's name again in one batch.
+            std::vector<data::building> batch;
+            const std::size_t records = 1 + rng() % 3;
+            for (std::size_t r = 0; r < records; ++r) {
+                std::string name;
+                const std::uint64_t pick = rng() % 10;
+                if (!batch.empty() && pick < 2)
+                    name = batch.back().name;
+                else if (pick < 4)
+                    name = "new-" + std::to_string(fresh_names++);
+                else
+                    name = names[rng() % names.size()];
+                if (std::find(names.begin(), names.end(), name) == names.end())
+                    names.push_back(name);
+                batch.push_back(named_building(name, 1000 * seed + 10 * step + r));
+            }
+
+            const data::corpus before = data::corpus_store::open(s.dir).load_all_effective();
+            {
+                const std::lock_guard<std::mutex> lock(m);
+                submitted.clear();
+            }
+            std::promise<ingest::append_ack> acked;
+            mgr.enqueue_append("city", batch,
+                               [&](const ingest::append_ack& a) { acked.set_value(a); });
+            const ingest::append_ack ack = acked.get_future().get();
+            ASSERT_TRUE(ack.error.empty()) << ack.error;
+            mgr.wait_idle();
+            const data::corpus after = data::corpus_store::open(s.dir).load_all_effective();
+
+            const dirty_set expected = diff_of_snapshots(before, after, k_base_offset);
+            const std::lock_guard<std::mutex> lock(m);
+            EXPECT_EQ(submitted, expected) << "seed " << seed << ", step " << step;
+            EXPECT_EQ(ack.dirty, expected.size()) << "seed " << seed << ", step " << step;
+        }
+    }
 }
 
 }  // namespace
