@@ -380,7 +380,7 @@ int main(int argc, char** argv) try {
         net::tcp_server_config ncfg;
         ncfg.max_inflight_requests = max_inflight;
         ncfg.telemetry_window_ms = window_ms;
-        front = std::make_unique<net::tcp_server>(net::make_backend(*fleet_srv), ncfg);
+        front = std::make_unique<net::tcp_server>(*fleet_srv, ncfg);
         port = front->port();
         loop_thread = std::thread([&front] { front->run(); });
     } else {

@@ -6,7 +6,7 @@
 /// remap is on the hot path), per-request wall latency is recorded
 /// client-side, and at the end the merged input-order NDJSON re-export is
 /// compared **byte for byte** against an in-process loopback run of the
-/// same corpus. Then an overload phase pauses the backing service, blasts
+/// same corpus. Then an overload phase pauses the fleet, blasts
 /// more requests than the admission bound, and checks the shed contract:
 /// every submitted request is answered — a result or a typed
 /// `error_response{overloaded}` — with nothing hung and nothing dropped.
@@ -19,9 +19,9 @@
 ///  --quick    CI-sized corpus (seconds)
 ///  --json     write the JSON report (schema `fisone-bench-net/v1`)
 ///  --connect  drive an external `serve_tcp` (same profile + seed!)
-///             instead of an in-process server; the parity check then
-///             spans two processes. The overload phase needs to pause the
-///             backing service, so it only runs in-process.
+///             instead of an in-process 1-backend fleet; the parity
+///             check then spans two processes. The overload phase needs
+///             to pause the fleet, so it only runs in-process.
 ///
 /// Exits non-zero on NDJSON divergence or an unaccounted overload request.
 
@@ -43,6 +43,7 @@
 #include "bench_common.hpp"
 #include "api/client.hpp"
 #include "api/server.hpp"
+#include "federation/federated_server.hpp"
 #include "net/socket.hpp"
 #include "net/tcp_server.hpp"
 #include "obs/trace.hpp"
@@ -50,7 +51,7 @@
 #include "service/profiles.hpp"
 #include "sim/building_generator.hpp"
 #include "util/cli.hpp"
-#include "util/percentile.hpp"
+#include "util/stats.hpp"
 #include "util/table_printer.hpp"
 
 namespace {
@@ -96,7 +97,7 @@ std::pair<double, std::string> run_loopback(const data::corpus& fleet, std::uint
 struct tcp_run {
     double wall = 0.0;
     std::string ndjson;
-    util::percentile_accumulator latency;
+    std::vector<double> latency;  ///< seconds, every connection's samples
     std::size_t responses = 0;
     std::size_t protocol_errors = 0;
 };
@@ -110,7 +111,7 @@ tcp_run run_tcp(const std::string& host, std::uint16_t port, const data::corpus&
     struct conn_state {
         std::vector<std::size_t> indices;  ///< corpus indices on this connection
         std::vector<runtime::building_report> reports;
-        util::percentile_accumulator latency;
+        std::vector<double> latency;
         std::size_t errors = 0;
         std::mutex m;  ///< guards send_at between writer and reader thread
         std::vector<clock_type::time_point> send_at;  ///< [corr-1]
@@ -157,7 +158,7 @@ tcp_run run_tcp(const std::string& host, std::uint16_t port, const data::corpus&
                             const std::lock_guard<std::mutex> lock(st.m);
                             if (b->correlation_id >= 1 &&
                                 b->correlation_id <= st.send_at.size())
-                                st.latency.add(std::chrono::duration<double>(
+                                st.latency.push_back(std::chrono::duration<double>(
                                                    now - st.send_at[b->correlation_id - 1])
                                                    .count());
                         }
@@ -180,7 +181,7 @@ tcp_run run_tcp(const std::string& host, std::uint16_t port, const data::corpus&
         if (!st.failure.empty())
             throw std::runtime_error("connection failed: " + st.failure);
         for (auto& r : st.reports) reports.push_back(std::move(r));
-        out.latency.merge(st.latency);
+        out.latency.insert(out.latency.end(), st.latency.begin(), st.latency.end());
         out.responses += st.reports.size();
         out.protocol_errors += st.errors;
     }
@@ -200,7 +201,7 @@ struct overload_result {
     }
 };
 
-/// Pause the backing service, submit far more than the admission bound,
+/// Pause the fleet, submit far more than the admission bound,
 /// and verify every request is answered: a building result or a typed
 /// `overloaded` shed — no hangs, no silent drops.
 overload_result run_overload(const data::corpus& fleet, std::uint64_t seed) {
@@ -208,14 +209,15 @@ overload_result run_overload(const data::corpus& fleet, std::uint64_t seed) {
     constexpr std::size_t k_conns = 2;
     constexpr std::size_t k_per_conn = 8;
 
-    api::server_config scfg;
-    scfg.service = service::quick_profile(seed, 1);
-    api::server srv(scfg);
-    srv.backing_service().pause();
+    federation::federation_config fcfg;
+    fcfg.service = service::quick_profile(seed, 1);
+    fcfg.num_backends = 1;
+    federation::federated_server fed(fcfg);
+    fed.pause();
 
     net::tcp_server_config ncfg;
     ncfg.max_inflight_requests = k_bound;
-    net::tcp_server front(net::make_backend(srv), ncfg);
+    net::tcp_server front(fed, ncfg);
     std::thread loop([&front] { front.run(); });
 
     overload_result out;
@@ -257,7 +259,7 @@ overload_result run_overload(const data::corpus& fleet, std::uint64_t seed) {
     // admitted requests complete, the readers see EOF after their last
     // response, and the clients join.
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    srv.backing_service().resume();
+    fed.resume();
     for (std::thread& t : clients) t.join();
     front.drain();
     loop.join();
@@ -294,17 +296,18 @@ int main(int argc, char** argv) try {
     const auto [loop_s, loop_ndjson] = run_loopback(fleet, seed, threads);
 
     // The system under test: an external serve_tcp, or an in-process
-    // front door over an identical server.
+    // front door over a 1-backend fleet.
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;
-    std::unique_ptr<api::server> srv;
+    std::unique_ptr<federation::federated_server> fed;
     std::unique_ptr<net::tcp_server> front;
     std::thread loop_thread;
     if (connect.empty()) {
-        api::server_config cfg;
+        federation::federation_config cfg;
         cfg.service = service::quick_profile(seed, threads);
-        srv = std::make_unique<api::server>(cfg);
-        front = std::make_unique<net::tcp_server>(net::make_backend(*srv));
+        cfg.num_backends = 1;
+        fed = std::make_unique<federation::federated_server>(cfg);
+        front = std::make_unique<net::tcp_server>(*fed);
         port = front->port();
         loop_thread = std::thread([&front] { front->run(); });
     } else {
@@ -335,6 +338,9 @@ int main(int argc, char** argv) try {
         return s > 0.0 ? static_cast<double>(buildings) / s : 0.0;
     };
     const auto ms = [](double s) { return s * 1e3; };
+    const auto latency_ms = [&tcp, &ms](double p) {
+        return tcp.latency.empty() ? 0.0 : ms(util::percentile(tcp.latency, p));
+    };
     util::table_printer table("Network front door — " + std::to_string(buildings) +
                               " buildings over " + std::to_string(connections) +
                               " connections");
@@ -344,8 +350,8 @@ int main(int argc, char** argv) try {
     table.row({connect.empty() ? "tcp (in-process)" : "tcp (external)",
                util::table_printer::num(tcp.wall, 2),
                util::table_printer::num(rate(tcp.wall), 2),
-               util::table_printer::num(ms(tcp.latency.percentile_or_zero(50.0)), 1),
-               util::table_printer::num(ms(tcp.latency.percentile_or_zero(99.0)), 1),
+               util::table_printer::num(latency_ms(50.0), 1),
+               util::table_printer::num(latency_ms(99.0), 1),
                identical ? "yes" : "NO"});
     table.print(std::cout);
     std::cout << "\nTCP NDJSON byte-identical to loopback: " << (identical ? "yes" : "NO")
@@ -372,11 +378,11 @@ int main(int argc, char** argv) try {
         f << "  \"loopback_seconds\": " << bench::json_num(loop_s) << ",\n";
         f << "  \"tcp_seconds\": " << bench::json_num(tcp.wall) << ",\n";
         f << "  \"tcp_buildings_per_sec\": " << bench::json_num(rate(tcp.wall)) << ",\n";
-        f << "  \"latency_p50_ms\": " << bench::json_num(ms(tcp.latency.percentile_or_zero(50.0)))
+        f << "  \"latency_p50_ms\": " << bench::json_num(latency_ms(50.0))
           << ",\n";
-        f << "  \"latency_p90_ms\": " << bench::json_num(ms(tcp.latency.percentile_or_zero(90.0)))
+        f << "  \"latency_p90_ms\": " << bench::json_num(latency_ms(90.0))
           << ",\n";
-        f << "  \"latency_p99_ms\": " << bench::json_num(ms(tcp.latency.percentile_or_zero(99.0)))
+        f << "  \"latency_p99_ms\": " << bench::json_num(latency_ms(99.0))
           << ",\n";
         f << "  \"ndjson_identical\": " << (identical ? "true" : "false") << ",\n";
         f << "  \"overload_ran\": " << (overload_ran ? "true" : "false") << ",\n";

@@ -48,6 +48,7 @@
 #include "api/client.hpp"
 #include "api/codec.hpp"
 #include "api/server.hpp"
+#include "federation/federated_server.hpp"
 #include "net/socket.hpp"
 #include "net/tcp_server.hpp"
 #include "obs/trace.hpp"
@@ -108,7 +109,7 @@ struct tcp_pass {
     std::uint64_t stats_updates = 0;  ///< stats_update frames seen client-side
 };
 
-/// One full pass over the TCP front door: fresh server + fresh
+/// One full pass over the TCP front door: fresh 1-backend fleet + fresh
 /// `tcp_server` with the given telemetry window, optionally an active
 /// `subscribe_stats` stream drinking every window while the fleet is
 /// identified over a single framed connection. The wall clock covers the
@@ -116,10 +117,15 @@ struct tcp_pass {
 /// off/on comparison isolates what ticking + pushing costs the serve path.
 tcp_pass run_tcp_pass(const std::vector<data::building>& fleet, std::uint64_t seed,
                       std::uint32_t telemetry_window_ms, bool with_subscriber) {
-    api::server srv(make_server_config(seed));
+    const api::server_config scfg = make_server_config(seed);
+    federation::federation_config fcfg;
+    fcfg.service = scfg.service;
+    fcfg.num_backends = 1;
+    fcfg.enable_cache = scfg.enable_cache;
+    federation::federated_server fed(fcfg);
     net::tcp_server_config ncfg;
     ncfg.telemetry_window_ms = telemetry_window_ms;
-    net::tcp_server front(net::make_backend(srv), ncfg);
+    net::tcp_server front(fed, ncfg);
     std::thread loop([&front] { front.run(); });
 
     tcp_pass out;

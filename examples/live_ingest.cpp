@@ -366,7 +366,7 @@ int run_demo(bool quiet) {
     net::tcp_server_config net_cfg;
     net_cfg.host = "127.0.0.1";
     net_cfg.port = 0;
-    net::tcp_server srv(net::make_backend(fleet), net_cfg);
+    net::tcp_server srv(fleet, net_cfg);
     std::thread loop([&srv] { srv.run(); });
     if (!quiet) std::cerr << "live_ingest: fleet on 127.0.0.1:" << srv.port() << '\n';
 

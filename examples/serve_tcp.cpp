@@ -1,7 +1,7 @@
 /// \file serve_tcp.cpp
 /// The network front door, running: bind a `net::tcp_server` on a real
-/// socket, front either a single `api::server` or a federated fleet, and
-/// serve FIS1 frames to any number of concurrent connections until a
+/// socket, front a federated fleet of `--backends` services, and serve
+/// FIS1 frames to any number of concurrent connections until a
 /// SIGTERM/SIGINT triggers a graceful drain (stop accepting, finish
 /// in-flight jobs, flush, exit 0).
 ///
@@ -22,11 +22,9 @@
 ///
 ///  --port 0       (default) binds a kernel-assigned port; pair with
 ///                 --port-file so a driving script can discover it.
-///  --stores       mount on-disk corpus stores behind a federated fleet
-///                 of --backends services; without it (and without
-///                 --backends/--fault-plan/--request-timeout-ms), a
-///                 single `api::server` serves wire-supplied buildings
-///                 only.
+///  --stores       mount on-disk corpus stores behind the fleet; without
+///                 it the fleet serves wire-supplied buildings only.
+///  --backends     fleet size (default 2).
 ///  --profile      pins the pipeline profile (`service::profiles`), so a
 ///                 client process using the same profile + seed gets
 ///                 byte-identical results to an in-process run.
@@ -35,7 +33,7 @@
 ///                 answered within N ms is cancelled on its backend and
 ///                 retried elsewhere; exhausted retries answer a typed
 ///                 `deadline_exceeded` error. 0 (default) disables
-///                 deadlines. Fleet mode only; arms fault tolerance.
+///                 deadlines. Arms fault tolerance.
 ///  --cache-dir    persist the result cache(s) under DIR (crash-safe
 ///                 write-then-rename spill). On start each backend warm
 ///                 loads only its own cache-affinity shard, so a
@@ -43,8 +41,8 @@
 ///  --fault-plan   deterministic fault injection, e.g.
 ///                 `0:fail_every=3;1:hang_ms=200` (keys: fail_every,
 ///                 fail_first, hang_ms, crash_on_submit, slow_read_ms,
-///                 crash_on_append). Fleet mode only; arms fault
-///                 tolerance (retry/failover + circuit breakers).
+///                 crash_on_append). Arms fault tolerance
+///                 (retry/failover + circuit breakers).
 ///                 crash_on_append=1 aborts the process after an
 ///                 appended delta shard is durable but before the
 ///                 manifest tmp is written; =2 aborts after the tmp is
@@ -74,12 +72,10 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "api/server.hpp"
 #include "federation/federated_server.hpp"
 #include "net/tcp_server.hpp"
 #include "obs/trace.hpp"
@@ -117,7 +113,7 @@ void print_usage() {
         "  --request-timeout-ms N   per-request deadline; late attempts are\n"
         "                           cancelled and retried on another backend,\n"
         "                           exhausted retries answer deadline_exceeded.\n"
-        "                           0 disables (default). Fleet mode only.\n"
+        "                           0 disables (default).\n"
         "  --cache-dir DIR          crash-safe persistent result-cache spill;\n"
         "                           each backend warm-loads its own affinity\n"
         "                           shard on restart.\n"
@@ -125,13 +121,12 @@ void print_usage() {
         "                           0:fail_every=3;1:hang_ms=200 (keys:\n"
         "                           fail_every, fail_first, hang_ms,\n"
         "                           crash_on_submit, slow_read_ms,\n"
-        "                           crash_on_append). Fleet mode only;\n"
-        "                           arms retry/failover.\n"
+        "                           crash_on_append). Arms retry/failover.\n"
         "\n"
-        "Fleet mode runs when --stores, --backends, --fault-plan, or\n"
-        "--request-timeout-ms is given; otherwise a single api::server\n"
-        "serves wire-supplied buildings. SIGTERM/SIGINT drains gracefully;\n"
-        "curl http://host:port/metrics scrapes Prometheus text format.\n";
+        "Serves a fleet of --backends services (default 2) over the\n"
+        "--stores corpus stores, if any, and wire-supplied buildings.\n"
+        "SIGTERM/SIGINT drains gracefully; curl http://host:port/metrics\n"
+        "scrapes Prometheus text format.\n";
 }
 
 }  // namespace
@@ -175,38 +170,17 @@ int main(int argc, char** argv) try {
         return EXIT_FAILURE;
     }
 
-    const service::service_config svc_cfg =
-        service::profile_by_name(profile, seed, threads);
-
-    // Fault tolerance needs peers to fail over to, so any fault-plan or
-    // deadline flag (and an explicit --backends) selects fleet mode even
-    // without on-disk stores.
-    const bool fleet_mode = !stores.empty() || args.has("backends") ||
-                            !fault_plan.empty() || request_timeout_ms > 0;
-
-    // The backend must outlive the tcp_server, so both live here.
-    std::unique_ptr<api::server> single;
-    std::unique_ptr<federation::federated_server> fleet;
-    net::backend be;
-    if (!fleet_mode) {
-        api::server_config cfg;
-        cfg.service = svc_cfg;
-        if (!cache_dir.empty()) cfg.cache_spill = api::cache_spill_config{cache_dir, 1, 0};
-        single = std::make_unique<api::server>(cfg);
-        be = net::make_backend(*single);
-    } else {
-        federation::federation_config cfg;
-        cfg.service = svc_cfg;
-        cfg.num_backends = backends;
-        cfg.store_dirs = stores;
-        cfg.cache_dir = cache_dir;
-        if (request_timeout_ms > 0)
-            cfg.fault_tolerance.request_timeout = std::chrono::milliseconds(request_timeout_ms);
-        if (!fault_plan.empty())
-            cfg.fault_plans = service::parse_fault_plans(fault_plan, backends);
-        fleet = std::make_unique<federation::federated_server>(cfg);
-        be = net::make_backend(*fleet);
-    }
+    federation::federation_config cfg;
+    cfg.service = service::profile_by_name(profile, seed, threads);
+    cfg.num_backends = backends;
+    cfg.store_dirs = stores;
+    cfg.cache_dir = cache_dir;
+    if (request_timeout_ms > 0)
+        cfg.fault_tolerance.request_timeout = std::chrono::milliseconds(request_timeout_ms);
+    if (!fault_plan.empty()) cfg.fault_plans = service::parse_fault_plans(fault_plan, backends);
+    // The fleet must outlive the tcp_server and its in-flight jobs, so it
+    // is declared first.
+    federation::federated_server fleet(cfg);
 
     net::tcp_server_config net_cfg;
     net_cfg.host = host;
@@ -216,7 +190,7 @@ int main(int argc, char** argv) try {
     net_cfg.slow_request_seconds = slow_ms > 0 ? static_cast<double>(slow_ms) / 1000.0 : 0.0;
     net_cfg.telemetry_window_ms =
         telemetry_window_ms > 0 ? static_cast<std::uint32_t>(telemetry_window_ms) : 0;
-    net::tcp_server srv(std::move(be), net_cfg);
+    net::tcp_server srv(fleet, net_cfg);
 
     if (!port_file.empty()) {
         // Write-then-rename so a polling script never reads a torn file.
@@ -231,8 +205,7 @@ int main(int argc, char** argv) try {
     }
     if (!quiet)
         std::cerr << "serve_tcp: listening on " << host << ':' << srv.port() << " ("
-                  << (!fleet_mode ? "single server"
-                                  : std::to_string(backends) + "-backend fleet")
+                  << backends << "-backend fleet"
                   << ", profile " << profile << ", seed " << seed << ", "
                   << max_inflight << " in-flight max"
                   << (cache_dir.empty() ? "" : ", cache spill " + cache_dir)

@@ -56,11 +56,13 @@ struct server_config {
     cache_spill_config cache_spill{};
     /// Filesystem root that `identify_shard` paths must resolve inside
     /// (symlinks and dot-segments resolved). Empty — the default — trusts
-    /// the caller, which is right for in-process embedding; SET THIS
-    /// before attaching any network transport, or wire-supplied paths
-    /// become an arbitrary-file probe of the server's filesystem.
-    /// Out-of-root requests are answered with a typed
-    /// `error_code::bad_request`, never executed.
+    /// the caller, which is right for in-process embedding. No network
+    /// transport fronts a bare `api::server`: `net::tcp_server` serves a
+    /// `federation::federated_server`, which confines paths to its
+    /// mounted stores before a backend sees them. Set this when a stream
+    /// (`serve(in, out)`) carries untrusted input. Out-of-root requests
+    /// are answered with a typed `error_code::bad_request`, never
+    /// executed.
     std::string shard_root;
 };
 

@@ -307,7 +307,7 @@ struct federated_server::session::state {
     std::shared_ptr<federated_server::routing> routing;
     store_registry* registry = nullptr;
     std::vector<api::server*> backends;
-    std::vector<api::server::session> backend_sessions;
+    std::vector<api::server::session> sessions;  ///< entry k = session on backends[k]
     /// Protection (both null when off). The tracker is shared with the
     /// emitter; fleet_health is shared with the server (its watchdog must
     /// outlive every scheduled retry).
@@ -361,7 +361,7 @@ struct federated_server::session::state {
     void drain() {
         if (ingest) ingest->wait_idle();
         for (;;) {
-            for (api::server::session& bs : backend_sessions) bs.finish();
+            for (api::server::session& bs : sessions) bs.finish();
             if (!tracker) return;
             std::unique_lock<std::mutex> lock(tracker->m);
             if (tracker->attempts.empty()) return;
@@ -426,7 +426,7 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
 
     req.correlation_id = attempt_id;
     try {
-        st->backend_sessions[k].handle(api::request{std::move(req)});
+        st->sessions[k].handle(api::request{std::move(req)});
     } catch (const std::exception& e) {
         // Submit-time crash: no backend job exists, no response will come.
         health.on_failure(k);
@@ -525,7 +525,7 @@ void federated_server::expire_attempt(const std::shared_ptr<session::state>& st,
                       std::to_string(st->health->config().request_timeout.count()) + " ms");
     // Cancel the hung job so its worker stops burning the deadline's
     // budget; the swallow id keeps the ack out of the client stream.
-    st->backend_sessions[backend].handle(
+    st->sessions[backend].handle(
         api::request{api::cancel_job_request{swallow, attempt_id}});
 }
 
@@ -575,7 +575,7 @@ void federated_server::session::handle(const api::request& req) {
                 st->remember(m.correlation_id, k);
                 if (m.has_index) {
                     st->routing->advance_index(static_cast<std::size_t>(m.corpus_index) + 1);
-                    st->backend_sessions[k].handle(req);
+                    st->sessions[k].handle(req);
                 } else {
                     // The front-end is the one index-assignment authority:
                     // pin the next global index before the hop, so the
@@ -584,7 +584,7 @@ void federated_server::session::handle(const api::request& req) {
                     api::identify_building_request pinned = m;
                     pinned.has_index = true;
                     pinned.corpus_index = st->routing->allocate_index();
-                    st->backend_sessions[k].handle(api::request{std::move(pinned)});
+                    st->sessions[k].handle(api::request{std::move(pinned)});
                 }
             } else if constexpr (std::is_same_v<T, api::identify_shard_request>) {
                 obs::scoped_span span("federation.dispatch");
@@ -617,7 +617,7 @@ void federated_server::session::handle(const api::request& req) {
                             if (k != prev) st->health->count_failover();
                         }
                         try {
-                            st->backend_sessions[k].handle(req);
+                            st->sessions[k].handle(req);
                             st->remember(m.correlation_id, k);
                             st->health->on_success(k);
                             return;
@@ -638,7 +638,7 @@ void federated_server::session::handle(const api::request& req) {
                     return st->pick(shard_affinity(m.ref));
                 }();
                 st->remember(m.correlation_id, k);
-                st->backend_sessions[k].handle(req);
+                st->sessions[k].handle(req);
             } else if constexpr (std::is_same_v<T, api::get_stats_request>) {
                 service::service_stats s = gather_merged_stats(st->backends);
                 if (st->ingest) {
@@ -755,7 +755,7 @@ void federated_server::session::handle(const api::request& req) {
                     if (backend < st->backends.size()) {
                         api::cancel_job_request fwd = m;
                         fwd.target_correlation_id = attempt_id;
-                        st->backend_sessions[backend].handle(api::request{std::move(fwd)});
+                        st->sessions[backend].handle(api::request{std::move(fwd)});
                         return;
                     }
                     // else: not a live protected building — a shard job
@@ -768,7 +768,7 @@ void federated_server::session::handle(const api::request& req) {
                     if (it != st->owners.end()) owner = it->second;
                 }
                 if (owner < st->backends.size())
-                    st->backend_sessions[owner].handle(req);  // backend answers
+                    st->sessions[owner].handle(req);  // backend answers
                 else
                     st->out->respond(api::cancel_response{m.correlation_id,
                                                           m.target_correlation_id, false});
@@ -906,10 +906,10 @@ federated_server::session federated_server::open(frame_sink sink) {
     st->watches = watches_;
     st->residents = residents_;
     st->backends.reserve(backends_.size());
-    st->backend_sessions.reserve(backends_.size());
+    st->sessions.reserve(backends_.size());
     for (const std::unique_ptr<api::server>& b : backends_) {
         st->backends.push_back(b.get());
-        st->backend_sessions.push_back(
+        st->sessions.push_back(
             b->open([out](std::string_view frame) { out->frame(frame); }));
     }
     if (health_) {

@@ -48,8 +48,8 @@
 ///    with a few name bytes on the wire instead of the whole building.
 ///    Unknown names and store-less fleets answer `bad_request`.
 ///  - `subscribe_stats` — answered `bad_request`: telemetry windows live at
-///    the TCP front door (`net::tcp_server`), the only layer that sees
-///    sheds and admission.
+///    the TCP front door (`net::tcp_server`, which serves this class
+///    directly), the only layer that sees sheds and admission.
 /// `pause()` / `resume()` fan out to every backend's service.
 ///
 /// Determinism: a building's results depend only on its *global* corpus

@@ -250,7 +250,7 @@ struct tcp_server::conn {
     }
 };
 
-/// The response sink installed on each connection's backend session. Runs
+/// The response sink installed on each connection's fleet session. Runs
 /// on backend worker threads (and inline on the loop thread for
 /// synchronous answers); touches only `conn` shared state and `core`.
 void tcp_server::core::on_response_frame(const std::shared_ptr<core>& co,
@@ -393,40 +393,6 @@ void tcp_server::core::complete_request(const request_finish& fi) const {
         std::fprintf(stderr, "%s\n", line.c_str());
 }
 
-// --- backend adapters --------------------------------------------------------
-
-backend make_backend(api::server& srv) {
-    return backend{
-        [&srv](api::server::frame_sink sink) {
-            api::server::session s = srv.open(std::move(sink));
-            return backend_session{
-                [s](const api::request& r) mutable { s.handle(r); }};
-        },
-        [&srv] { return srv.stats(); },
-        [&srv] { return std::vector<api::result_cache_stats>{srv.cache_stats()}; },
-        nullptr,  // single server: no fleet health
-    };
-}
-
-backend make_backend(federation::federated_server& srv) {
-    return backend{
-        [&srv](api::server::frame_sink sink) {
-            federation::federated_server::session s = srv.open(std::move(sink));
-            return backend_session{
-                [s](const api::request& r) mutable { s.handle(r); }};
-        },
-        [&srv] { return srv.stats(); },
-        [&srv] {
-            std::vector<api::result_cache_stats> out;
-            out.reserve(srv.num_backends());
-            for (std::size_t k = 0; k < srv.num_backends(); ++k)
-                out.push_back(srv.backend(k).cache_stats());
-            return out;
-        },
-        [&srv] { return srv.health(); },
-    };
-}
-
 // --- the event loop ----------------------------------------------------------
 
 /// Loop-local state of one `run()` invocation.
@@ -436,7 +402,7 @@ struct tcp_server::loop {
 
     struct open_conn {
         std::shared_ptr<conn> c;
-        backend_session session;
+        federation::federated_server::session session;
     };
     std::unordered_map<int, open_conn> conns;
     bool listener_open = true;
@@ -504,7 +470,7 @@ struct tcp_server::loop {
             }
             const std::shared_ptr<core> core_sp = srv.core_;
             const std::size_t max_wbuf = srv.cfg_.max_write_buffer;
-            backend_session session = srv.backend_.open(
+            federation::federated_server::session session = srv.fleet_.open(
                 [core_sp, c, max_wbuf](std::string_view frame) {
                     core::on_response_frame(core_sp, c, max_wbuf, frame);
                 });
@@ -713,7 +679,7 @@ struct tcp_server::loop {
             const std::uint64_t corr = mr->correlation_id;
             if (admit(c, corr)) forward_job(oc, std::move(req), corr, 1);
         } else if (const auto* msub = std::get_if<api::subscribe_stats_request>(&req)) {
-            // Served here, not by the backend: the admission and shed
+            // Served here, not by the fleet: the admission and shed
             // counters the stream exposes live in this layer. Ack, then
             // let the telemetry tick push stats_update frames.
             const bool had = c.stats_sub.has_value();
@@ -754,7 +720,7 @@ struct tcp_server::loop {
             }
             if (!known) {
                 // Finished (or never seen) in this connection's id space:
-                // answer locally, exactly as the backend would for an
+                // answer locally, exactly as the fleet would for an
                 // unknown id.
                 emit_local(c, api::cancel_response{mc->correlation_id,
                                                    mc->target_correlation_id, false});
@@ -783,7 +749,7 @@ struct tcp_server::loop {
             // get_stats / watch: pass through with the client's own
             // correlation id — their answers (and any later push_update
             // frames a watch produces) echo it and need no remapping,
-            // because each connection has its own backend session.
+            // because each connection has its own fleet session.
             oc.session.handle(req);
         }
     }
@@ -1126,10 +1092,8 @@ struct tcp_server::loop {
 
 // --- public surface ----------------------------------------------------------
 
-tcp_server::tcp_server(backend be, tcp_server_config cfg)
-    : backend_(std::move(be)), cfg_(std::move(cfg)) {
-    if (!backend_.open || !backend_.stats)
-        throw std::invalid_argument("net: backend must provide open and stats");
+tcp_server::tcp_server(federation::federated_server& fleet, tcp_server_config cfg)
+    : fleet_(fleet), cfg_(std::move(cfg)) {
     if (cfg_.max_inflight_requests == 0)
         throw std::invalid_argument("net: max_inflight_requests must be >= 1");
     if (cfg_.max_connections == 0)
@@ -1189,9 +1153,11 @@ tcp_server_stats tcp_server::stats() const {
 std::string tcp_server::metrics_text() const {
     metrics_extras extras;
     extras.stages = obs::stage_stats();
-    if (backend_.backend_caches) extras.backend_caches = backend_.backend_caches();
-    if (backend_.health) extras.federation = backend_.health();
-    return render_metrics(stats(), backend_.stats(), extras);
+    extras.backend_caches.reserve(fleet_.num_backends());
+    for (std::size_t k = 0; k < fleet_.num_backends(); ++k)
+        extras.backend_caches.push_back(fleet_.backend(k).cache_stats());
+    extras.federation = fleet_.health();
+    return render_metrics(stats(), fleet_.stats(), extras);
 }
 
 }  // namespace fisone::net

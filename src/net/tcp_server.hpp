@@ -3,18 +3,17 @@
 /// \file tcp_server.hpp
 /// The network front door: an epoll-based TCP server that speaks the
 /// existing `"FIS1"` frame contract to many concurrent connections and
-/// fronts either a single `api::server` or a whole
-/// `federation::federated_server` fleet (type-erased behind `backend`).
+/// fronts a `federation::federated_server` fleet (one backend or many).
 /// Nothing above the socket is new — connections feed the same
 /// `api::codec` and the same session dispatch the stream/loopback
 /// transports use, which is what keeps the TCP path byte-identical to
 /// them.
 ///
 /// **Connection model.** One OS thread runs the epoll loop (`run()`);
-/// pipeline work happens on the backend's own worker pool. Each accepted
-/// connection gets its own backend session *and its own correlation-id
+/// pipeline work happens on the fleet's own worker pools. Each accepted
+/// connection gets its own fleet session *and its own correlation-id
 /// space*: client-chosen ids are remapped through a per-connection table
-/// to globally unique internal ids before the backend sees them (two
+/// to globally unique internal ids before the fleet sees them (two
 /// clients both using correlation id 1 never collide), and mapped back —
 /// an 8-byte in-place patch of the response frame, the rest of the bytes
 /// forwarded verbatim — on the way out. Responses stream back in
@@ -25,7 +24,7 @@
 /// requests (it never blocks the event loop).
 ///
 /// **Overload behavior is explicit.** A bounded global admission count
-/// (`max_inflight_requests`) caps job requests forwarded to the backend;
+/// (`max_inflight_requests`) caps job requests forwarded to the fleet;
 /// at the bound, new `identify_*` requests are answered immediately with
 /// a typed `error_response{overloaded}` — shed, never queued into
 /// unbounded latency. Keep the bound at or below the backing service's
@@ -47,7 +46,7 @@
 /// curl) gets a Prometheus text-format page over HTTP, the bare line
 /// `METRICS` gets the raw page — transport counters, admission/shed
 /// counts, request latency quantiles, per-backend cache counters, stage
-/// latency summaries, and the backend's `get_stats` view (see
+/// latency summaries, and the fleet's `get_stats` view (see
 /// `metrics.hpp`). `GET /dump_trace` (or the bare line `DUMP_TRACE`)
 /// answers the current span tape as Chrome trace-event JSON
 /// (`obs::chrome_trace_json()`), loadable in Perfetto.
@@ -62,7 +61,7 @@
 /// interval (rounded up to the window), each carrying one completed
 /// window — per-window shed counts, goodput, and latency percentiles.
 /// This is the closed-loop signal `bench/bench_capacity` steps offered
-/// load against. `subscribe_stats` is answered here, not by the backend:
+/// load against. `subscribe_stats` is answered here, not by the fleet:
 /// the admission and shed counters it exists to expose live at the front
 /// door.
 
@@ -71,46 +70,12 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "api/server.hpp"
 #include "federation/federated_server.hpp"
 #include "metrics.hpp"
 #include "socket.hpp"
 
 namespace fisone::net {
-
-/// One opened backend connection, type-erased over
-/// `api::server::session` / `federation::federated_server::session`.
-struct backend_session {
-    /// Dispatch one decoded request (the tcp server decodes frames itself
-    /// — admission control and id remapping need the message, and
-    /// forwarding the decoded form avoids a second decode).
-    std::function<void(const api::request&)> handle;
-};
-
-/// A type-erased backend the front door can serve. The referenced server
-/// must outlive the `tcp_server` *and* its in-flight jobs (destroy the
-/// backend after `run()` has returned).
-struct backend {
-    std::function<backend_session(api::server::frame_sink)> open;
-    std::function<service::service_stats()> stats;  ///< the `get_stats` view
-    /// Per-backend result-cache snapshots (entry k = backend k; one entry
-    /// for a single server). Optional — when unset, the metrics page omits
-    /// the per-backend cache families.
-    std::function<std::vector<api::result_cache_stats>()> backend_caches;
-    /// Fleet-health snapshot (retry/failover counters, breaker states).
-    /// Optional — unset for a single server or an unprotected fleet, and
-    /// the metrics page omits the federation families; the callback itself
-    /// may also return nullopt (protection off).
-    std::function<std::optional<federation::health_snapshot>()> health;
-};
-
-/// Front a single API server.
-[[nodiscard]] backend make_backend(api::server& srv);
-
-/// Front a federated fleet.
-[[nodiscard]] backend make_backend(federation::federated_server& srv);
 
 /// Front-door configuration.
 struct tcp_server_config {
@@ -152,10 +117,12 @@ struct tcp_server_config {
 class tcp_server {
 public:
     /// Binds and listens immediately (so `port()` is known before
-    /// `run()`), but accepts nothing until `run()`.
+    /// `run()`), but accepts nothing until `run()`. \p fleet must outlive
+    /// the `tcp_server` *and* its in-flight jobs (destroy the fleet after
+    /// `run()` has returned).
     /// \throws std::system_error on socket/bind/listen failure,
     ///         std::invalid_argument on a bad host or zero bounds.
-    tcp_server(backend be, tcp_server_config cfg = {});
+    explicit tcp_server(federation::federated_server& fleet, tcp_server_config cfg = {});
 
     /// Closes the listener and the wakeup fd. `run()` must have returned
     /// (or never been called).
@@ -177,14 +144,15 @@ public:
     void drain();
 
     /// Hard stop: close every connection now; `run()` returns without
-    /// waiting for in-flight jobs (the backend's destructor still does).
+    /// waiting for in-flight jobs (the fleet's destructor still does).
     void stop();
 
     /// Point-in-time transport counters + request-latency percentiles.
     [[nodiscard]] tcp_server_stats stats() const;
 
     /// The plaintext metrics page (exactly what the `/metrics` probe
-    /// serves): `stats()` + the backend's `get_stats` view.
+    /// serves): `stats()` + the fleet's `get_stats` view, per-backend
+    /// cache counters and fleet health.
     [[nodiscard]] std::string metrics_text() const;
 
 private:
@@ -192,7 +160,7 @@ private:
     struct conn;
     struct loop;
 
-    backend backend_;
+    federation::federated_server& fleet_;
     tcp_server_config cfg_;
     std::shared_ptr<core> core_;
     socket_fd listener_;

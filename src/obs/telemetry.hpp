@@ -4,12 +4,12 @@
 /// Live telemetry for long-running servers: a bounded log-linear latency
 /// histogram and a windowed time-series registry.
 ///
-/// `util::percentile_accumulator` is exact but stores every observation
-/// forever — the right trade for per-campaign batch paths (thousands of
-/// observations), the wrong one for a serve loop fed millions of requests.
-/// `latency_histogram` replaces it on the high-rate paths: fixed memory
-/// (~26 KB), O(1) add, mergeable in any order, and percentiles within a
-/// documented relative-error bound.
+/// Exact percentiles (`util::percentile` over a sample vector) store every
+/// observation — the right trade for a bench or test that records
+/// thousands of values and then reports, the wrong one for a serve loop
+/// fed millions of requests. `latency_histogram` is for those high-rate
+/// paths: fixed memory (~26 KB), O(1) add, mergeable in any order, and
+/// percentiles within a documented relative-error bound.
 ///
 /// Error bound: values bucket log-linearly — `frexp` splits v into
 /// m·2^e with m ∈ [0.5, 1), and each octave divides into
@@ -47,9 +47,7 @@ inline constexpr std::array<double, 14> k_metrics_le_bounds = {
     0.1,    0.25,  0.5,    1.0,   2.5,  5.0,   10.0};
 
 /// Bounded log-linear (HdrHistogram-style) latency histogram in seconds.
-/// Not thread-safe; callers snapshot/merge under their own locks — the
-/// same contract as `util::percentile_accumulator`, which this type is a
-/// drop-in for on paths too hot to hoard exact samples.
+/// Not thread-safe; callers snapshot/merge under their own locks.
 class latency_histogram {
 public:
     /// Mantissa slices per octave. 64 slices bound bucket width at 1/64

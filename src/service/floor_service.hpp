@@ -236,8 +236,7 @@ public:
     /// federated front-end merges these across backends before taking
     /// fleet percentiles — percentiles themselves cannot be combined.
     /// Bounded on purpose: a long-running serve loop feeds this once per
-    /// building forever, so hoarding exact samples
-    /// (`util::percentile_accumulator`) would grow without limit;
+    /// building forever, so hoarding exact samples would grow without limit;
     /// percentiles carry `obs::latency_histogram::k_max_relative_error`.
     [[nodiscard]] obs::latency_histogram latencies() const;
     [[nodiscard]] const service_config& config() const noexcept { return cfg_; }

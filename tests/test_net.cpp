@@ -1,10 +1,10 @@
 // Tests for the network front door: frame reassembly from arbitrary
 // chunking (including one byte at a time), hostile network input
-// (mid-frame disconnects, garbage streams, slow readers), the
-// per-connection correlation-id remap under deliberately colliding ids,
-// typed admission shedding against a paused backend, graceful drain
-// semantics, the plaintext metrics probe, and the federated backend
-// behind the same socket.
+// (mid-frame disconnects, garbage streams, unmounted shard paths, slow
+// readers), the per-connection correlation-id remap under deliberately
+// colliding ids, typed admission shedding against a paused fleet,
+// graceful drain semantics, the plaintext metrics probe, and multi-store,
+// multi-backend fleets behind the same socket.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 #include "api/client.hpp"
 #include "api/codec.hpp"
 #include "api/message.hpp"
-#include "api/server.hpp"
 #include "data/corpus_store.hpp"
 #include "federation/federated_server.hpp"
 #include "net/socket.hpp"
@@ -64,15 +63,17 @@ api::response decode_one(const std::string& frame) {
     return r.ok() ? *r.value : api::response(api::error_response{});
 }
 
-/// An api::server + tcp_server + loop thread, drained on destruction.
+/// A 1-backend fleet (no stores mounted) + tcp_server + loop thread,
+/// drained on destruction.
 class test_front {
 public:
     explicit test_front(net::tcp_server_config cfg = {}, bool paused = false) {
-        api::server_config scfg;
-        scfg.service = service::quick_profile(11, 1);
-        srv_ = std::make_unique<api::server>(scfg);
-        if (paused) srv_->backing_service().pause();
-        front_ = std::make_unique<net::tcp_server>(net::make_backend(*srv_), std::move(cfg));
+        federation::federation_config fcfg;
+        fcfg.service = service::quick_profile(11, 1);
+        fcfg.num_backends = 1;
+        fleet_ = std::make_unique<federation::federated_server>(fcfg);
+        if (paused) fleet_->pause();
+        front_ = std::make_unique<net::tcp_server>(*fleet_, std::move(cfg));
         loop_ = std::thread([this] { front_->run(); });
     }
 
@@ -82,11 +83,11 @@ public:
     }
 
     [[nodiscard]] net::tcp_server& front() { return *front_; }
-    [[nodiscard]] api::server& server() { return *srv_; }
+    [[nodiscard]] federation::federated_server& fleet() { return *fleet_; }
     [[nodiscard]] std::uint16_t port() const { return front_->port(); }
 
 private:
-    std::unique_ptr<api::server> srv_;
+    std::unique_ptr<federation::federated_server> fleet_;
     std::unique_ptr<net::tcp_server> front_;
     std::thread loop_;
 };
@@ -224,6 +225,40 @@ TEST(TcpServer, GarbageStreamGetsTypedErrorThenClose) {
     EXPECT_TRUE(saw_error);
 }
 
+TEST(TcpServer, ShardPathOutsideEveryMountedStoreIsRefused) {
+    // A valid shard the server could read — but no store mounts its
+    // directory, so a network client must not get it served.
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / "fisone_test_net_unmounted").string();
+    std::filesystem::remove_all(dir);
+    data::corpus one;
+    one.name = "net-unmounted";
+    one.buildings.push_back(tiny_building(0));
+    static_cast<void>(data::write_corpus_store(one, dir, 1));
+    const service::shard_ref ref = service::make_shard_ref(data::corpus_store::open(dir), 0);
+
+    test_front tf;
+    net::frame_conn conn("127.0.0.1", tf.port());
+    conn.send(api::encode(api::request(api::identify_shard_request{31, ref})));
+    const std::optional<std::string> reply = conn.read_frame();
+    ASSERT_TRUE(reply.has_value());
+    const api::response resp = decode_one(*reply);
+    const auto* e = std::get_if<api::error_response>(&resp);
+    ASSERT_NE(e, nullptr) << "the unmounted shard was served";
+    EXPECT_EQ(e->correlation_id, 31u);
+    EXPECT_EQ(e->code, api::error_code::bad_request);
+
+    conn.send(api::encode(api::request(api::get_stats_request{32})));
+    const std::optional<std::string> stats_reply = conn.read_frame();
+    ASSERT_TRUE(stats_reply.has_value());
+    const api::response stats_resp = decode_one(*stats_reply);
+    const auto* s = std::get_if<api::stats_response>(&stats_resp);
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->stats.jobs_submitted, 0u);
+    conn.close();
+    std::filesystem::remove_all(dir);
+}
+
 TEST(TcpServer, SlowReaderIsShedNotBuffered) {
     net::tcp_server_config cfg;
     cfg.max_write_buffer = 512;  // far below one building_response frame
@@ -336,7 +371,7 @@ TEST(TcpServer, OverloadShedsWithTypedError) {
         EXPECT_EQ(e->code, api::error_code::overloaded);
         ++shed;
     }
-    tf.server().backing_service().resume();
+    tf.fleet().resume();
     const std::optional<std::string> reply = conn.read_frame();
     ASSERT_TRUE(reply.has_value());
     EXPECT_TRUE(std::holds_alternative<api::building_response>(decode_one(*reply)));
@@ -361,7 +396,7 @@ TEST(TcpServer, DrainFinishesInFlightAndShedsNewWork) {
     tf.front().drain();
     conn.send(identify_frame(2, 1, 1));  // arrives mid-drain: typed shed
     conn.shutdown_write();
-    tf.server().backing_service().resume();
+    tf.fleet().resume();
 
     bool saw_draining_shed = false, saw_result = false;
     while (std::optional<std::string> reply = conn.read_frame()) {
@@ -469,7 +504,7 @@ TEST_F(TcpServerTracing, FederatedRequestProducesOneParentLinkedTrace) {
         fcfg.num_backends = 2;
         fcfg.store_dirs = dirs;
         federation::federated_server fed(fcfg);
-        net::tcp_server front(net::make_backend(fed));
+        net::tcp_server front(fed);
         std::thread loop([&front] { front.run(); });
 
         net::frame_conn conn("127.0.0.1", front.port());
@@ -593,7 +628,7 @@ TEST_F(TcpServerTracing, MetricsExposeBuildInfoUptimeBackendCachesAndStages) {
     }
     // Wait out the worker's span teardown so the stage table has the full
     // ladder before the scrape (wait_all returns after the job body exits).
-    tf.server().backing_service().wait_all();
+    tf.fleet().backend(0).backing_service().wait_all();
     net::socket_fd fd = net::connect_tcp("127.0.0.1", tf.port());
     net::send_all(fd.get(), "GET /metrics HTTP/1.0\r\n\r\n");
     const std::string page = slurp(fd.get());
@@ -657,7 +692,7 @@ TEST(TcpServer, FrontsAFederatedFleet) {
     fcfg.num_backends = 2;
     fcfg.store_dirs = {dir};
     federation::federated_server fed(fcfg);
-    net::tcp_server front(net::make_backend(fed));
+    net::tcp_server front(fed);
     std::thread loop([&front] { front.run(); });
 
     net::frame_conn conn("127.0.0.1", front.port());
@@ -689,7 +724,7 @@ TEST(TcpServer, DrainRacesCircuitBrokenBackendWithoutHanging) {
     fcfg.fault_plans = service::parse_fault_plans("0:fail_every=1", 2);
     fcfg.fault_tolerance.breaker_cooldown = std::chrono::milliseconds(60000);
     federation::federated_server fed(fcfg);
-    net::tcp_server front(net::make_backend(fed));
+    net::tcp_server front(fed);
     std::thread loop([&front] { front.run(); });
 
     net::frame_conn conn("127.0.0.1", front.port());

@@ -1,6 +1,6 @@
 // Tests for the live telemetry layer: the bounded log-linear latency
 // histogram keeps its documented relative-error contract against the
-// exact percentile_accumulator under randomized inputs, merging is
+// exact nearest-rank `util::percentile` under randomized inputs, merging is
 // order-independent down to the bucket level, delta_since recovers
 // exactly the observations added between snapshots, the cumulative-le
 // ladder is monotone and conservative, the windowed registry rolls
@@ -28,7 +28,7 @@
 #include "net/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "util/percentile.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -47,18 +47,16 @@ std::vector<double> random_latencies(std::mt19937_64& rng, std::size_t n) {
 
 // --- histogram accuracy ------------------------------------------------------
 
-TEST(LatencyHistogram, PercentilesMatchExactAccumulatorWithinDocumentedBound) {
+TEST(LatencyHistogram, PercentilesMatchExactNearestRankWithinDocumentedBound) {
     const double bound = latency_histogram::k_max_relative_error;
     const double percentiles[] = {0.0, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0};
     for (std::uint64_t seed : {11u, 222u, 3333u}) {
         std::mt19937_64 rng(seed);
         const std::vector<double> samples = random_latencies(rng, 5000);
         latency_histogram hist;
-        util::percentile_accumulator exact;
         double sum = 0.0;
         for (double v : samples) {
             hist.add(v);
-            exact.add(v);
             sum += v;
         }
         ASSERT_EQ(hist.count(), samples.size());
@@ -66,7 +64,7 @@ TEST(LatencyHistogram, PercentilesMatchExactAccumulatorWithinDocumentedBound) {
         EXPECT_DOUBLE_EQ(hist.min(), *std::min_element(samples.begin(), samples.end()));
         EXPECT_DOUBLE_EQ(hist.max(), *std::max_element(samples.begin(), samples.end()));
         for (double p : percentiles) {
-            const double want = exact.percentile(p);
+            const double want = util::percentile(samples, p);
             const double got = hist.percentile(p);
             EXPECT_LE(std::abs(got - want), bound * want + 1e-12)
                 << "seed " << seed << " p" << p << ": exact " << want << ", histogram "
@@ -133,11 +131,9 @@ TEST(LatencyHistogram, DeltaSinceRecoversExactlyTheNewObservations) {
     const latency_histogram snapshot = h;
 
     const std::vector<double> added = random_latencies(rng, 250);
-    util::percentile_accumulator exact_added;
     double added_sum = 0.0;
     for (double v : added) {
         h.add(v);
-        exact_added.add(v);
         added_sum += v;
     }
     const latency_histogram delta = h.delta_since(snapshot);
@@ -145,7 +141,7 @@ TEST(LatencyHistogram, DeltaSinceRecoversExactlyTheNewObservations) {
     EXPECT_NEAR(delta.sum(), added_sum, 1e-9 * std::abs(added_sum));
     // Delta percentiles hold the same bound against the added set alone.
     for (double p : {50.0, 90.0, 99.0}) {
-        const double want = exact_added.percentile(p);
+        const double want = util::percentile(added, p);
         EXPECT_LE(std::abs(delta.percentile(p) - want),
                   latency_histogram::k_max_relative_error * want + 1e-12)
             << "p" << p;

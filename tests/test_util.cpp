@@ -9,7 +9,6 @@
 #include "util/alias_sampler.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
-#include "util/percentile.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table_printer.hpp"
@@ -220,68 +219,6 @@ TEST(stats_helpers, nearest_rank_percentile) {
     EXPECT_THROW((void)percentile(xs, -1.0), std::invalid_argument);
     EXPECT_THROW((void)percentile(xs, 101.0), std::invalid_argument);
     EXPECT_THROW((void)percentile(xs, std::nan("")), std::invalid_argument);
-}
-
-TEST(percentile_accumulator, matches_one_shot_percentile) {
-    percentile_accumulator acc;
-    const std::vector<double> xs = {5.0, 1.0, 3.0, 2.0, 4.0};
-    for (const double x : xs) acc.add(x);
-    EXPECT_EQ(acc.count(), 5u);
-    for (const double p : {0.0, 20.0, 50.0, 90.0, 100.0})
-        EXPECT_DOUBLE_EQ(acc.percentile(p), percentile(xs, p));
-    // Querying never loses observations: add-after-query still works.
-    acc.add(0.5);
-    EXPECT_DOUBLE_EQ(acc.percentile(0.0), 0.5);
-    EXPECT_EQ(acc.count(), 6u);
-}
-
-TEST(percentile_accumulator, empty_behaviour) {
-    const percentile_accumulator acc;
-    EXPECT_TRUE(acc.empty());
-    EXPECT_EQ(acc.count(), 0u);
-    EXPECT_THROW((void)acc.percentile(50.0), std::invalid_argument);
-    EXPECT_DOUBLE_EQ(acc.percentile_or_zero(50.0), 0.0);
-}
-
-TEST(percentile_accumulator, merge_equals_pooled_in_any_order) {
-    // Percentiles cannot be combined from percentiles — the accumulator
-    // merges sample sets, so any merge tree must equal the pooled data.
-    percentile_accumulator a, b, c, pooled;
-    for (const double x : {9.0, 2.0, 7.0}) {
-        a.add(x);
-        pooled.add(x);
-    }
-    for (const double x : {1.0, 8.0, 3.0, 5.0}) {
-        b.add(x);
-        pooled.add(x);
-    }
-    for (const double x : {4.0, 6.0}) {
-        c.add(x);
-        pooled.add(x);
-    }
-    percentile_accumulator ab = a;
-    ab.merge(b);
-    ab.merge(c);
-    percentile_accumulator cb = c;
-    cb.merge(b);
-    cb.merge(a);
-    EXPECT_EQ(ab.count(), pooled.count());
-    for (const double p : {0.0, 25.0, 50.0, 75.0, 99.0, 100.0}) {
-        EXPECT_DOUBLE_EQ(ab.percentile(p), pooled.percentile(p));
-        EXPECT_DOUBLE_EQ(cb.percentile(p), pooled.percentile(p));
-    }
-}
-
-TEST(percentile_accumulator, merge_with_empty_is_identity) {
-    percentile_accumulator acc, empty;
-    acc.add(3.0);
-    acc.add(1.0);
-    acc.merge(empty);
-    EXPECT_EQ(acc.count(), 2u);
-    EXPECT_DOUBLE_EQ(acc.percentile(100.0), 3.0);
-    empty.merge(acc);
-    EXPECT_EQ(empty.count(), 2u);
-    EXPECT_DOUBLE_EQ(empty.percentile(0.0), 1.0);
 }
 
 // ---------- csv ----------
