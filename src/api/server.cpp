@@ -5,7 +5,6 @@
 #include <mutex>
 #include <ostream>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 
 #include "codec.hpp"
@@ -22,22 +21,44 @@ using clock = std::chrono::steady_clock;
 
 }  // namespace
 
+void job_table::remember(std::uint64_t correlation_id, service::floor_service::job job) {
+    const std::lock_guard<std::mutex> lock(m_);
+    prune_locked();
+    jobs_[correlation_id] = std::move(job);
+}
+
+bool job_table::cancel(std::uint64_t correlation_id) {
+    const std::lock_guard<std::mutex> lock(m_);
+    const auto it = jobs_.find(correlation_id);
+    return it != jobs_.end() && it->second.cancel();
+}
+
+void job_table::prune() {
+    const std::lock_guard<std::mutex> lock(m_);
+    prune_locked();
+}
+
+void job_table::prune_locked() {
+    for (auto it = jobs_.begin(); it != jobs_.end();) {
+        const service::job_state js = it->second.state();
+        if (js == service::job_state::done || js == service::job_state::cancelled)
+            it = jobs_.erase(it);
+        else
+            ++it;
+    }
+}
+
 /// Shared per-connection state. Jobs' completion callbacks hold it by
 /// shared_ptr, so a session handle may be dropped while jobs are still in
 /// flight without dangling anything.
 struct server::session::state {
-    service::floor_service* svc = nullptr;
-    result_cache* cache = nullptr;  ///< null when caching is disabled
-    std::string shard_root;         ///< empty = shard paths unconstrained
+    server* srv = nullptr;
     frame_sink sink;
 
     std::mutex emit_m;  ///< serialises sink calls across worker threads
     bool broken = false;
 
-    std::mutex jobs_m;
-    /// Jobs by request correlation id (the `cancel_job` namespace).
-    /// Resubmitting under an id replaces the cancellable target.
-    std::unordered_map<std::uint64_t, service::floor_service::job> jobs;
+    job_table jobs;  ///< the `cancel_job` namespace
 
     /// Encode and emit one response frame. A sink that throws marks the
     /// transport broken; later frames are dropped silently — the job
@@ -52,111 +73,46 @@ struct server::session::state {
             broken = true;
         }
     }
-
-    /// Track \p job as the cancellable target of \p correlation_id,
-    /// dropping finished jobs first so a long-lived connection that never
-    /// flushes cannot accumulate handles (each pins its reports — full
-    /// embeddings matrices — for the job's lifetime).
-    void remember_job(std::uint64_t correlation_id, service::floor_service::job job) {
-        const std::lock_guard<std::mutex> lock(jobs_m);
-        prune_locked();
-        jobs[correlation_id] = std::move(job);
-    }
-
-    /// Drop handles of finished jobs (flush-time housekeeping).
-    void prune_jobs() {
-        const std::lock_guard<std::mutex> lock(jobs_m);
-        prune_locked();
-    }
-
-    void prune_locked() {
-        for (auto it = jobs.begin(); it != jobs.end();) {
-            const service::job_state js = it->second.state();
-            if (js == service::job_state::done || js == service::job_state::cancelled)
-                it = jobs.erase(it);
-            else
-                ++it;
-        }
-    }
-
-    /// Stats exactly as `get_stats` answers them.
-    [[nodiscard]] service::service_stats merged_stats() const {
-        service::service_stats s = svc->stats();
-        if (cache) {
-            const result_cache_stats cs = cache->stats();
-            s.cache_hits = cs.hits;
-            s.cache_misses = cs.misses;
-            s.cache_evictions = cs.evictions;
-        }
-        return s;
-    }
 };
 
 void server::session::handle(const request& req) {
     const std::shared_ptr<state> st = state_;
+    service::floor_service& svc = st->srv->backing_service();
     std::visit(
         [&](const auto& m) {
             using T = std::decay_t<decltype(m)>;
             if constexpr (std::is_same_v<T, identify_building_request>) {
-                obs::scoped_span span("api.identify");
                 const std::uint64_t corr = m.correlation_id;
                 const std::size_t index = m.has_index
                                               ? static_cast<std::size_t>(m.corpus_index)
-                                              : st->svc->allocate_corpus_index();
-                std::optional<cache_key> key;
-                if (st->cache && !m.no_cache) {
-                    const clock::time_point start = clock::now();
-                    obs::scoped_span probe_span("api.cache_probe");
-                    const service::service_config& scfg = st->svc->config();
-                    key = cache_key{
-                        data::content_hash(m.b),
-                        core::config_fingerprint(runtime::effective_task_config(
-                            scfg.pipeline, scfg.seed, index, st->svc->num_workers() > 1))};
-                    if (std::optional<runtime::building_report> hit = st->cache->lookup(*key)) {
-                        // Keep index assignment identical to a cache-off
-                        // run even though the service never sees this one.
-                        st->svc->advance_corpus_index(index + 1);
-                        hit->index = index;
-                        hit->seconds =
-                            std::chrono::duration<double>(clock::now() - start).count();
-                        st->emit(building_response{corr, std::move(*hit)});
-                        return;
-                    }
-                }
-                service::floor_service::job job = st->svc->submit(
-                    m.b, index, [st, corr, key](const runtime::building_report& report) {
-                        if (key && report.ok) st->cache->insert(*key, report);
-                        st->emit(building_response{corr, report});
+                                              : svc.allocate_corpus_index();
+                std::optional<service::floor_service::job> job = st->srv->identify(
+                    m.b, index, m.no_cache, [st, corr](runtime::building_report report) {
+                        st->emit(building_response{corr, std::move(report)});
                     });
-                st->remember_job(corr, std::move(job));
+                if (job) st->jobs.remember(corr, std::move(*job));
             } else if constexpr (std::is_same_v<T, identify_shard_request>) {
                 obs::scoped_span span("api.identify");
                 const std::uint64_t corr = m.correlation_id;
-                if (!st->shard_root.empty() &&
-                    !util::path_within_root(st->shard_root, m.ref.path)) {
+                const std::string& root = st->srv->cfg_.shard_root;
+                if (!root.empty() && !util::path_within_root(root, m.ref.path)) {
                     st->emit(error_response{corr, error_code::bad_request,
                                             "shard path outside the configured shard root: " +
                                                 m.ref.path});
                     return;
                 }
-                service::floor_service::job job = st->svc->submit(
-                    m.ref, [st, corr](const runtime::building_report& report) {
+                st->jobs.remember(
+                    corr, svc.submit(m.ref, [st, corr](const runtime::building_report& report) {
                         st->emit(building_response{corr, report});
-                    });
-                st->remember_job(corr, std::move(job));
+                    }));
             } else if constexpr (std::is_same_v<T, get_stats_request>) {
-                st->emit(stats_response{m.correlation_id, st->merged_stats()});
+                st->emit(stats_response{m.correlation_id, st->srv->stats()});
             } else if constexpr (std::is_same_v<T, cancel_job_request>) {
-                bool accepted = false;
-                {
-                    const std::lock_guard<std::mutex> lock(st->jobs_m);
-                    const auto it = st->jobs.find(m.target_correlation_id);
-                    if (it != st->jobs.end()) accepted = it->second.cancel();
-                }
-                st->emit(cancel_response{m.correlation_id, m.target_correlation_id, accepted});
+                st->emit(cancel_response{m.correlation_id, m.target_correlation_id,
+                                         st->jobs.cancel(m.target_correlation_id)});
             } else if constexpr (std::is_same_v<T, flush_request>) {
-                st->svc->wait_all();
-                st->prune_jobs();
+                svc.wait_all();
+                st->jobs.prune();
                 st->emit(flush_response{m.correlation_id});
             } else if constexpr (std::is_same_v<T, append_scans_request>) {
                 // Live ingestion is a federation-level verb: a bare server
@@ -196,7 +152,7 @@ bool server::session::handle_frame(std::string_view frame) {
     return true;
 }
 
-void server::session::finish() { state_->svc->wait_all(); }
+void server::session::finish() { state_->srv->backing_service().wait_all(); }
 
 bool server::session::sink_broken() const {
     const std::lock_guard<std::mutex> lock(state_->emit_m);
@@ -213,9 +169,7 @@ server::~server() = default;
 
 server::session server::open(frame_sink sink) {
     auto st = std::make_shared<session::state>();
-    st->svc = svc_.get();
-    st->cache = cache_.get();
-    st->shard_root = cfg_.shard_root;
+    st->srv = this;
     st->sink = std::move(sink);
     return session(std::move(st));
 }
@@ -249,6 +203,36 @@ void server::serve(std::istream& in, std::ostream& out) {
         throw;
     }
     s.finish();
+}
+
+std::optional<service::floor_service::job> server::identify(const data::building& b,
+                                                            std::size_t index, bool no_cache,
+                                                            report_sink on_report) {
+    obs::scoped_span span("api.identify");
+    std::optional<cache_key> key;
+    if (cache_ && !no_cache) {
+        const clock::time_point start = clock::now();
+        obs::scoped_span probe_span("api.cache_probe");
+        const service::service_config& scfg = svc_->config();
+        key = cache_key{data::content_hash(b),
+                        core::config_fingerprint(runtime::effective_task_config(
+                            scfg.pipeline, scfg.seed, index, svc_->num_workers() > 1))};
+        if (std::optional<runtime::building_report> hit = cache_->lookup(*key)) {
+            // Keep index assignment identical to a cache-off run even
+            // though the service never sees this one.
+            svc_->advance_corpus_index(index + 1);
+            hit->index = index;
+            hit->seconds = std::chrono::duration<double>(clock::now() - start).count();
+            on_report(std::move(*hit));
+            return std::nullopt;
+        }
+    }
+    return svc_->submit(b, index,
+                        [cache = cache_.get(), key, on_report = std::move(on_report)](
+                            const runtime::building_report& report) {
+                            if (key && report.ok) cache->insert(*key, report);
+                            on_report(report);
+                        });
 }
 
 service::service_stats server::stats() const {

@@ -14,6 +14,13 @@
 ///    sink — the exact same codec path as the framed stream, so the two
 ///    transports are byte-identical by construction.
 ///
+/// The building path itself is one typed entry point, `server::identify`:
+/// cache-key computation, cache probe, submission, and cache fill on
+/// success. A session's `identify_building` calls it, and so does
+/// `federation::federated_server`, which calls each backend's `identify`
+/// (and, for shards, its `backing_service().submit`) directly rather than
+/// speaking frames to it.
+///
 /// Result caching: `identify_building` requests are content-addressed
 /// through an `api::result_cache` keyed by (building content hash,
 /// effective-config fingerprint — seeds included). A hit answers without
@@ -33,7 +40,10 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string_view>
+#include <unordered_map>
 
 #include "message.hpp"
 #include "result_cache.hpp"
@@ -66,11 +76,38 @@ struct server_config {
     std::string shard_root;
 };
 
+/// Jobs by request correlation id: one connection's `cancel_job`
+/// namespace. Resubmitting under an id re-points it. Finished jobs are
+/// dropped on every insert, so a long-lived connection that never flushes
+/// cannot accumulate handles (each pins its reports — full embedding
+/// matrices — for the job's lifetime).
+class job_table {
+public:
+    void remember(std::uint64_t correlation_id, service::floor_service::job job);
+
+    /// Cancel the job under \p correlation_id: true when the request landed
+    /// before it finished, false for a finished job or an unknown id.
+    bool cancel(std::uint64_t correlation_id);
+
+    /// Drop the handles of finished jobs (flush-time housekeeping).
+    void prune();
+
+private:
+    void prune_locked();
+
+    std::mutex m_;
+    std::unordered_map<std::uint64_t, service::floor_service::job> jobs_;
+};
+
 class server {
 public:
     /// Receives each encoded response frame. Calls are serialised by the
     /// session; the sink must not re-enter the session or block on it.
     using frame_sink = std::function<void(std::string_view)>;
+
+    /// Receives a building's one report from `identify`. By value, so a
+    /// cache hit hands over its copy instead of making another.
+    using report_sink = std::function<void(runtime::building_report)>;
 
     /// One client connection: a correlation-id namespace (for `cancel_job`)
     /// plus the response channel. Cheap handle; copies share state. Jobs
@@ -122,6 +159,17 @@ public:
     /// EOF or a fatal framing error, stream response frames to \p out.
     /// Returns after every accepted job has answered (implicit `finish`).
     void serve(std::istream& in, std::ostream& out);
+
+    /// The building path of every front-end: probe the result cache (unless
+    /// \p no_cache) under the task's key, else submit \p b at corpus index
+    /// \p index and fill the cache when the run succeeds. \p on_report gets
+    /// the building's one report under the service's callback rules; on a
+    /// hit it runs inline, before `identify` returns no job. Spans
+    /// `api.identify` and `api.cache_probe`.
+    /// \throws whatever `floor_service::submit` throws (an injected crash).
+    std::optional<service::floor_service::job> identify(const data::building& b,
+                                                        std::size_t index, bool no_cache,
+                                                        report_sink on_report);
 
     /// Service stats with the cache counters folded in — exactly what a
     /// `get_stats` request returns.

@@ -21,50 +21,12 @@ namespace fisone::federation {
 
 namespace {
 
-/// Frame-peek helpers, mirroring `net::tcp_server`'s wire layout: tag at
-/// byte 8, correlation id at the payload start (byte 14), a cancel
-/// response's target id right after it (byte 22). All little-endian.
-constexpr std::size_t k_off_tag = 8;
-constexpr std::size_t k_off_corr = api::k_frame_header_size;  // 14
-constexpr std::size_t k_off_cancel_target = k_off_corr + 8;   // 22
-
-std::uint16_t rd_u16(std::string_view b, std::size_t off) {
-    return static_cast<std::uint16_t>(static_cast<unsigned char>(b[off]) |
-                                      (static_cast<unsigned char>(b[off + 1]) << 8));
-}
-
-std::uint64_t rd_u64(std::string_view b, std::size_t off) {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[off + i])) << (8 * i);
-    return v;
-}
-
-void patch_u64(std::string& b, std::size_t off, std::uint64_t v) {
-    for (std::size_t i = 0; i < 8; ++i)
-        b[off + i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
 /// Stable affinity identity of a shard request: a canonical hash of its
 /// path, so resubmitting the same shard lands on the same backend.
 std::uint64_t shard_affinity(const service::shard_ref& ref) noexcept {
     util::fnv1a64 h;
     h.str(ref.path);
     return h.digest();
-}
-
-/// Snapshot every backend and merge — the one implementation behind both
-/// `get_stats` requests and `federated_server::stats()`.
-service::service_stats gather_merged_stats(const std::vector<api::server*>& backends) {
-    std::vector<service::service_stats> stats;
-    std::vector<obs::latency_histogram> latencies;
-    stats.reserve(backends.size());
-    latencies.reserve(backends.size());
-    for (api::server* b : backends) {
-        stats.push_back(b->stats());
-        latencies.push_back(b->backing_service().latencies());
-    }
-    return merge_backend_stats(stats, latencies);
 }
 
 }  // namespace
@@ -203,13 +165,6 @@ struct federated_server::resident_directory {
 // hold it without GCC's -Wsubobject-linkage firing.
 namespace detail {
 
-/// High bit of a correlation id: set on every id the protected dispatch
-/// path mints (attempt ids, swallow-cancel ids), never on a client id the
-/// front door forwards (`net::tcp_server` remaps client ids to small
-/// internal ones). The bit is what lets the emitter tell backend frames it
-/// must intercept from frames it streams through verbatim.
-inline constexpr std::uint64_t k_attempt_bit = std::uint64_t{1} << 63;
-
 /// One in-flight protected building request. Lives in the tracker map
 /// from submission until its final answer (success, genuine failure, or
 /// typed error) — a scheduled-but-not-yet-dispatched retry re-keys the
@@ -218,12 +173,17 @@ inline constexpr std::uint64_t k_attempt_bit = std::uint64_t{1} << 63;
 /// that).
 struct attempt {
     std::uint64_t client_corr = 0;
-    api::identify_building_request req;  ///< pinned (has_index = true)
+    std::shared_ptr<const data::building> b;
+    std::size_t index = 0;        ///< pinned: every retry reruns the same task
+    bool no_cache = false;
     std::uint64_t affinity = 0;
     std::size_t backend = 0;      ///< backend of the current dispatch
     std::size_t last_failed = 0;  ///< backend the previous try failed on
     bool has_failed = false;      ///< `last_failed` is meaningful
     std::size_t tries = 0;        ///< dispatches so far
+    /// The current dispatch's backend job; empty before dispatch, after a
+    /// cache hit, and once a failed try is re-keyed.
+    service::floor_service::job job;
     /// Set while the final response is being delivered: competing
     /// resolution paths (a late timeout racing the answer) back off, and
     /// the drain barrier keeps waiting until delivery completes.
@@ -231,9 +191,9 @@ struct attempt {
     obs::trace_context trace{};   ///< submitter's trace position (for retry spans)
 };
 
-/// Protected-mode bookkeeping of one session. Pure data + locks — shared
-/// by the session state and its emitter, so interception keeps working on
-/// frames that arrive after the session handle was dropped.
+/// Protected-mode bookkeeping of one session. Attempt ids are internal:
+/// they key this map and the report callbacks of backend jobs, and never
+/// reach the wire, so every client correlation id stays usable.
 struct attempt_tracker {
     std::mutex m;
     std::condition_variable cv;  ///< notified whenever an attempt resolves
@@ -241,13 +201,9 @@ struct attempt_tracker {
     /// Client correlation id → current attempt id (the `cancel_job`
     /// namespace under protection). Resubmitting under an id re-points it.
     std::unordered_map<std::uint64_t, std::uint64_t> attempt_by_client;
-    /// Forwarded client cancels had their target translated to an attempt
-    /// id; this maps the cancel's own correlation id back to the client's
-    /// target so the response can be un-translated in place.
-    std::unordered_map<std::uint64_t, std::uint64_t> cancel_rewrites;
     std::uint64_t next_id = 0;
 
-    std::uint64_t mint() { return k_attempt_bit | next_id++; }
+    std::uint64_t mint() { return next_id++; }
 
     /// Drop the resolved attempt \p id (and its client alias).
     void erase(std::uint64_t id) {
@@ -261,56 +217,39 @@ struct attempt_tracker {
 };
 
 /// The response channel of one federated connection. Kept separate from the
-/// session state on purpose: backend sessions hold their sink (and thus
-/// this) alive while jobs are in flight, and pointing those sinks at the
-/// session state instead would cycle session → backend sessions → sink →
-/// session and leak all three.
+/// session state on purpose: backend jobs' report callbacks hold it alive
+/// while they are in flight, and pointing them at the session state instead
+/// would cycle session → job table → job → callback → session.
 struct emitter {
     federated_server::frame_sink sink;
     std::mutex m;  ///< serialises sink calls across every backend's workers
     bool broken = false;
-    /// Protected mode: inspects each backend frame first; true = consumed
-    /// (handled, rewritten-and-delivered, or dropped as stale). Owned by
-    /// this emitter; captures it by raw pointer (same lifetime) and the
-    /// session state only weakly (no cycle).
-    std::function<bool(std::string_view)> intercept;
 
-    /// Route one backend frame: interception first, else verbatim.
-    void frame(std::string_view f) {
-        if (intercept && intercept(f)) return;
-        deliver(f);
-    }
-
-    /// Hand one frame to the sink. A sink that throws marks the transport
-    /// broken; later frames are dropped silently.
-    void deliver(std::string_view f) {
+    /// Encode one response and hand it to the sink. A sink that throws
+    /// marks the transport broken; later frames are dropped silently.
+    void respond(const api::response& resp) {
+        const std::string frame = api::encode(resp);
         const std::lock_guard<std::mutex> lock(m);
         if (broken) return;
         try {
-            sink(f);
+            sink(frame);
         } catch (...) {
             broken = true;
         }
     }
-
-    /// Encode and forward one front-end-authored response (never
-    /// intercepted: these already carry the client's correlation id).
-    void respond(const api::response& resp) { deliver(api::encode(resp)); }
 };
 
 }  // namespace detail
 
-/// Per-connection state: one backend session per backend (a correlation-id
-/// namespace spanning the fleet) plus the owner map `cancel_job` routes by.
+/// Per-connection state: the job table `cancel_job` routes by, plus
+/// (under protection) the attempt tracker.
 struct federated_server::session::state {
     std::shared_ptr<detail::emitter> out;
+    federated_server* fleet = nullptr;
     std::shared_ptr<federated_server::routing> routing;
-    store_registry* registry = nullptr;
-    std::vector<api::server*> backends;
-    std::vector<api::server::session> sessions;  ///< entry k = session on backends[k]
-    /// Protection (both null when off). The tracker is shared with the
-    /// emitter; fleet_health is shared with the server (its watchdog must
-    /// outlive every scheduled retry).
+    /// Protection (both null when off). The tracker is shared with backend
+    /// jobs' report callbacks; fleet_health is shared with the server (its
+    /// watchdog must outlive every scheduled retry).
     std::shared_ptr<detail::attempt_tracker> tracker;
     std::shared_ptr<fleet_health> health;
     /// Live ingestion: the append engine (null when the fleet has no
@@ -321,21 +260,19 @@ struct federated_server::session::state {
     std::shared_ptr<watch_registry> watches;
     std::shared_ptr<federated_server::resident_directory> residents;
 
-    std::mutex owners_m;
-    /// Which backend owns each submitted correlation id (the `cancel_job`
-    /// namespace). Resubmitting under an id re-points it, exactly as
-    /// `api::server` re-points its cancellable target. Cleared at `flush`
-    /// (everything is finished then, so cancels answer false either way).
-    /// Under protection, building requests route cancels through the
-    /// tracker instead; this map still owns shard requests.
-    std::unordered_map<std::uint64_t, std::size_t> owners;
+    /// Backend jobs by client correlation id (the `cancel_job` namespace).
+    /// Under protection, building requests live in the tracker instead;
+    /// this table still holds shard jobs.
+    api::job_table jobs;
+
+    [[nodiscard]] api::server& backend(std::size_t k) const { return *fleet->backends_[k]; }
 
     /// Probe every backend's load (and, under protection, breaker state)
     /// for the router.
     [[nodiscard]] std::vector<backend_probe> probe() const {
-        std::vector<backend_probe> probes(backends.size());
-        for (std::size_t k = 0; k < backends.size(); ++k) {
-            const service::floor_service& svc = backends[k]->backing_service();
+        std::vector<backend_probe> probes(fleet->backends_.size());
+        for (std::size_t k = 0; k < probes.size(); ++k) {
+            const service::floor_service& svc = backend(k).backing_service();
             probes[k] = backend_probe{svc.pending_jobs(), svc.paused()};
         }
         if (health) {
@@ -347,11 +284,6 @@ struct federated_server::session::state {
 
     std::size_t pick(std::uint64_t affinity) { return routing->route(affinity, probe()); }
 
-    void remember(std::uint64_t correlation_id, std::size_t backend_index) {
-        const std::lock_guard<std::mutex> lock(owners_m);
-        owners[correlation_id] = backend_index;
-    }
-
     /// Drain barrier: the ingest manager idle (appends queued before the
     /// barrier durable, their dirty re-runs answered), every backend
     /// finished, AND every protected attempt resolved. Ingest first — its
@@ -361,7 +293,8 @@ struct federated_server::session::state {
     void drain() {
         if (ingest) ingest->wait_idle();
         for (;;) {
-            for (api::server::session& bs : sessions) bs.finish();
+            for (const std::unique_ptr<api::server>& b : fleet->backends_)
+                b->backing_service().wait_all();
             if (!tracker) return;
             std::unique_lock<std::mutex> lock(tracker->m);
             if (tracker->attempts.empty()) return;
@@ -376,7 +309,7 @@ struct federated_server::session::state {
 /// backend it last failed on and every circuit-broken backend — though
 /// when nothing is available the natural choice still gets the work, so
 /// a single-backend fleet keeps retrying toward exhaustion rather than
-/// failing early), forward it under its attempt id, arm its deadline.
+/// failing early), hand it to that backend's `identify`, arm its deadline.
 /// Runs on the submitting thread for the first try and on the fleet_health
 /// watchdog for retries — never inside a completion callback.
 void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& st,
@@ -384,7 +317,9 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
     detail::attempt_tracker& tr = *st->tracker;
     fleet_health& health = *st->health;
 
-    api::identify_building_request req;
+    std::shared_ptr<const data::building> b;
+    std::size_t index = 0;
+    bool no_cache = false;
     std::uint64_t affinity = 0;
     std::size_t last_failed = 0;
     bool has_failed = false;
@@ -397,7 +332,9 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
         detail::attempt& a = it->second;
         ++a.tries;
         tries = a.tries;
-        req = a.req;
+        b = a.b;
+        index = a.index;
+        no_cache = a.no_cache;
         affinity = a.affinity;
         last_failed = a.last_failed;
         has_failed = a.has_failed;
@@ -424,18 +361,76 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
         it->second.backend = k;
     }
 
-    req.correlation_id = attempt_id;
+    // The report callback holds the session state only weakly (the state
+    // owns the tracker, which owns this job); the tracker, fleet_health and
+    // emitter are co-owned, so reports that arrive after the session handle
+    // died still resolve or fail the attempt.
+    std::weak_ptr<session::state> w = st;
+    auto on_report = [w, out = st->out, tracker = st->tracker, health = st->health,
+                      attempt_id](runtime::building_report report) {
+        std::size_t backend = 0;
+        std::uint64_t client = 0;
+        bool transient = false;
+        {
+            const std::lock_guard<std::mutex> lock(tracker->m);
+            const auto it = tracker->attempts.find(attempt_id);
+            // A report from an attempt already resolved or re-keyed (a
+            // timed-out try answering late, or the cancelled straggler) is
+            // stale: the client has its answer or will get it from the
+            // retry in flight.
+            if (it == tracker->attempts.end() || it->second.resolving) return;
+            backend = it->second.backend;
+            client = it->second.client_corr;
+            transient = !report.ok && service::is_transient_fault(report.error);
+            if (!transient) it->second.resolving = true;  // claim: delivery is final
+        }
+        if (!transient) {
+            // Success — or a genuine, deterministic failure the retry
+            // layer must NOT rerun.
+            health->on_success(backend);
+            out->respond(api::building_response{client, std::move(report)});
+            {
+                const std::lock_guard<std::mutex> lock(tracker->m);
+                tracker->erase(attempt_id);
+            }
+            tracker->cv.notify_all();
+            return;
+        }
+        health->on_failure(backend);
+        if (const std::shared_ptr<session::state> s = w.lock()) {
+            retry_or_fail(s, attempt_id, backend, api::error_code::backend_unavailable,
+                          "backend kept failing transiently");
+            return;
+        }
+        // Session gone: nothing can re-dispatch — fail it now so the
+        // tracker drains.
+        {
+            const std::lock_guard<std::mutex> lock(tracker->m);
+            tracker->erase(attempt_id);
+        }
+        health->count_backend_unavailable();
+        out->respond(api::error_response{client, api::error_code::backend_unavailable,
+                                         "backend failed and the session is gone"});
+        tracker->cv.notify_all();
+    };
+    std::optional<service::floor_service::job> job;
     try {
-        st->sessions[k].handle(api::request{std::move(req)});
+        job = st->backend(k).identify(*b, index, no_cache, std::move(on_report));
     } catch (const std::exception& e) {
-        // Submit-time crash: no backend job exists, no response will come.
+        // Submit-time crash: no backend job exists, no report will come.
         health.on_failure(k);
         retry_or_fail(st, attempt_id, k, api::error_code::backend_unavailable,
                       std::string("backend crashed on submit: ") + e.what());
         return;
     }
+    if (!job) return;  // a cache hit answered inline
+    {
+        const std::lock_guard<std::mutex> lock(tr.m);
+        const auto it = tr.attempts.find(attempt_id);
+        if (it == tr.attempts.end()) return;  // already answered
+        it->second.job = *job;
+    }
     if (health.config().request_timeout.count() > 0) {
-        std::weak_ptr<session::state> w = st;
         health.schedule(fleet_health::clock::now() + health.config().request_timeout,
                         [w, attempt_id] {
                             if (const std::shared_ptr<session::state> s = w.lock())
@@ -470,11 +465,12 @@ void federated_server::retry_or_fail(const std::shared_ptr<session::state>& st,
             // Re-key now (not at dispatch time): the map must stay
             // non-empty while the client awaits an answer, or the drain
             // barrier would return with a retry still scheduled. A late
-            // frame for the old id finds nothing and is dropped as stale.
+            // report for the old id finds nothing and is dropped as stale.
             detail::attempt a = std::move(it->second);
             tr.attempts.erase(it);
             a.last_failed = failed_backend;
             a.has_failed = true;
+            a.job = {};  // the failed try is no longer the cancel target
             new_id = tr.mint();
             const auto alias = tr.attempt_by_client.find(a.client_corr);
             if (alias != tr.attempt_by_client.end() && alias->second == attempt_id)
@@ -505,28 +501,68 @@ void federated_server::retry_or_fail(const std::shared_ptr<session::state>& st,
 /// Deadline expiry of \p attempt_id (watchdog timer). Claims the attempt
 /// first, then cancels the straggler job — in that order, so the job's
 /// "cancelled" report arrives under an id no longer tracked and is
-/// stale-dropped instead of reaching the client as a cancelled result.
+/// dropped as stale instead of reaching the client as a cancelled result.
 void federated_server::expire_attempt(const std::shared_ptr<session::state>& st,
                                       std::uint64_t attempt_id) {
     detail::attempt_tracker& tr = *st->tracker;
     std::size_t backend = 0;
-    std::uint64_t swallow = 0;
+    service::floor_service::job job;
     {
         const std::lock_guard<std::mutex> lock(tr.m);
         const auto it = tr.attempts.find(attempt_id);
         if (it == tr.attempts.end() || it->second.resolving) return;  // answered in time
-        if (it->second.tries == 0) return;  // not yet dispatched (paranoia)
         backend = it->second.backend;
-        swallow = tr.mint();  // never registered: its cancel ack is dropped
+        job = it->second.job;
     }
     st->health->on_failure(backend);
     retry_or_fail(st, attempt_id, backend, api::error_code::deadline_exceeded,
                   "deadline exceeded after " +
                       std::to_string(st->health->config().request_timeout.count()) + " ms");
-    // Cancel the hung job so its worker stops burning the deadline's
-    // budget; the swallow id keeps the ack out of the client stream.
-    st->sessions[backend].handle(
-        api::request{api::cancel_job_request{swallow, attempt_id}});
+    // Cancel the hung job so its worker stops burning the deadline's budget.
+    if (job.valid()) job.cancel();
+}
+
+/// Register a protected building request as a fresh attempt and dispatch
+/// it. The index is already pinned: the identity must survive failover —
+/// every retry reruns the SAME task.
+void federated_server::start_attempt(const std::shared_ptr<session::state>& st,
+                                     std::uint64_t corr,
+                                     std::shared_ptr<const data::building> b, std::size_t index,
+                                     bool no_cache) {
+    const bool affine = st->routing->rt.policy() == routing_policy::content_hash_affinity;
+    detail::attempt a;
+    a.client_corr = corr;
+    a.affinity = affine ? data::content_hash(*b) : 0;
+    a.b = std::move(b);
+    a.index = index;
+    a.no_cache = no_cache;
+    a.trace = obs::current_context();
+    std::uint64_t id = 0;
+    {
+        const std::lock_guard<std::mutex> lock(st->tracker->m);
+        id = st->tracker->mint();
+        st->tracker->attempts.emplace(id, std::move(a));
+        st->tracker->attempt_by_client[corr] = id;
+    }
+    dispatch_attempt(st, id);
+}
+
+/// Unprotected building dispatch: route (affinity reads the building's
+/// content hash only when the policy routes on it — the hash walks every
+/// sample), then call the backend's `identify` with the pinned index.
+void federated_server::identify_on_backend(const std::shared_ptr<session::state>& st,
+                                           std::uint64_t corr, const data::building& b,
+                                           std::size_t index, bool no_cache) {
+    const std::size_t k = [&] {
+        obs::scoped_span route_span("federation.route");
+        const bool affine = st->routing->rt.policy() == routing_policy::content_hash_affinity;
+        return st->pick(affine ? data::content_hash(b) : 0);
+    }();
+    std::optional<service::floor_service::job> job = st->backend(k).identify(
+        b, index, no_cache, [out = st->out, corr](runtime::building_report report) {
+            out->respond(api::building_response{corr, std::move(report)});
+        });
+    if (job) st->jobs.remember(corr, std::move(*job));
 }
 
 void federated_server::session::handle(const api::request& req) {
@@ -536,73 +572,49 @@ void federated_server::session::handle(const api::request& req) {
             using T = std::decay_t<decltype(m)>;
             if constexpr (std::is_same_v<T, api::identify_building_request>) {
                 obs::scoped_span span("federation.dispatch");
-                // Affinity reads the building's content hash only when the
-                // policy routes on it (the hash walks every sample).
-                const bool affine =
-                    st->routing->rt.policy() == routing_policy::content_hash_affinity;
-                if (st->tracker) {
-                    // Protected path: pin the index up front (the identity
-                    // must survive failover — every retry reruns the SAME
-                    // task), register the attempt, then dispatch under a
-                    // minted attempt id the emitter intercepts.
-                    api::identify_building_request pinned = m;
-                    pinned.has_index = true;
-                    if (m.has_index)
-                        st->routing->advance_index(static_cast<std::size_t>(m.corpus_index) +
-                                                   1);
-                    else
-                        pinned.corpus_index = st->routing->allocate_index();
-                    const std::uint64_t affinity = affine ? data::content_hash(m.b) : 0;
-                    std::uint64_t id = 0;
-                    {
-                        const std::lock_guard<std::mutex> lock(st->tracker->m);
-                        id = st->tracker->mint();
-                        detail::attempt a;
-                        a.client_corr = m.correlation_id;
-                        a.req = std::move(pinned);
-                        a.affinity = affinity;
-                        a.trace = obs::current_context();
-                        st->tracker->attempts.emplace(id, std::move(a));
-                        st->tracker->attempt_by_client[m.correlation_id] = id;
-                    }
-                    dispatch_attempt(st, id);
-                    return;
-                }
-                const std::size_t k = [&] {
-                    obs::scoped_span route_span("federation.route");
-                    return st->pick(affine ? data::content_hash(m.b) : 0);
-                }();
-                st->remember(m.correlation_id, k);
+                // The front-end is the one index-assignment authority: pin
+                // the global index before the hop, so the backend (and its
+                // cache key) sees the identity a single service would assign.
+                std::size_t index = 0;
                 if (m.has_index) {
-                    st->routing->advance_index(static_cast<std::size_t>(m.corpus_index) + 1);
-                    st->sessions[k].handle(req);
+                    index = static_cast<std::size_t>(m.corpus_index);
+                    st->routing->advance_index(index + 1);
                 } else {
-                    // The front-end is the one index-assignment authority:
-                    // pin the next global index before the hop, so the
-                    // backend (and its cache key) sees the same identity a
-                    // single service would assign.
-                    api::identify_building_request pinned = m;
-                    pinned.has_index = true;
-                    pinned.corpus_index = st->routing->allocate_index();
-                    st->sessions[k].handle(api::request{std::move(pinned)});
+                    index = st->routing->allocate_index();
                 }
+                if (st->tracker)
+                    start_attempt(st, m.correlation_id, std::make_shared<const data::building>(m.b),
+                                  index, m.no_cache);
+                else
+                    identify_on_backend(st, m.correlation_id, m.b, index, m.no_cache);
             } else if constexpr (std::is_same_v<T, api::identify_shard_request>) {
                 obs::scoped_span span("federation.dispatch");
                 // Per-store confinement: only paths inside a mounted store
                 // are servable — an empty registry serves nothing.
-                if (!st->registry->shard_allowed(m.ref.path)) {
+                const store_registry& registry = st->fleet->registry_;
+                if (!registry.shard_allowed(m.ref.path)) {
                     st->out->respond(api::error_response{
                         m.correlation_id, api::error_code::bad_request,
-                        st->registry->num_stores() == 0
+                        registry.num_stores() == 0
                             ? "no corpus stores mounted: " + m.ref.path
                             : "shard path outside every mounted store: " + m.ref.path});
                     return;
                 }
                 st->routing->advance_index(m.ref.first_index + m.ref.num_buildings);
+                const auto submit = [&](std::size_t k) {
+                    obs::scoped_span identify_span("api.identify");
+                    st->jobs.remember(
+                        m.correlation_id,
+                        st->backend(k).backing_service().submit(
+                            m.ref, [out = st->out, corr = m.correlation_id](
+                                       const runtime::building_report& report) {
+                                out->respond(api::building_response{corr, report});
+                            }));
+                };
                 if (st->tracker) {
                     // Shards fail over only on submit-time crashes: once a
-                    // backend accepts the stream it may have emitted
-                    // frames, and resubmission would duplicate them. The
+                    // backend accepts the stream it may have answered some
+                    // buildings, and resubmission would duplicate them. The
                     // loop is synchronous (submission is cheap — it only
                     // enqueues), rerouting around each crashed backend.
                     std::vector<backend_probe> probes = st->probe();
@@ -617,8 +629,7 @@ void federated_server::session::handle(const api::request& req) {
                             if (k != prev) st->health->count_failover();
                         }
                         try {
-                            st->sessions[k].handle(req);
-                            st->remember(m.correlation_id, k);
+                            submit(k);
                             st->health->on_success(k);
                             return;
                         } catch (const std::exception&) {
@@ -637,17 +648,9 @@ void federated_server::session::handle(const api::request& req) {
                     obs::scoped_span route_span("federation.route");
                     return st->pick(shard_affinity(m.ref));
                 }();
-                st->remember(m.correlation_id, k);
-                st->sessions[k].handle(req);
+                submit(k);
             } else if constexpr (std::is_same_v<T, api::get_stats_request>) {
-                service::service_stats s = gather_merged_stats(st->backends);
-                if (st->ingest) {
-                    s.ingest_appends = static_cast<std::size_t>(st->ingest->appends_total());
-                    s.ingest_dirty_buildings =
-                        static_cast<std::size_t>(st->ingest->dirty_total());
-                }
-                if (st->watches) s.watch_subscribers = st->watches->live_count();
-                st->out->respond(api::stats_response{m.correlation_id, std::move(s)});
+                st->out->respond(api::stats_response{m.correlation_id, st->fleet->stats()});
             } else if constexpr (std::is_same_v<T, api::append_scans_request>) {
                 obs::scoped_span span("federation.dispatch");
                 if (!st->ingest) {
@@ -700,11 +703,11 @@ void federated_server::session::handle(const api::request& req) {
                 }
                 st->out->respond(api::watch_ack_response{m.correlation_id, active});
             } else if constexpr (std::is_same_v<T, api::identify_resident_request>) {
-                // Resolve the name against the mounted stores, then re-enter
-                // dispatch as a pinned identify_building: resident requests
-                // ride the exact routing/protection path client-supplied
-                // buildings do.
-                if (st->registry->num_stores() == 0) {
+                // Resolve the name against the mounted stores, then dispatch
+                // as a pinned identify_building: resident requests ride the
+                // exact routing/protection path client-supplied buildings
+                // do, without copying the cached building.
+                if (st->fleet->registry_.num_stores() == 0) {
                     st->out->respond(api::error_response{
                         m.correlation_id, api::error_code::bad_request,
                         "identify_resident: no corpus stores mounted"});
@@ -718,60 +721,37 @@ void federated_server::session::handle(const api::request& req) {
                             m.name + "'"});
                     return;
                 }
-                api::identify_building_request fwd;
-                fwd.correlation_id = m.correlation_id;
-                fwd.has_index = true;
-                fwd.corpus_index = hit->global_index;
-                fwd.no_cache = m.fresh;
-                fwd.b = *hit->b;
-                handle(api::request{std::move(fwd)});
+                obs::scoped_span span("federation.dispatch");
+                st->routing->advance_index(hit->global_index + 1);
+                if (st->tracker)
+                    start_attempt(st, m.correlation_id, hit->b, hit->global_index, m.fresh);
+                else
+                    identify_on_backend(st, m.correlation_id, *hit->b, hit->global_index,
+                                        m.fresh);
             } else if constexpr (std::is_same_v<T, api::subscribe_stats_request>) {
                 st->out->respond(api::error_response{
                     m.correlation_id, api::error_code::bad_request,
                     "subscribe_stats: telemetry windows live at the TCP front door "
                     "(connect through serve_tcp to stream stats)"});
             } else if constexpr (std::is_same_v<T, api::cancel_job_request>) {
+                // A live protected building is cancelled through its current
+                // attempt's job; everything else (shard jobs, unprotected
+                // buildings, unknown targets) through the job table.
+                service::floor_service::job job;
                 if (st->tracker) {
-                    // Protected buildings live under attempt ids: translate
-                    // the target for the hop and record the un-translation
-                    // the response's target field needs on the way back.
-                    std::size_t backend = st->backends.size();
-                    std::uint64_t attempt_id = 0;
-                    {
-                        const std::lock_guard<std::mutex> lock(st->tracker->m);
-                        const auto alias =
-                            st->tracker->attempt_by_client.find(m.target_correlation_id);
-                        if (alias != st->tracker->attempt_by_client.end()) {
-                            const auto at = st->tracker->attempts.find(alias->second);
-                            if (at != st->tracker->attempts.end() && !at->second.resolving &&
-                                at->second.tries > 0) {
-                                attempt_id = alias->second;
-                                backend = at->second.backend;
-                                st->tracker->cancel_rewrites[m.correlation_id] =
-                                    m.target_correlation_id;
-                            }
-                        }
+                    const std::lock_guard<std::mutex> lock(st->tracker->m);
+                    const auto alias =
+                        st->tracker->attempt_by_client.find(m.target_correlation_id);
+                    if (alias != st->tracker->attempt_by_client.end()) {
+                        const auto at = st->tracker->attempts.find(alias->second);
+                        if (at != st->tracker->attempts.end() && !at->second.resolving)
+                            job = at->second.job;
                     }
-                    if (backend < st->backends.size()) {
-                        api::cancel_job_request fwd = m;
-                        fwd.target_correlation_id = attempt_id;
-                        st->sessions[backend].handle(api::request{std::move(fwd)});
-                        return;
-                    }
-                    // else: not a live protected building — a shard job
-                    // (owners map below) or an unknown target.
                 }
-                std::size_t owner = st->backends.size();
-                {
-                    const std::lock_guard<std::mutex> lock(st->owners_m);
-                    const auto it = st->owners.find(m.target_correlation_id);
-                    if (it != st->owners.end()) owner = it->second;
-                }
-                if (owner < st->backends.size())
-                    st->sessions[owner].handle(req);  // backend answers
-                else
-                    st->out->respond(api::cancel_response{m.correlation_id,
-                                                          m.target_correlation_id, false});
+                const bool accepted =
+                    job.valid() ? job.cancel() : st->jobs.cancel(m.target_correlation_id);
+                st->out->respond(
+                    api::cancel_response{m.correlation_id, m.target_correlation_id, accepted});
             } else {
                 static_assert(std::is_same_v<T, api::flush_request>);
                 // Fan-out barrier: every backend drains — and, under
@@ -780,10 +760,7 @@ void federated_server::session::handle(const api::request& req) {
                 // throws, exactly as floor_service::wait_all refuses to
                 // deadlock.)
                 st->drain();
-                {
-                    const std::lock_guard<std::mutex> lock(st->owners_m);
-                    st->owners.clear();
-                }
+                st->jobs.prune();
                 st->out->respond(api::flush_response{m.correlation_id});
             }
         },
@@ -896,120 +873,17 @@ federated_server::federated_server(federation_config cfg) : cfg_(std::move(cfg))
 federated_server::~federated_server() = default;
 
 federated_server::session federated_server::open(frame_sink sink) {
-    auto out = std::make_shared<detail::emitter>();
-    out->sink = std::move(sink);
     auto st = std::make_shared<session::state>();
-    st->out = out;
+    st->out = std::make_shared<detail::emitter>();
+    st->out->sink = std::move(sink);
+    st->fleet = this;
     st->routing = routing_;
-    st->registry = &registry_;
     st->ingest = ingest_;  // still null while the internal session opens
     st->watches = watches_;
     st->residents = residents_;
-    st->backends.reserve(backends_.size());
-    st->sessions.reserve(backends_.size());
-    for (const std::unique_ptr<api::server>& b : backends_) {
-        st->backends.push_back(b.get());
-        st->sessions.push_back(
-            b->open([out](std::string_view frame) { out->frame(frame); }));
-    }
     if (health_) {
         st->health = health_;
         st->tracker = std::make_shared<detail::attempt_tracker>();
-        // The intercept closure is owned by the emitter, so it captures
-        // the emitter raw (same lifetime) and the session state weakly
-        // (backend sinks → emitter → closure → state would cycle). The
-        // tracker and fleet_health are co-owned: frames that arrive after
-        // the session handle died still resolve or drop correctly.
-        detail::emitter* self = out.get();
-        std::weak_ptr<session::state> w = st;
-        std::shared_ptr<detail::attempt_tracker> tracker = st->tracker;
-        std::shared_ptr<fleet_health> health = health_;
-        out->intercept = [self, w, tracker, health](std::string_view f) -> bool {
-            if (f.size() < k_off_corr + 8) return false;  // unaddressable: pass through
-            const std::uint16_t tag = rd_u16(f, k_off_tag);
-            const std::uint64_t corr = rd_u64(f, k_off_corr);
-            if (!(corr & detail::k_attempt_bit)) {
-                // Client-correlated. Only forwarded cancels need work: un-
-                // translate the response's target from attempt id back to
-                // the client's target id, in place.
-                if (tag == static_cast<std::uint16_t>(api::message_tag::cancel_result) &&
-                    f.size() >= k_off_cancel_target + 8) {
-                    std::uint64_t client_target = 0;
-                    {
-                        const std::lock_guard<std::mutex> lock(tracker->m);
-                        const auto it = tracker->cancel_rewrites.find(corr);
-                        if (it == tracker->cancel_rewrites.end()) return false;
-                        client_target = it->second;
-                        tracker->cancel_rewrites.erase(it);
-                    }
-                    std::string patched(f);
-                    patch_u64(patched, k_off_cancel_target, client_target);
-                    self->deliver(patched);
-                    return true;
-                }
-                return false;
-            }
-            // Attempt-correlated: ours. Anything that is not a tracked
-            // building result or error — swallow-cancel acks, frames from
-            // attempts already resolved or re-keyed (a timed-out try
-            // answering late) — is dropped: the client either already has
-            // its answer or will get it from the retry in flight.
-            std::size_t backend = 0;
-            std::uint64_t client = 0;
-            bool transient = false;
-            {
-                const std::lock_guard<std::mutex> lock(tracker->m);
-                const auto it = tracker->attempts.find(corr);
-                if (it == tracker->attempts.end() || it->second.resolving) return true;
-                if (tag != static_cast<std::uint16_t>(api::message_tag::building_result) &&
-                    tag != static_cast<std::uint16_t>(api::message_tag::error))
-                    return true;
-                backend = it->second.backend;
-                client = it->second.client_corr;
-                if (tag == static_cast<std::uint16_t>(api::message_tag::building_result)) {
-                    const api::decode_result<api::response> d = api::decode_response(f);
-                    const api::building_response* br =
-                        d.value ? std::get_if<api::building_response>(&*d.value) : nullptr;
-                    transient =
-                        br && !br->report.ok && service::is_transient_fault(br->report.error);
-                }
-                if (!transient) it->second.resolving = true;  // claim: delivery is final
-            }
-            if (!transient) {
-                // Success — or a genuine, deterministic failure the retry
-                // layer must NOT rerun. Patch the correlation id back to
-                // the client's in place; every other byte is verbatim, so
-                // successful responses match an unprotected run exactly.
-                health->on_success(backend);
-                std::string patched(f);
-                patch_u64(patched, k_off_corr, client);
-                self->deliver(patched);
-                {
-                    const std::lock_guard<std::mutex> lock(tracker->m);
-                    tracker->erase(corr);
-                }
-                tracker->cv.notify_all();
-                return true;
-            }
-            health->on_failure(backend);
-            if (const std::shared_ptr<session::state> s = w.lock()) {
-                retry_or_fail(s, corr, backend, api::error_code::backend_unavailable,
-                              "backend kept failing transiently");
-            } else {
-                // Session gone: nothing can re-dispatch — fail it now so
-                // the tracker drains.
-                {
-                    const std::lock_guard<std::mutex> lock(tracker->m);
-                    tracker->erase(corr);
-                }
-                health->count_backend_unavailable();
-                self->deliver(api::encode(api::response{api::error_response{
-                    client, api::error_code::backend_unavailable,
-                    "backend failed and the session is gone"}}));
-                tracker->cv.notify_all();
-            }
-            return true;
-        };
     }
     return session(std::move(st));
 }
@@ -1045,15 +919,20 @@ void federated_server::serve(std::istream& in, std::ostream& out) {
 }
 
 service::service_stats federated_server::stats() const {
-    std::vector<api::server*> backends;
-    backends.reserve(backends_.size());
-    for (const std::unique_ptr<api::server>& b : backends_) backends.push_back(b.get());
-    service::service_stats s = gather_merged_stats(backends);
+    std::vector<service::service_stats> stats;
+    std::vector<obs::latency_histogram> latencies;
+    stats.reserve(backends_.size());
+    latencies.reserve(backends_.size());
+    for (const std::unique_ptr<api::server>& b : backends_) {
+        stats.push_back(b->stats());
+        latencies.push_back(b->backing_service().latencies());
+    }
+    service::service_stats s = merge_backend_stats(stats, latencies);
     if (ingest_) {
         s.ingest_appends = static_cast<std::size_t>(ingest_->appends_total());
         s.ingest_dirty_buildings = static_cast<std::size_t>(ingest_->dirty_total());
     }
-    if (watches_) s.watch_subscribers = watches_->live_count();
+    s.watch_subscribers = watches_->live_count();
     return s;
 }
 

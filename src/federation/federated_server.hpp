@@ -4,25 +4,29 @@
 /// One API front-end over a fleet: `federated_server` speaks exactly the
 /// `api::server` contract — the same request/response messages, the same
 /// framed codec, the same transports (`serve(in, out)` streams, `open(sink)`
-/// loopback) — but dispatches onto M `api::server` backends (each a
-/// `service::floor_service` plus its own warm `api::result_cache`) fed from
-/// N corpus stores mounted in a `store_registry`.
+/// loopback) — but dispatches onto M backends fed from N corpus stores
+/// mounted in a `store_registry`. A backend is an `api::server` used only
+/// as the container of a `service::floor_service` and its own warm
+/// `api::result_cache`: the fleet calls them directly and never speaks
+/// frames to them, so the session contract (correlation ids, the cancel
+/// namespace, response encoding) is implemented once, here.
 ///
 /// Dispatch per message:
 ///  - `identify_building` / `identify_shard` — a `router` policy picks the
 ///    backend (round-robin, least-queue-depth over bounded-queue occupancy,
 ///    or content-hash affinity so repeat buildings hit the backend whose
-///    result cache is warm); the request is forwarded to that backend's
-///    session and its response frames are streamed back verbatim, so
-///    correlation ids survive the hop and completion order interleaves
-///    across backends exactly as jobs finish.
+///    result cache is warm). A building goes through that backend's
+///    `api::server::identify` (cache probe, submit, cache fill); a shard
+///    goes straight to its `floor_service::submit`. Each report is encoded
+///    once, under the client's correlation id, as the job produces it, so
+///    completion order interleaves across backends exactly as jobs finish.
 ///  - `get_stats` — answered by the front-end: per-backend `service_stats`
 ///    are merged (counters summed; latency percentiles recomputed from the
 ///    merged `obs::latency_histogram`s — percentiles cannot be merged
 ///    from percentiles).
-///  - `cancel_job` — routed to the backend that owns the target correlation
-///    id; unknown targets answer `accepted = false` without touching any
-///    backend.
+///  - `cancel_job` — cancels the job handle the connection tracks under the
+///    target correlation id (finished handles are pruned as new ones are
+///    tracked); unknown or finished targets answer `accepted = false`.
 ///  - `flush` — fans out: every backend drains — and the ingest manager
 ///    goes idle (queued appends durable, dirty re-runs answered) — before
 ///    the one `flush_response` is emitted.
@@ -68,25 +72,25 @@
 ///
 /// **Fault tolerance** (the protected dispatch path; engages when
 /// `fault_tolerance.enabled`, a request timeout is set, or any backend has
-/// an armed `fault_plan`): building requests are forwarded under minted
-/// *attempt* correlation ids (top bit set — protected mode reserves
-/// high-bit client correlation ids; `net::tcp_server` remaps client ids to
-/// small internal ones, so TCP clients are never affected) and the
-/// response channel intercepts backend frames. A success (or a genuine,
-/// deterministic pipeline failure — rerunning those would only repeat
-/// them) has its correlation id patched back to the client's in place, so
-/// successful responses stay byte-identical to an unprotected run. A
-/// *transient* failure (`service::is_transient_fault`), a submit-time
-/// crash, or a deadline expiry instead feeds the backend's circuit breaker
-/// and reschedules the attempt — exponential backoff, rerouted around
-/// broken backends (failover), a hung attempt cancelled at its deadline —
-/// until it succeeds or `max_attempts` is spent, when the client gets a
-/// typed `backend_unavailable` / `deadline_exceeded` error. All deferred
+/// an armed `fault_plan`): each building request becomes an *attempt*,
+/// tracked under an internal attempt id that never reaches the wire, with
+/// the backend job of its current try. The job's report callback reads the
+/// report directly. A success (or a genuine, deterministic pipeline
+/// failure — rerunning those would only repeat them) is encoded under the
+/// client's correlation id, so successful responses stay byte-identical to
+/// an unprotected run. A *transient* failure (`service::is_transient_fault`),
+/// a submit-time crash, or a deadline expiry (which cancels the hung job)
+/// instead feeds the backend's circuit breaker and reschedules the attempt
+/// under a fresh attempt id — exponential backoff, rerouted around broken
+/// backends (failover) — until it succeeds or `max_attempts` is spent, when
+/// the client gets a typed `backend_unavailable` / `deadline_exceeded`
+/// error. Reports of superseded tries are dropped as stale. All deferred
 /// work runs on the `fleet_health` watchdog thread, never inline from a
 /// completion callback (which must not block or submit). Shard requests
-/// fail over only on submit-time crashes (before any response frame
-/// exists); mid-shard failures are forwarded as-is — a shard stream has
-/// already emitted frames, so resubmission would duplicate them.
+/// fail over only on submit-time crashes (before any report exists);
+/// mid-shard failures are forwarded as-is — a shard stream has already
+/// answered some buildings, so resubmission would duplicate them. Every
+/// client correlation id is usable in either mode; none is reserved.
 
 #include <cstdint>
 #include <functional>
@@ -154,9 +158,9 @@ public:
 
     /// One client connection over the fleet: a correlation-id namespace
     /// spanning every backend, plus the response channel. Cheap handle;
-    /// copies share state. As with `api::server::session`, jobs keep the
-    /// state alive, but sink targets must outlive the jobs — `finish()`
-    /// (or server teardown) before tearing them down.
+    /// copies share state. In-flight jobs keep the response channel alive,
+    /// but sink targets must outlive the jobs — `finish()` (or server
+    /// teardown) before tearing them down.
     class session {
     public:
         /// Dispatch one decoded request.
@@ -212,7 +216,10 @@ public:
 
     [[nodiscard]] std::size_t num_backends() const noexcept { return backends_.size(); }
 
-    /// Backend \p k (its cache stats, backing service, direct sessions).
+    /// Backend \p k: the `api::server` holding that backend's service and
+    /// result cache (its stats, cache stats, `backing_service()`). The
+    /// fleet calls its `identify` and its service directly; sessions opened
+    /// on it bypass the fleet's routing and protection.
     /// \throws std::out_of_range on a bad index.
     [[nodiscard]] api::server& backend(std::size_t k);
 
@@ -224,6 +231,12 @@ private:
     struct routing;
     struct resident_directory;
 
+    static void identify_on_backend(const std::shared_ptr<session::state>& st,
+                                    std::uint64_t corr, const data::building& b,
+                                    std::size_t index, bool no_cache);
+    static void start_attempt(const std::shared_ptr<session::state>& st, std::uint64_t corr,
+                              std::shared_ptr<const data::building> b, std::size_t index,
+                              bool no_cache);
     static void dispatch_attempt(const std::shared_ptr<session::state>& st,
                                  std::uint64_t attempt_id);
     static void expire_attempt(const std::shared_ptr<session::state>& st,
@@ -236,9 +249,10 @@ private:
     store_registry registry_;
     /// Shared with sessions so routing state outlives a dropped handle.
     std::shared_ptr<routing> routing_;
-    /// Shared with sessions/emitters (they may outlive the server's own
-    /// pointer during teardown); null when protection is off. Destroyed
-    /// after `backends_`, so the watchdog outlives draining jobs.
+    /// Shared with sessions and backend jobs' report callbacks (they may
+    /// outlive the server's own pointer during teardown); null when
+    /// protection is off. Destroyed after `backends_`, so the watchdog
+    /// outlives draining jobs.
     std::shared_ptr<fleet_health> health_;
     /// The in-memory cache of buildings `identify_resident` has served,
     /// over per-building reads of the mounted stores. Shared with every
@@ -248,8 +262,8 @@ private:
     /// expire with their connection's emitter, so no teardown ordering
     /// matters beyond outliving the sessions (shared ownership handles it).
     std::shared_ptr<watch_registry> watches_;
-    /// Backend teardown (which waits for in-flight jobs whose sinks may
-    /// still consult routing state) must run while everything above is
+    /// Backend teardown (which waits for in-flight jobs whose callbacks may
+    /// still consult fleet state) must run while everything above is
     /// alive — only `ingest_`, which needs the fleet to answer its
     /// in-flight re-runs, is destroyed earlier.
     std::vector<std::unique_ptr<api::server>> backends_;

@@ -589,38 +589,45 @@ TEST(federated_server, every_policy_drains_cleanly_on_flush) {
 
 TEST(federated_server, cancel_routes_to_owning_backend_and_unknown_ids_answer_false) {
     const data::corpus city = tiny_corpus(2);
-    federation::federation_config cfg;
-    cfg.service = fast_service_config(1);
-    cfg.num_backends = 2;
-    cfg.policy = federation::routing_policy::round_robin;
-    federation::federated_server srv(cfg);
+    // Unprotected buildings are cancelled through the connection's job
+    // table, protected ones through their current attempt's job.
+    for (const bool protect : {false, true}) {
+        SCOPED_TRACE(protect ? "protected" : "unprotected");
+        federation::federation_config cfg;
+        cfg.service = fast_service_config(1);
+        cfg.num_backends = 2;
+        cfg.policy = federation::routing_policy::round_robin;
+        cfg.fault_tolerance.enabled = protect;
+        federation::federated_server srv(cfg);
 
-    response_collector collected;
-    federation::federated_server::session s = srv.open(collected.sink());
+        response_collector collected;
+        federation::federated_server::session s = srv.open(collected.sink());
 
-    // Hold the fleet so the cancel deterministically lands before the job.
-    srv.pause();
-    api::identify_building_request req;
-    req.correlation_id = 7;
-    req.b = city.buildings[0];
-    s.handle(api::request{req});
-    s.handle(api::cancel_job_request{8, 7});    // known target → its backend answers
-    s.handle(api::cancel_job_request{9, 404});  // unknown target → front-end answers
-    srv.resume();
-    s.handle(api::flush_request{10});
+        // Hold the fleet so the cancel deterministically lands before the job.
+        srv.pause();
+        api::identify_building_request req;
+        req.correlation_id = 7;
+        req.b = city.buildings[0];
+        s.handle(api::request{req});
+        s.handle(api::cancel_job_request{8, 7});    // known target → its job cancels
+        s.handle(api::cancel_job_request{9, 404});  // unknown target → refused
+        srv.resume();
+        s.handle(api::flush_request{10});
 
-    const auto cancels = collected.of<api::cancel_response>();
-    ASSERT_EQ(cancels.size(), 2u);
-    EXPECT_EQ(cancels[0].correlation_id, 8u);
-    EXPECT_EQ(cancels[0].target_correlation_id, 7u);
-    EXPECT_TRUE(cancels[0].accepted);
-    EXPECT_EQ(cancels[1].correlation_id, 9u);
-    EXPECT_FALSE(cancels[1].accepted);
+        const auto cancels = collected.of<api::cancel_response>();
+        ASSERT_EQ(cancels.size(), 2u);
+        EXPECT_EQ(cancels[0].correlation_id, 8u);
+        EXPECT_EQ(cancels[0].target_correlation_id, 7u);
+        EXPECT_TRUE(cancels[0].accepted);
+        EXPECT_EQ(cancels[1].correlation_id, 9u);
+        EXPECT_FALSE(cancels[1].accepted);
 
-    const auto buildings = collected.of<api::building_response>();
-    ASSERT_EQ(buildings.size(), 1u);
-    EXPECT_FALSE(buildings[0].report.ok);
-    EXPECT_EQ(buildings[0].report.error, "cancelled");
+        const auto buildings = collected.of<api::building_response>();
+        ASSERT_EQ(buildings.size(), 1u);
+        EXPECT_EQ(buildings[0].correlation_id, 7u);
+        EXPECT_FALSE(buildings[0].report.ok);
+        EXPECT_EQ(buildings[0].report.error, "cancelled");
+    }
 }
 
 // --- fault injection + fault tolerance ---------------------------------------
@@ -863,6 +870,39 @@ TEST(fault_tolerant_fleet, shard_submission_with_no_survivor_answers_typed_error
     EXPECT_EQ(errors[0].correlation_id, 11u);
     EXPECT_EQ(errors[0].code, api::error_code::backend_unavailable);
     EXPECT_TRUE(collected.of<api::building_response>().empty());
+}
+
+TEST(fault_tolerant_fleet, high_bit_correlation_ids_get_every_shard_response) {
+    // No client correlation id is reserved: a protected fleet answers an id
+    // with the top bit set exactly as an unprotected one does.
+    const std::string root = scratch_dir("high_bit");
+    const data::corpus city = tiny_corpus(3);
+    const std::string dir = (std::filesystem::path(root) / "store").string();
+    static_cast<void>(data::write_corpus_store(city, dir, city.buildings.size()));
+
+    federation::federation_config cfg;
+    cfg.service = fast_service_config(1);
+    cfg.num_backends = 1;
+    cfg.store_dirs = {dir};
+    cfg.fault_tolerance.enabled = true;
+    federation::federated_server srv(cfg);
+
+    response_collector collected;
+    federation::federated_server::session s = srv.open(collected.sink());
+    const std::uint64_t corr = (std::uint64_t{1} << 63) | 3;
+    ASSERT_EQ(srv.registry().shards().size(), 1u);
+    s.handle(api::identify_shard_request{corr, srv.registry().shards().at(0).ref});
+    s.handle(api::flush_request{4});
+    s.finish();
+
+    EXPECT_TRUE(collected.of<api::error_response>().empty());
+    EXPECT_EQ(collected.of<api::flush_response>().size(), 1u);
+    const auto buildings = collected.of<api::building_response>();
+    ASSERT_EQ(buildings.size(), city.buildings.size());
+    for (const api::building_response& b : buildings) {
+        EXPECT_EQ(b.correlation_id, corr);
+        EXPECT_TRUE(b.report.ok) << b.report.error;
+    }
 }
 
 TEST(fault_tolerant_fleet, rejects_misshapen_fault_plan_vector) {

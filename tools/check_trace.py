@@ -3,6 +3,7 @@
 output) without loading it into Perfetto.
 
 Usage:  check_trace.py TRACE.json [--min-events N] [--require-span NAME ...]
+        check_trace.py --check-src SRC_DIR
 
 Checks, in order:
   - the file parses as JSON and is an object;
@@ -22,12 +23,18 @@ Checks, in order:
   - at least --min-events events (default 1) and every --require-span name
     is present.
 
+With --check-src, no trace is read: instead every span-name string literal
+passed to `scoped_span` / `emit_span` / `emit_child_span` in the C++ sources
+under SRC_DIR is collected, and the check fails unless that set equals
+KNOWN_SPANS — so the registry can neither miss a span nor keep a dead one.
+
 Exit code 0 on a valid trace, 1 with a one-line reason otherwise — written
 for CI (validate the smoke-test artifact before uploading it).
 """
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -37,8 +44,9 @@ REQUIRED_ARG_KEYS = ("trace", "span", "parent")
 
 # Every span name the instrumentation can emit. A name outside this registry
 # fails the check: either the producer has a typo, or a new span was added
-# without teaching the tooling about it — both are worth a red build. Keep in
-# sync with the scoped_span / emit_span / emit_child_span literals in src/.
+# without teaching the tooling about it — both are worth a red build. Kept in
+# sync with the scoped_span / emit_span / emit_child_span literals in src/ by
+# `--check-src src`, which CI runs.
 KNOWN_SPANS = frozenset({
     # net front door
     "net.accept", "net.read", "net.decode", "net.dispatch", "net.respond",
@@ -63,6 +71,33 @@ def fail(reason):
     sys.exit(1)
 
 
+# A span-name literal at a producer call site: `scoped_span var("name")`,
+# `scoped_span("name")`, `emit_span("name", ...)`, `emit_child_span("name", ...)`.
+SPAN_LITERAL = re.compile(
+    r'\b(?:scoped_span(?:\s+\w+)?|emit_span|emit_child_span)\s*\(\s*"([^"]*)"')
+SOURCE_SUFFIXES = (".cpp", ".hpp", ".h", ".cc")
+
+
+def check_sources(src_dir):
+    if not src_dir.is_dir():
+        fail(f"{src_dir} is not a directory")
+    found = set()
+    for path in sorted(src_dir.rglob("*")):
+        if path.suffix in SOURCE_SUFFIXES:
+            found.update(SPAN_LITERAL.findall(path.read_text()))
+    problems = []
+    missing = sorted(found - KNOWN_SPANS)
+    if missing:
+        problems.append(f"span names in {src_dir} missing from KNOWN_SPANS: "
+                        f"{', '.join(missing)}")
+    stale = sorted(KNOWN_SPANS - found)
+    if stale:
+        problems.append(f"KNOWN_SPANS names no literal in {src_dir} emits: {', '.join(stale)}")
+    if problems:
+        fail("; ".join(problems))
+    print(f"check_trace: OK: {len(found)} span names in {src_dir} match KNOWN_SPANS")
+
+
 def parse_hex_id(event, key):
     raw = event["args"].get(key)
     if not isinstance(raw, str) or not raw.startswith("0x"):
@@ -75,12 +110,22 @@ def parse_hex_id(event, key):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("trace", type=Path)
+    parser.add_argument("trace", type=Path, nargs="?")
+    parser.add_argument("--check-src", type=Path, metavar="SRC_DIR",
+                        help="check KNOWN_SPANS against the span literals under SRC_DIR "
+                             "instead of validating a trace")
     parser.add_argument("--min-events", type=int, default=1,
                         help="fail unless at least this many events (default 1)")
     parser.add_argument("--require-span", action="append", default=[],
                         metavar="NAME", help="fail unless a span with this name exists")
     args = parser.parse_args()
+    if args.check_src is not None:
+        if args.trace is not None:
+            parser.error("--check-src takes no trace file")
+        check_sources(args.check_src)
+        return
+    if args.trace is None:
+        parser.error("a trace file is required (or --check-src SRC_DIR)")
 
     try:
         doc = json.loads(args.trace.read_text())
