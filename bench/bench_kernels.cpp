@@ -55,10 +55,19 @@ struct op_spec {
     wrapper_fn wrapper;  // the public pooled entry point
 };
 
+/// The blocked A·Bᵀ path as `linalg::matmul_nt_into` runs it: pack Bᵀ,
+/// then the plain product's kernel over the packed copy.
+void matmul_nt_packed(const double* a, const double* b, double* c, std::size_t m,
+                      std::size_t k, std::size_t n, std::size_t r0, std::size_t r1) noexcept {
+    std::vector<double> bt(k * n);
+    for (std::size_t j = 0; j < n; ++j)
+        for (std::size_t kk = 0; kk < k; ++kk) bt[kk * n + j] = b[j * k + kk];
+    linalg::kernels::matmul_blocked(a, bt.data(), c, m, k, n, r0, r1);
+}
+
 constexpr op_spec kOps[] = {
     {"matmul", linalg::kernels::matmul_scalar, linalg::kernels::matmul_blocked, linalg::matmul},
-    {"matmul_nt", linalg::kernels::matmul_nt_scalar, linalg::kernels::matmul_nt_blocked,
-     linalg::matmul_nt},
+    {"matmul_nt", linalg::kernels::matmul_nt_scalar, matmul_nt_packed, linalg::matmul_nt},
     {"matmul_tn", linalg::kernels::matmul_tn_scalar, linalg::kernels::matmul_tn_blocked,
      linalg::matmul_tn},
 };
@@ -258,7 +267,9 @@ int main(int argc, char** argv) try {
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1234));
     const int reps = static_cast<int>(args.get_int("reps", quick ? 3 : 5));
 
-    std::vector<shape> shapes{{64, 64, 64}, {256, 256, 256}, {203, 97, 151}};
+    // {32, 512, 16} is the tape's weight-gradient shape for matmul_tn:
+    // 2d = 32 output rows, a 512-node batch deep, d = 16 wide.
+    std::vector<shape> shapes{{64, 64, 64}, {256, 256, 256}, {203, 97, 151}, {32, 512, 16}};
     if (!quick) {
         shapes.push_back({128, 128, 128});
         shapes.push_back({384, 384, 384});

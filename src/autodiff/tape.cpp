@@ -1,5 +1,6 @@
 #include "tape.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -150,7 +151,7 @@ var tape::matmul(var a, var b) {
             const matrix& g = nodes_[v.index].grad;
             if (nodes_[a.index].requires_grad) {
                 matrix t = ws_.take(g.rows(), nodes_[b.index].value.rows());
-                linalg::matmul_nt_into(t, g, nodes_[b.index].value, pool_);
+                linalg::matmul_nt_into(t, g, nodes_[b.index].value, pool_, &ws_);
                 grad_buffer(a.index) += t;
                 ws_.recycle(std::move(t));
             }
@@ -389,17 +390,22 @@ var tape::gather_rows(var a, std::vector<std::size_t> indices) {
 var tape::weighted_sum_rows(var a,
                             std::vector<std::vector<std::pair<std::size_t, double>>> groups) {
     const matrix& av = at(a).value;
-    for (const auto& group : groups)
+    std::size_t terms = 0;
+    for (const auto& group : groups) {
+        terms += group.size();
         for (const auto& [idx, w] : group) {
             (void)w;
             if (idx >= av.rows())
                 throw std::out_of_range("tape::weighted_sum_rows: index out of range");
         }
+    }
     matrix out = ws_.take_zero(groups.size(), av.cols());
     // Output rows are independent, so pooled aggregation is bit-exact; the
     // backward scatter below stays serial (groups share source rows).
+    const std::size_t flops_per_row =
+        (terms / std::max<std::size_t>(groups.size(), 1) + 1) * av.cols();
     util::parallel_for(pool_, 0, groups.size(),
-                       linalg::parallel_policy::row_grain(groups.size()),
+                       linalg::parallel_policy::row_grain(flops_per_row),
                        [&](std::size_t r0, std::size_t r1) {
                            for (std::size_t i = r0; i < r1; ++i)
                                for (const auto& [idx, w] : groups[i])

@@ -44,7 +44,9 @@ std::vector<linkage_merge> upgma_linkage(const linalg::matrix& points, util::thr
     // cells (i, j) and their mirrors (j, i) for every j > i, so each cell
     // has exactly one writer and the values match the serial fill exactly.
     std::vector<float> dist(n * n, 0.0f);
-    util::parallel_for(pool, 0, n, linalg::parallel_policy::row_grain(n),
+    // Row i computes n−1−i distances of points.cols() terms each; size
+    // chunks by the average row.
+    util::parallel_for(pool, 0, n, linalg::parallel_policy::row_grain(n / 2 * points.cols()),
                        [&](std::size_t rb, std::size_t re) {
         for (std::size_t i = rb; i < re; ++i)
             for (std::size_t j = i + 1; j < n; ++j) {
@@ -95,9 +97,10 @@ std::vector<linkage_merge> upgma_linkage(const linalg::matrix& points, util::thr
                 // Every x owns its two mirror cells (a,x)/(x,a) and reads
                 // only row b and its own cells, so the sweep splits over
                 // the pool with one writer per cell — bit-identical to
-                // serial. `span_grain` collapses sweeps below the policy's
-                // dispatch break-even into a single inline chunk, so the
-                // pool only engages at city-scale point counts.
+                // serial. `min_span`-sized chunks collapse sweeps below
+                // the policy's dispatch break-even into a single inline
+                // chunk, so the pool only engages at city-scale point
+                // counts.
                 const auto sa = static_cast<float>(size[a]);
                 const auto sb = static_cast<float>(size[b]);
                 auto update_rows = [&](std::size_t x0, std::size_t x1) {
@@ -115,7 +118,7 @@ std::vector<linkage_merge> upgma_linkage(const linalg::matrix& points, util::thr
                 if (pool == nullptr || n < linalg::parallel_policy::min_span)
                     update_rows(0, n);
                 else
-                    util::parallel_for(pool, 0, n, linalg::parallel_policy::span_grain(n),
+                    util::parallel_for(pool, 0, n, linalg::parallel_policy::min_span,
                                        update_rows);
                 active[b] = false;
                 size[a] += size[b];

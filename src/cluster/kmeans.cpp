@@ -61,7 +61,7 @@ kmeans_result run_once(const linalg::matrix& points, std::size_t k, util::rng& g
     double prev_inertia = std::numeric_limits<double>::max();
     for (std::size_t iter = 0; iter < cfg.max_iterations; ++iter) {
         // Assignment step.
-        util::parallel_for(pool, 0, n, linalg::parallel_policy::row_grain(n),
+        util::parallel_for(pool, 0, n, linalg::parallel_policy::row_grain(k * d),
                            [&](std::size_t i0, std::size_t i1) {
             for (std::size_t i = i0; i < i1; ++i) {
                 double best = std::numeric_limits<double>::max();

@@ -101,17 +101,18 @@ fis_one::fis_one(fis_one_config cfg) : cfg_(cfg) {
         throw std::invalid_argument("fis_one: embedding_dim must be > 0");
 }
 
-fis_one_result fis_one::run(const data::building& b) const {
+fis_one_result fis_one::run(const data::building& b, util::thread_pool* pool) const {
     b.validate();
     util::rng gen(cfg_.seed ^ 0xf15f0e1ULL);
 
-    // One pool per run, shared by every kernel below. All pooled kernels
-    // are bit-identical to their serial forms, so results do not depend on
-    // this knob (see fis_one_config::num_threads).
-    const std::size_t num_threads = util::resolve_num_threads(cfg_.num_threads);
+    // One pool per run unless the caller lent one, shared by every kernel
+    // below. All pooled kernels are bit-identical to their serial forms,
+    // so results do not depend on it (see fis_one_config::num_threads).
     std::unique_ptr<util::thread_pool> owned_pool;
-    if (num_threads > 1) owned_pool = std::make_unique<util::thread_pool>(num_threads);
-    util::thread_pool* const pool = owned_pool.get();
+    if (pool == nullptr && util::resolve_num_threads(cfg_.num_threads) > 1) {
+        owned_pool = std::make_unique<util::thread_pool>(cfg_.num_threads);
+        pool = owned_pool.get();
+    }
 
     // --- 1. graph construction + RF-GNN representation learning ---
     const graph::bipartite_graph g = [&] {

@@ -107,7 +107,12 @@ public:
 
     /// Run the full pipeline on \p b (which must satisfy
     /// `building::validate`). Deterministic given (config seed, building).
-    [[nodiscard]] fis_one_result run(const data::building& b) const;
+    /// \param pool kernel pool to run on. When null, the run creates its
+    ///        own for `num_threads` > 1 and drops it at the end; callers
+    ///        that run many buildings pass one pool instead. Either way
+    ///        the result bits are the same.
+    [[nodiscard]] fis_one_result run(const data::building& b,
+                                     util::thread_pool* pool = nullptr) const;
 
     [[nodiscard]] const fis_one_config& config() const noexcept { return cfg_; }
 

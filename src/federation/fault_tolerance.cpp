@@ -9,13 +9,15 @@ fleet_health::fleet_health(fault_tolerance_config cfg, std::size_t num_backends)
     watchdog_ = std::thread([this] { watchdog_loop(); });
 }
 
-fleet_health::~fleet_health() {
+fleet_health::~fleet_health() { stop(); }
+
+void fleet_health::stop() {
     {
         const std::lock_guard<std::mutex> lock(timer_m_);
         stopping_ = true;
     }
     timer_cv_.notify_all();
-    watchdog_.join();
+    if (watchdog_.joinable()) watchdog_.join();
 }
 
 std::size_t fleet_health::num_backends() const noexcept { return breakers_.size(); }

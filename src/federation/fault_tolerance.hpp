@@ -75,7 +75,7 @@ public:
     /// Spawns the watchdog thread immediately.
     fleet_health(fault_tolerance_config cfg, std::size_t num_backends);
 
-    /// Stops the watchdog; pending scheduled actions are dropped.
+    /// Stops the watchdog (see `stop`) if the owner has not already.
     ~fleet_health();
 
     fleet_health(const fleet_health&) = delete;
@@ -126,6 +126,14 @@ public:
     /// Backoff before retry number \p tries (1-based): exponential from
     /// `backoff_base`, capped at `backoff_cap`.
     [[nodiscard]] std::chrono::milliseconds backoff(std::size_t tries) const;
+
+    /// Stop the watchdog and join it: an action already running finishes,
+    /// pending ones are dropped, and later `schedule` calls are ignored.
+    /// Idempotent. Scheduled actions may hold (through a session) the last
+    /// reference to this object, and the watchdog cannot join itself, so
+    /// the owner calls this from its own thread before it lets go of its
+    /// reference. Must not be called from a scheduled action.
+    void stop();
 
 private:
     struct breaker {

@@ -870,7 +870,16 @@ federated_server::federated_server(federation_config cfg) : cfg_(std::move(cfg))
     }
 }
 
-federated_server::~federated_server() = default;
+federated_server::~federated_server() {
+    // The members' own reverse-declaration order, spelled out so the
+    // watchdog stops after the backends drain (their jobs' callbacks may
+    // still schedule retries and deadlines) and before the server drops
+    // its fleet_health reference: a watchdog action can hold the last
+    // session, and with it the last other reference to fleet_health.
+    ingest_.reset();
+    backends_.clear();
+    if (health_) health_->stop();
+}
 
 federated_server::session federated_server::open(frame_sink sink) {
     auto st = std::make_shared<session::state>();

@@ -251,8 +251,9 @@ private:
     std::shared_ptr<routing> routing_;
     /// Shared with sessions and backend jobs' report callbacks (they may
     /// outlive the server's own pointer during teardown); null when
-    /// protection is off. Destroyed after `backends_`, so the watchdog
-    /// outlives draining jobs.
+    /// protection is off. The destructor stops its watchdog after
+    /// `backends_` drain, so the watchdog outlives draining jobs and never
+    /// runs the last fleet_health release itself.
     std::shared_ptr<fleet_health> health_;
     /// The in-memory cache of buildings `identify_resident` has served,
     /// over per-building reads of the mounted stores. Shared with every

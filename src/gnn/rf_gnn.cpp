@@ -222,7 +222,9 @@ matrix rf_gnn::propagate_full(const matrix& prev, std::size_t hop) const {
     // Aggregate over the *full* neighbourhood (deterministic inference).
     // Every node writes only its own output row, so pooling is bit-exact.
     matrix agg = ws_.take_zero(n, d);
-    util::parallel_for(pool_, 0, n, linalg::parallel_policy::row_grain(n),
+    const std::size_t flops_per_node =
+        (2 * graph_->num_edges() / std::max<std::size_t>(n, 1) + 1) * d;
+    util::parallel_for(pool_, 0, n, linalg::parallel_policy::row_grain(flops_per_node),
                        [&](std::size_t n0, std::size_t n1) {
         for (std::uint32_t node = static_cast<std::uint32_t>(n0); node < n1; ++node) {
             const auto nbrs = graph_->neighbors(node);

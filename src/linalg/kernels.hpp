@@ -15,15 +15,27 @@
 /// floating-point additions is exactly `c = 0; c += a·b` over the depth
 /// index in ascending order — the same sequence the scalar i-k-j loop
 /// performs. Blocking merely changes *where* the running value lives:
-///  - the j-loop is register-tiled (kKernelCols-wide accumulator rows),
-///    which is pure loop unrolling — each cell keeps its own accumulator;
+///  - the j-loop is register-tiled, which is pure loop unrolling — each
+///    cell keeps its own accumulator. The tiles are two-lane (SSE2,
+///    kKernelCols wide) everywhere and four-lane (AVX2, kWideCols wide)
+///    where the CPU has AVX2, picked once per process at run time. A
+///    vector lane is one cell, so lane width never reorders a sum;
+///  - no tile uses FMA: the AVX2 tile is compiled for `avx2` only, and
+///    the build pins `-ffp-contract=off`, so `c += a·b` is always a
+///    rounded multiply followed by a rounded add, whatever `-march` a
+///    build passes;
 ///  - the k-loop is split into kBlockK-sized blocks processed in
 ///    ascending order; between blocks the accumulators round-trip
 ///    through the output buffer, which does not change the value
 ///    (storing and reloading a double is exact);
+///  - `A·Bᵀ` runs as `A·(Bᵀ)` over a packed copy of Bᵀ: its cell
+///    (i, j) sums a(i,kk)·b(j,kk) in ascending kk from zero, exactly
+///    the sequence of the plain product, and copying never changes a
+///    value;
 ///  - threads split by *output rows*, and no cell is ever touched by two
 ///    threads.
-/// Hence blocked, scalar, serial and pooled runs all agree to the bit.
+/// Hence blocked, scalar, serial and pooled runs, and SSE2-only and AVX2
+/// CPUs, all agree to the bit.
 
 #include <cstddef>
 #include <new>
@@ -45,6 +57,11 @@ inline constexpr std::size_t kAlignment = 64;
 /// which is what large (≥256³) products are bound by.
 inline constexpr std::size_t kKernelRows = 4;
 inline constexpr std::size_t kKernelCols = 4;
+
+/// Columns of the wide (AVX2) tile: kKernelRows × 8 doubles = eight
+/// four-lane accumulators, which leaves half of the sixteen AVX
+/// registers for the B row vectors and the broadcast A values.
+inline constexpr std::size_t kWideCols = 8;
 
 /// Depth (k) block: 256 iterations × a 64-byte B row per iteration keeps
 /// the streamed B panel ≈16 KiB — comfortably L1-resident — while the
@@ -107,13 +124,10 @@ void matmul_scalar(const double* a, const double* b, double* c, std::size_t m, s
 void matmul_blocked(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
                     std::size_t n, std::size_t r0, std::size_t r1) noexcept;
 
-/// C(m×n) = A(m×k) · B(n×k)ᵀ — scalar i-j-k reference.
+/// C(m×n) = A(m×k) · B(n×k)ᵀ — scalar i-j-k reference. The blocked form
+/// is `matmul_blocked` over a packed Bᵀ (`linalg::matmul_nt_into`).
 void matmul_nt_scalar(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
                       std::size_t n, std::size_t r0, std::size_t r1) noexcept;
-
-/// C(m×n) = A(m×k) · B(n×k)ᵀ — register-tiled dot kernel.
-void matmul_nt_blocked(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
-                       std::size_t n, std::size_t r0, std::size_t r1) noexcept;
 
 /// C(m×n) = A(k×m)ᵀ · B(k×n) — scalar k-outer reference.
 void matmul_tn_scalar(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
@@ -122,6 +136,28 @@ void matmul_tn_scalar(const double* a, const double* b, double* c, std::size_t m
 /// C(m×n) = A(k×m)ᵀ · B(k×n) — cache-blocked, register-tiled.
 void matmul_tn_blocked(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
                        std::size_t n, std::size_t r0, std::size_t r1) noexcept;
+
+namespace detail {
+
+/// The register tiles of the blocked products, named so tests can run
+/// each one on the same inputs. `matmul_blocked` and `matmul_tn_blocked`
+/// use `avx2` when `avx2_available()`, else `sse2`.
+enum class tile { sse2, avx2 };
+
+/// True when this build has the AVX2 tile and the running CPU (and OS)
+/// can execute it.
+[[nodiscard]] bool avx2_available() noexcept;
+
+/// The shared axpy core with an explicitly named tile: C(i, j) over rows
+/// [r0, r1) accumulates A(i, kk)·B(kk, j) for kk in [0, depth), where
+/// A(i, kk) = a[i·ras + kk·kas] and B is depth × n row-major
+/// (`matmul_blocked` is ras = k, kas = 1; `matmul_tn_blocked` is ras = 1,
+/// kas = m). \p t = tile::avx2 requires `avx2_available()`.
+void gemm_axpy(tile t, const double* a, std::size_t ras, std::size_t kas, const double* b,
+               double* c, std::size_t depth, std::size_t n, std::size_t r0,
+               std::size_t r1) noexcept;
+
+}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Fused vector primitives. Plain contiguous loops with restrict-style

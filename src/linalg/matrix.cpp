@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "linalg/parallel_policy.hpp"
+#include "linalg/workspace.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fisone::linalg {
@@ -14,10 +15,6 @@ void check_same_shape(const matrix& a, const matrix& b, const char* what) {
 }
 void check_same_length(std::span<const double> a, std::span<const double> b, const char* what) {
     if (a.size() != b.size()) throw std::invalid_argument(std::string(what) + ": length mismatch");
-}
-
-constexpr std::size_t row_grain(std::size_t rows) noexcept {
-    return parallel_policy::row_grain(rows);
 }
 }  // namespace
 
@@ -43,19 +40,25 @@ void matmul_into(matrix& out, const matrix& a, const matrix& b, util::thread_poo
     const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
     out.resize_uninit(m, n);
     pool = parallel_policy::effective(pool, m * k * n);
-    util::parallel_for(pool, 0, m, row_grain(m), [&](std::size_t r0, std::size_t r1) {
-        kernels::matmul_blocked(a.data(), b.data(), out.data(), m, k, n, r0, r1);
-    });
+    util::parallel_for(pool, 0, m, parallel_policy::row_grain(k * n),
+                       [&](std::size_t r0, std::size_t r1) {
+                           kernels::matmul_blocked(a.data(), b.data(), out.data(), m, k, n, r0,
+                                                   r1);
+                       });
 }
 
-void matmul_nt_into(matrix& out, const matrix& a, const matrix& b, util::thread_pool* pool) {
+void matmul_nt_into(matrix& out, const matrix& a, const matrix& b, util::thread_pool* pool,
+                    workspace* ws) {
     if (a.cols() != b.cols()) throw std::invalid_argument("matmul_nt: dimension mismatch");
-    const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-    out.resize_uninit(m, n);
-    pool = parallel_policy::effective(pool, m * k * n);
-    util::parallel_for(pool, 0, m, row_grain(m), [&](std::size_t r0, std::size_t r1) {
-        kernels::matmul_nt_blocked(a.data(), b.data(), out.data(), m, k, n, r0, r1);
-    });
+    const std::size_t k = a.cols(), n = b.rows();
+    // Cell (i, j) of A·Bᵀ sums a(i,kk)·b(j,kk) in ascending kk from zero —
+    // the sequence matmul(A, Bᵀ) performs — so pack Bᵀ once, before the
+    // row split, and run the plain product's axpy core over it.
+    matrix bt = ws != nullptr ? ws->take(k, n) : matrix::uninit(k, n);
+    for (std::size_t j = 0; j < n; ++j)
+        for (std::size_t kk = 0; kk < k; ++kk) bt(kk, j) = b(j, kk);
+    matmul_into(out, a, bt, pool);
+    if (ws != nullptr) ws->recycle(std::move(bt));
 }
 
 void matmul_tn_into(matrix& out, const matrix& a, const matrix& b, util::thread_pool* pool) {
@@ -63,9 +66,11 @@ void matmul_tn_into(matrix& out, const matrix& a, const matrix& b, util::thread_
     const std::size_t m = a.cols(), k = a.rows(), n = b.cols();
     out.resize_uninit(m, n);
     pool = parallel_policy::effective(pool, m * k * n);
-    util::parallel_for(pool, 0, m, row_grain(m), [&](std::size_t r0, std::size_t r1) {
-        kernels::matmul_tn_blocked(a.data(), b.data(), out.data(), m, k, n, r0, r1);
-    });
+    util::parallel_for(pool, 0, m, parallel_policy::row_grain(k * n),
+                       [&](std::size_t r0, std::size_t r1) {
+                           kernels::matmul_tn_blocked(a.data(), b.data(), out.data(), m, k, n,
+                                                      r0, r1);
+                       });
 }
 
 matrix matmul(const matrix& a, const matrix& b, util::thread_pool* pool) {

@@ -24,6 +24,8 @@ class thread_pool;
 
 namespace fisone::linalg {
 
+class workspace;
+
 /// Dense row-major matrix. Value-semantic; copies are deep.
 class matrix {
 public:
@@ -182,8 +184,10 @@ private:
 /// (allocation-free when its capacity suffices — the workspace path) and
 /// fully overwritten. \p out must not alias \p a or \p b.
 void matmul_into(matrix& out, const matrix& a, const matrix& b, util::thread_pool* pool = nullptr);
+/// `matmul_nt_into` packs Bᵀ into a scratch matrix taken from \p ws (a
+/// fresh allocation when null) and runs the `matmul` kernel over it.
 void matmul_nt_into(matrix& out, const matrix& a, const matrix& b,
-                    util::thread_pool* pool = nullptr);
+                    util::thread_pool* pool = nullptr, workspace* ws = nullptr);
 void matmul_tn_into(matrix& out, const matrix& a, const matrix& b,
                     util::thread_pool* pool = nullptr);
 

@@ -12,6 +12,8 @@
 
 #include <cstddef>
 
+#include "linalg/kernels.hpp"
+
 namespace fisone::util {
 class thread_pool;
 }
@@ -31,27 +33,34 @@ struct parallel_policy {
     /// eligible.
     static constexpr std::size_t min_parallel_flops = std::size_t{1} << 18;
 
-    /// Rows per `parallel_for` chunk for row-partitioned kernels. Any
-    /// grain is bit-exact (rows are independent); this one balances
-    /// scheduling overhead against load skew: ~32 chunks keeps every
-    /// worker busy on skewed rows without flooding the queue.
-    [[nodiscard]] static constexpr std::size_t row_grain(std::size_t rows) noexcept {
-        const std::size_t g = rows / 32;
-        return g == 0 ? 1 : g;
+    /// Minimum work per pooled `parallel_for` chunk. Claiming a chunk is
+    /// one atomic increment, but every chunk re-streams its kernel's
+    /// shared operand (the B panel of a product), so a chunk must carry
+    /// enough rows to amortise that. 2¹⁶ flops keeps a product at the
+    /// `min_parallel_flops` threshold at four chunks, and a large one at
+    /// many chunks for load balance.
+    static constexpr std::size_t min_chunk_flops = std::size_t{1} << 16;
+
+    /// Rows per pooled `parallel_for` chunk for a row-partitioned kernel
+    /// whose rows each cost about \p flops_per_row: enough rows to reach
+    /// `min_chunk_flops`, rounded up to a whole register tile
+    /// (`kernels::kKernelRows`) so no chunk boundary splits a tile and
+    /// forces the product's edge path. Any grain is bit-exact (rows are
+    /// independent); a serial `parallel_for` ignores the grain and runs
+    /// the whole range as one chunk.
+    [[nodiscard]] static constexpr std::size_t row_grain(std::size_t flops_per_row) noexcept {
+        const std::size_t per_row = flops_per_row == 0 ? 1 : flops_per_row;
+        const std::size_t rows = (min_chunk_flops + per_row - 1) / per_row;
+        constexpr std::size_t tile = kernels::kKernelRows;
+        return (rows + tile - 1) / tile * tile;
     }
 
     /// Elements per chunk for flat O(n) sweeps (e.g. the UPGMA
     /// Lance–Williams row update). A chunk below this span moves less
-    /// memory than the dispatch costs; `span_grain` therefore never
-    /// returns less, which makes `parallel_for` collapse small sweeps
-    /// into one chunk — and a one-chunk parallel_for runs inline on the
-    /// caller, paying no pool overhead at all.
+    /// memory than the dispatch costs, so sweeps of at most `min_span`
+    /// items are one chunk — and a one-chunk parallel_for runs inline on
+    /// the caller, paying no pool overhead at all.
     static constexpr std::size_t min_span = std::size_t{8} << 10;
-
-    [[nodiscard]] static constexpr std::size_t span_grain(std::size_t items) noexcept {
-        const std::size_t g = row_grain(items);
-        return g < min_span ? min_span : g;
-    }
 
     /// Gate a kernel's pool on the flop budget: below the threshold the
     /// serial path wins, so the kernel gets a null pool and runs inline.

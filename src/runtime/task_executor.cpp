@@ -37,6 +37,16 @@ building_report skipped_report(std::string name, std::size_t index,
     return report;
 }
 
+task_executor::task_executor(core::fis_one_config pipeline, std::uint64_t campaign_seed,
+                             bool single_thread_kernels)
+    : pipeline_(std::move(pipeline)),
+      campaign_seed_(campaign_seed),
+      single_thread_kernels_(single_thread_kernels) {
+    // The kernel thread count is the same for every index.
+    const std::size_t kernel_threads = util::resolve_num_threads(effective_config(0).num_threads);
+    if (kernel_threads > 1) kernel_pool_ = std::make_shared<util::thread_pool>(kernel_threads);
+}
+
 building_report task_executor::run(std::size_t index, const data::building& b) const {
     building_report report;
     report.index = index;
@@ -47,7 +57,7 @@ building_report task_executor::run(std::size_t index, const data::building& b) c
 
     const clock::time_point start = clock::now();
     try {
-        report.result = core::fis_one(cfg).run(b);
+        report.result = core::fis_one(cfg).run(b, kernel_pool_.get());
         report.ok = true;
     } catch (const std::exception& e) {
         report.error = e.what();

@@ -13,11 +13,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "batch_runner.hpp"
 #include "core/fis_one.hpp"
 #include "data/rf_sample.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fisone::runtime {
 
@@ -44,15 +46,15 @@ void validate_pipeline(const core::fis_one_config& pipeline);
 
 /// Bundles one campaign's (pipeline template, campaign seed, kernel
 /// threading policy) so front-ends execute buildings through one shared
-/// object instead of re-threading three loose values. Cheap to copy;
-/// immutable after construction, so one executor may serve many threads.
+/// object instead of re-threading three loose values. When the effective
+/// config asks for more than one kernel thread, the executor creates that
+/// kernel pool once and every building it runs shares it. Cheap to copy
+/// (copies share the pool); immutable after construction, so one
+/// executor may serve many threads.
 class task_executor {
 public:
     task_executor(core::fis_one_config pipeline, std::uint64_t campaign_seed,
-                  bool single_thread_kernels)
-        : pipeline_(std::move(pipeline)),
-          campaign_seed_(campaign_seed),
-          single_thread_kernels_(single_thread_kernels) {}
+                  bool single_thread_kernels);
 
     /// Run building \p b at corpus index \p index: derive seeds, execute
     /// the pipeline, fold any exception into the report (`ok = false`).
@@ -76,6 +78,9 @@ private:
     core::fis_one_config pipeline_;
     std::uint64_t campaign_seed_ = 0;
     bool single_thread_kernels_ = false;
+    /// Null when the kernels run serially. `parallel_for` is safe to call
+    /// from several threads at once, so concurrent `run`s may share it.
+    std::shared_ptr<util::thread_pool> kernel_pool_;
 };
 
 }  // namespace fisone::runtime

@@ -126,12 +126,14 @@ void floor_service::record_report(job::impl& im, state& st, runtime::building_re
     if (im.on_report) im.on_report(stored);
 }
 
-floor_service::floor_service(service_config cfg) : cfg_(std::move(cfg)) {
+floor_service::floor_service(service_config cfg)
+    : cfg_(std::move(cfg)),
+      workers_(util::resolve_num_threads(cfg_.num_threads)),
+      executor_(cfg_.pipeline, cfg_.seed, /*single_thread_kernels=*/workers_ > 1) {
     if (cfg_.max_pending_jobs == 0)
         throw std::invalid_argument("floor_service: max_pending_jobs must be >= 1");
     // Validate the pipeline template eagerly, as batch_runner does.
     runtime::validate_pipeline(cfg_.pipeline);
-    workers_ = util::resolve_num_threads(cfg_.num_threads);
     state_ = std::make_shared<state>();
     state_->on_report = cfg_.on_report;
     // thread_pool(n) spawns n−1 workers (the caller participates only in
@@ -254,10 +256,9 @@ floor_service::job floor_service::submit(data::building b, std::size_t corpus_in
         if (corpus_index >= next_index_) next_index_ = corpus_index + 1;
     }
     auto svc = state_;
-    const runtime::task_executor executor(cfg_.pipeline, cfg_.seed,
-                                          /*single_thread_kernels=*/workers_ > 1);
     return enqueue(
-        [b = std::move(b), corpus_index, executor, svc, faults = cfg_.faults](job::impl& im) {
+        [b = std::move(b), corpus_index, executor = executor_, svc,
+         faults = cfg_.faults](job::impl& im) {
             if (im.cancel_requested.load() ||
                 (faults.hang_ms != 0 && !fault_sleep(im.cancel_requested, faults.hang_ms))) {
                 record_report(im, *svc, executor.skipped(b.name, corpus_index, "cancelled"),
@@ -289,10 +290,8 @@ floor_service::job floor_service::submit(shard_ref ref, report_callback on_repor
         if (end > next_index_) next_index_ = end;
     }
     auto svc = state_;
-    const runtime::task_executor executor(cfg_.pipeline, cfg_.seed,
-                                          /*single_thread_kernels=*/workers_ > 1);
     return enqueue(
-        [ref = std::move(ref), executor, svc, faults = cfg_.faults](job::impl& im) {
+        [ref = std::move(ref), executor = executor_, svc, faults = cfg_.faults](job::impl& im) {
             std::size_t offset = 0;
             const auto skip_rest = [&](const std::string& reason, report_kind kind) {
                 for (; offset < ref.num_buildings; ++offset)

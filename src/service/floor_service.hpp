@@ -41,6 +41,7 @@
 #include "fault_plan.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/batch_runner.hpp"
+#include "runtime/task_executor.hpp"
 
 namespace fisone::service {
 
@@ -257,6 +258,9 @@ private:
 
     service_config cfg_;
     std::size_t workers_ = 1;
+    /// Every job runs its buildings through a copy of this one executor,
+    /// so a multi-threaded kernel pool is created once per service.
+    runtime::task_executor executor_;
     std::size_t next_index_ = 0;  // guarded by the state mutex
     std::shared_ptr<state> state_;
     std::unique_ptr<util::thread_pool> pool_;

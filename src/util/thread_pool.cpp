@@ -68,19 +68,6 @@ std::future<void> thread_pool::submit(std::function<void()> task) {
 
 namespace {
 
-/// The one serial decomposition: same chunk boundaries as the pooled path
-/// (they depend only on begin/end/grain), executed in chunk order. Both
-/// the member fast path and the pool-less free function delegate here so
-/// the decomposition rule lives in exactly one place.
-void run_serial_chunks(std::size_t begin, std::size_t end, std::size_t grain,
-                       const std::function<void(std::size_t, std::size_t)>& chunk) {
-    if (end <= begin) return;
-    const std::size_t g = std::max<std::size_t>(grain, 1);
-    const std::size_t num_chunks = (end - begin + g - 1) / g;
-    for (std::size_t c = 0; c < num_chunks; ++c)
-        chunk(begin + c * g, std::min(end, begin + (c + 1) * g));
-}
-
 /// Shared bookkeeping of one parallel_for call. Lives on the heap because
 /// queued helper tasks may outlive the call (they wake up after every chunk
 /// was already claimed, see below).
@@ -129,7 +116,7 @@ void thread_pool::parallel_for(std::size_t begin, std::size_t end, std::size_t g
     const std::size_t num_chunks = (end - begin + g - 1) / g;
 
     if (num_chunks == 1 || workers_.empty()) {
-        run_serial_chunks(begin, end, g, chunk);
+        chunk(begin, end);  // serial: the whole range is one chunk
         return;
     }
 
@@ -161,8 +148,8 @@ void parallel_for(thread_pool* pool, std::size_t begin, std::size_t end, std::si
                   const std::function<void(std::size_t, std::size_t)>& chunk) {
     if (pool != nullptr)
         pool->parallel_for(begin, end, grain, chunk);  // falls back serially itself
-    else
-        run_serial_chunks(begin, end, grain, chunk);
+    else if (end > begin)
+        chunk(begin, end);
 }
 
 }  // namespace fisone::util

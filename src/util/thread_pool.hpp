@@ -5,10 +5,13 @@
 /// kernels (RF-GNN propagation, k-means assignment, profile similarity).
 ///
 /// Design constraints, driven by the library's reproducibility contract:
-///  - `parallel_for` decomposes [begin, end) into chunks of `grain`
-///    indices. The decomposition depends only on (begin, end, grain) —
-///    never on the pool size — so any kernel whose chunk results are
-///    combined in chunk order is deterministic for every thread count.
+///  - A pooled `parallel_for` decomposes [begin, end) into chunks of
+///    `grain` indices; the decomposition depends only on (begin, end,
+///    grain) — never on the pool size. A serial one (no pool, or a pool
+///    without workers) runs the whole range as one chunk. Callers
+///    therefore only split work whose chunks are independent (every
+///    output row written by exactly one chunk), which makes them
+///    bit-identical at every thread count, serial included.
 ///  - Exceptions thrown inside tasks are captured and rethrown on the
 ///    calling thread (first one wins); the pool itself never dies from a
 ///    task exception.
@@ -33,8 +36,9 @@ namespace fisone::util {
 [[nodiscard]] std::size_t resolve_num_threads(std::size_t requested) noexcept;
 
 // Graining heuristics for row-partitioned kernels live in
-// linalg/parallel_policy.hpp (`parallel_policy::row_grain`), next to the
-// other pool-dispatch thresholds.
+// linalg/parallel_policy.hpp (`parallel_policy::row_grain`, sized by a
+// minimum flop count per chunk), next to the other pool-dispatch
+// thresholds.
 
 class thread_pool {
 public:
@@ -61,6 +65,7 @@ public:
     /// Run `chunk(chunk_begin, chunk_end)` over every grain-sized slice of
     /// [begin, end). Blocks until all chunks finish; the caller executes
     /// chunks alongside the workers. Rethrows the first chunk exception.
+    /// Without workers (concurrency 1) it calls `chunk(begin, end)` once.
     void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                       const std::function<void(std::size_t, std::size_t)>& chunk);
 
@@ -75,8 +80,10 @@ private:
     bool stopping_ = false;
 };
 
-/// Convenience wrapper used by the kernels: serial chunk-ordered execution
-/// when \p pool is null (or [begin, end) fits one chunk), pooled otherwise.
+/// Convenience wrapper used by the kernels: one `chunk(begin, end)` call
+/// when \p pool is null (or has no workers, or [begin, end) fits one
+/// grain), pooled grain-sized chunks otherwise. An empty range calls
+/// nothing.
 void parallel_for(thread_pool* pool, std::size_t begin, std::size_t end, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& chunk);
 

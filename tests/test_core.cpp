@@ -8,7 +8,9 @@
 
 #include "core/fis_one.hpp"
 #include "eval/metrics.hpp"
+#include "service/profiles.hpp"
 #include "sim/building_generator.hpp"
+#include "util/hash.hpp"
 
 namespace {
 
@@ -86,6 +88,28 @@ TEST(fis_one, deterministic_given_seed) {
     EXPECT_EQ(r1.assignment, r2.assignment);
     EXPECT_EQ(r1.cluster_to_floor, r2.cluster_to_floor);
     EXPECT_DOUBLE_EQ(r1.ari, r2.ari);
+}
+
+// Golden bits: one fixed quick-profile building, hashed over everything
+// the pipeline derives from the embedding. The constant was computed
+// before the blocked kernels gained wide tiles and the one-chunk serial
+// split; a kernel, tiling or work-split change that moves a single bit
+// fails here, at every thread count. 6 floors × 80 scans is large enough
+// that the 4-thread run puts the tape's forward products on the pool.
+TEST(fis_one, quick_profile_golden_digest_at_every_thread_count) {
+    const auto b = make_building(6, 77, 80);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        core::fis_one_config cfg = service::quick_profile(7, 1).pipeline;
+        cfg.num_threads = threads;
+        const auto r = core::fis_one(cfg).run(b);
+        util::fnv1a64 h;
+        h.size(r.embeddings.rows());
+        h.size(r.embeddings.cols());
+        for (const double x : r.embeddings.flat()) h.f64(x);
+        for (const int c : r.assignment) h.i32(c);
+        for (const int f : r.cluster_to_floor) h.i32(f);
+        EXPECT_EQ(h.digest(), 0xc0531d2c22ec1eecULL) << "num_threads " << threads;
+    }
 }
 
 TEST(fis_one, kmeans_variant_runs) {

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -23,6 +26,7 @@
 #include "api/client.hpp"
 #include "api/codec.hpp"
 #include "data/corpus_store.hpp"
+#include "federation/fault_tolerance.hpp"
 #include "federation/federated_server.hpp"
 #include "federation/router.hpp"
 #include "federation/store_registry.hpp"
@@ -903,6 +907,41 @@ TEST(fault_tolerant_fleet, high_bit_correlation_ids_get_every_shard_response) {
         EXPECT_EQ(b.correlation_id, corr);
         EXPECT_TRUE(b.report.ok) << b.report.error;
     }
+}
+
+TEST(fleet_health, stop_finishes_the_running_action_and_drops_the_rest) {
+    // A watchdog action can hold the last reference to its fleet_health
+    // (through a session), and the watchdog cannot join itself, so the
+    // owner stops it from its own thread first. stop() must wait out the
+    // action in flight, then run nothing more.
+    auto health = std::make_shared<federation::fleet_health>(
+        federation::fault_tolerance_config{}, 1);
+    std::promise<void> entered;
+    std::promise<void> release;
+    const std::shared_future<void> go = release.get_future().share();
+    std::atomic<int> ran{0};
+    health->schedule_after(std::chrono::milliseconds(0), [keep = health, &entered, go, &ran] {
+        entered.set_value();
+        go.wait();
+        ++ran;
+    });
+    health->schedule_after(std::chrono::hours(1), [&ran] { ran += 10; });
+    entered.get_future().wait();
+
+    std::atomic<bool> stopped{false};
+    std::thread stopper([&] {
+        health->stop();
+        stopped = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(stopped.load());  // the running action holds it up
+    release.set_value();
+    stopper.join();
+    EXPECT_EQ(ran.load(), 1);
+
+    health->schedule_after(std::chrono::milliseconds(0), [&ran] { ran += 100; });
+    health->stop();  // idempotent
+    EXPECT_EQ(ran.load(), 1);
 }
 
 TEST(fault_tolerant_fleet, rejects_misshapen_fault_plan_vector) {

@@ -1,12 +1,17 @@
 // Tests for the linalg kernel layer: cache-blocked products checked
 // bit-identical against a naive reference at 1 and 4 threads (including
-// odd, non-tile-multiple, 1×N, N×1 and empty shapes), the workspace
-// arena, the uninit-alloc matrix path, the parallel policy, and
-// allocation-reuse behaviour of the autodiff tape.
+// odd, non-tile-multiple, 1×N, N×1 and empty shapes, and the RF-GNN
+// tape's own shapes), each register tile (SSE2, AVX2) against the scalar
+// reference, the workspace arena, the uninit-alloc matrix path, the
+// parallel policy and the work split, and allocation-reuse behaviour of
+// the autodiff tape.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "autodiff/tape.hpp"
@@ -77,9 +82,14 @@ struct mkn {
 };
 
 const std::vector<mkn> kShapes{
-    {0, 0, 0},   {1, 1, 1},    {1, 7, 1},     {5, 1, 9},    {1, 64, 1},
-    {64, 1, 64}, {3, 5, 7},    {17, 33, 9},   {8, 8, 8},    {65, 129, 31},
-    {4, 300, 4}, {31, 17, 63}, {160, 90, 110}  // big enough to engage the pool
+    {0, 0, 0},   {1, 1, 1},    {1, 7, 1},      {5, 1, 9},    {1, 64, 1},
+    {64, 1, 64}, {3, 5, 7},    {17, 33, 9},    {8, 8, 8},    {65, 129, 31},
+    {4, 300, 4}, {31, 17, 63}, {160, 90, 110},  // big enough to engage the pool
+    // The training tape's products for a 387-node graph at d = 16: the
+    // forward layer (nn), the weight gradient (tn, 32 output rows) and
+    // the input gradient (nt); each runs as every product here.
+    {387, 32, 16}, {32, 387, 16}, {387, 16, 32},
+    {4, 600, 8},  // one wide tile whose depth spans three kBlockK blocks
 };
 
 TEST(kernels, matmul_bit_identical_to_naive) {
@@ -160,6 +170,38 @@ TEST(kernels, scalar_reference_matches_naive) {
     const matrix b2 = random_matrix(k, n, gen);
     linalg::kernels::matmul_tn_scalar(at.data(), b2.data(), c.data(), m, k, n, 0, m);
     EXPECT_TRUE(bits_equal(naive_matmul_tn(at, b2), c));
+}
+
+// Each register tile on the same inputs, in both A layouts the axpy core
+// serves (nn: ras = k, kas = 1; tn: ras = 1, kas = m), against the scalar
+// reference. Shapes cover full wide tiles, a 4-column remainder after
+// them, ragged rows and columns, and depths across kBlockK blocks.
+void expect_tile_matches_scalar(linalg::kernels::detail::tile t) {
+    namespace kn = linalg::kernels;
+    util::rng gen(111);
+    for (const mkn s : {mkn{4, 600, 8}, mkn{8, 300, 16}, mkn{13, 37, 29}, mkn{32, 387, 16},
+                        mkn{387, 32, 12}, mkn{5, 2, 20}}) {
+        const matrix a = random_matrix(s.m, s.k, gen);
+        const matrix at = random_matrix(s.k, s.m, gen);
+        const matrix b = random_matrix(s.k, s.n, gen);
+        matrix ref = matrix::uninit(s.m, s.n);
+        matrix got = matrix::uninit(s.m, s.n);
+        kn::matmul_scalar(a.data(), b.data(), ref.data(), s.m, s.k, s.n, 0, s.m);
+        kn::detail::gemm_axpy(t, a.data(), s.k, 1, b.data(), got.data(), s.k, s.n, 0, s.m);
+        EXPECT_TRUE(bits_equal(ref, got)) << "nn " << s.m << "x" << s.k << "x" << s.n;
+        kn::matmul_tn_scalar(at.data(), b.data(), ref.data(), s.m, s.k, s.n, 0, s.m);
+        kn::detail::gemm_axpy(t, at.data(), 1, s.m, b.data(), got.data(), s.k, s.n, 0, s.m);
+        EXPECT_TRUE(bits_equal(ref, got)) << "tn " << s.m << "x" << s.k << "x" << s.n;
+    }
+}
+
+TEST(kernels, sse2_tile_bit_identical_to_scalar) {
+    expect_tile_matches_scalar(linalg::kernels::detail::tile::sse2);
+}
+
+TEST(kernels, avx2_tile_bit_identical_to_scalar) {
+    if (!linalg::kernels::detail::avx2_available()) GTEST_SKIP() << "CPU has no AVX2";
+    expect_tile_matches_scalar(linalg::kernels::detail::tile::avx2);
 }
 
 TEST(kernels, into_variants_reuse_capacity) {
@@ -287,13 +329,74 @@ TEST(workspace, take_copy_matches_source) {
 
 TEST(parallel_policy, thresholds) {
     using linalg::parallel_policy;
+    constexpr std::size_t tile = linalg::kernels::kKernelRows;
     util::thread_pool pool(2);
     EXPECT_EQ(parallel_policy::effective(&pool, parallel_policy::min_parallel_flops - 1),
               nullptr);
     EXPECT_EQ(parallel_policy::effective(&pool, parallel_policy::min_parallel_flops), &pool);
-    EXPECT_GE(parallel_policy::row_grain(0), 1u);
-    EXPECT_GE(parallel_policy::row_grain(1000), 31u);
-    EXPECT_GE(parallel_policy::span_grain(100), parallel_policy::min_span);
+    // The grain carries at least min_chunk_flops, in whole register tiles,
+    // and is no bigger than that needs.
+    for (const std::size_t per_row : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                                      std::size_t{512}, std::size_t{5000},
+                                      std::size_t{1} << 20}) {
+        const std::size_t g = parallel_policy::row_grain(per_row);
+        EXPECT_GE(g, tile) << per_row;
+        EXPECT_EQ(g % tile, 0u) << per_row;
+        EXPECT_GE(g * std::max<std::size_t>(per_row, 1), parallel_policy::min_chunk_flops)
+            << per_row;
+        if (g > tile) {
+            EXPECT_LT((g - tile) * per_row, parallel_policy::min_chunk_flops) << per_row;
+        }
+    }
+    // A product at the dispatch threshold splits into several chunks.
+    EXPECT_EQ(parallel_policy::row_grain(512) * 512 * 4, parallel_policy::min_parallel_flops);
+}
+
+// ---------- work split ----------
+
+using chunk_list = std::vector<std::pair<std::size_t, std::size_t>>;
+
+chunk_list record_chunks(util::thread_pool* pool, std::size_t begin, std::size_t end,
+                         std::size_t grain) {
+    chunk_list chunks;
+    std::mutex m;
+    util::parallel_for(pool, begin, end, grain, [&](std::size_t b, std::size_t e) {
+        const std::lock_guard<std::mutex> lock(m);
+        chunks.emplace_back(b, e);
+    });
+    std::sort(chunks.begin(), chunks.end());
+    return chunks;
+}
+
+TEST(work_split, serial_parallel_for_calls_the_chunk_once) {
+    EXPECT_EQ(record_chunks(nullptr, 3, 1000, 4), (chunk_list{{3, 1000}}));
+    util::thread_pool no_workers(1);
+    EXPECT_EQ(record_chunks(&no_workers, 0, 1000, 1), (chunk_list{{0, 1000}}));
+    EXPECT_TRUE(record_chunks(nullptr, 5, 5, 1).empty());
+}
+
+TEST(work_split, pooled_chunks_are_whole_tiles_and_independent_of_pool_size) {
+    using linalg::parallel_policy;
+    constexpr std::size_t tile = linalg::kernels::kKernelRows;
+    util::thread_pool two(2);
+    util::thread_pool four(4);
+    // Per-row costs of the tape's products (k·n) and a 1027-row range.
+    for (const std::size_t per_row : {std::size_t{512}, std::size_t{16 * 32}, std::size_t{97}}) {
+        const std::size_t g = parallel_policy::row_grain(per_row);
+        const chunk_list at2 = record_chunks(&two, 0, 1027, g);
+        EXPECT_EQ(at2, record_chunks(&four, 0, 1027, g)) << per_row;
+        ASSERT_GT(at2.size(), 1u) << per_row;
+        std::size_t next = 0;
+        for (const auto& [b, e] : at2) {
+            EXPECT_EQ(b, next);
+            EXPECT_EQ(b % tile, 0u);
+            if (e != 1027) {
+                EXPECT_EQ(e % tile, 0u);
+            }
+            next = e;
+        }
+        EXPECT_EQ(next, 1027u);
+    }
 }
 
 // ---------- tape reuse ----------

@@ -194,6 +194,27 @@ TEST(batch_runner, kernel_pool_is_bit_identical_to_serial_kernels) {
     EXPECT_EQ(a.reports[0].result.cluster_to_floor, b.reports[0].result.cluster_to_floor);
 }
 
+TEST(batch_runner, concurrent_buildings_share_one_kernel_pool_bit_identically) {
+    // Two batch workers run buildings at once through one executor, whose
+    // single 3-thread kernel pool both in-flight pipelines then share.
+    const std::vector<data::building> fleet = make_fleet(3);
+    runtime::batch_config serial_cfg = fast_batch_config(1);
+    serial_cfg.pipeline.num_threads = 1;
+    runtime::batch_config shared_cfg = fast_batch_config(2);
+    shared_cfg.pipeline.num_threads = 3;
+
+    const runtime::batch_result a = runtime::batch_runner(serial_cfg).run(fleet);
+    const runtime::batch_result b = runtime::batch_runner(shared_cfg).run(fleet);
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+        ASSERT_TRUE(a.reports[i].ok) << i;
+        ASSERT_TRUE(b.reports[i].ok) << i;
+        EXPECT_EQ(a.reports[i].result.embeddings, b.reports[i].result.embeddings) << i;
+        EXPECT_EQ(a.reports[i].result.assignment, b.reports[i].result.assignment) << i;
+        EXPECT_EQ(a.reports[i].result.cluster_to_floor, b.reports[i].result.cluster_to_floor)
+            << i;
+    }
+}
+
 TEST(batch_runner, progress_callback_sees_every_building) {
     const std::vector<data::building> fleet = make_fleet(3);
     runtime::batch_config cfg = fast_batch_config(2);
