@@ -33,7 +33,7 @@
 ///                 answered within N ms is cancelled on its backend and
 ///                 retried elsewhere; exhausted retries answer a typed
 ///                 `deadline_exceeded` error. 0 (default) disables
-///                 deadlines. Arms fault tolerance.
+///                 deadlines.
 ///  --cache-dir    persist the result cache(s) under DIR (crash-safe
 ///                 write-then-rename spill). On start each backend warm
 ///                 loads only its own cache-affinity shard, so a
@@ -41,13 +41,14 @@
 ///  --fault-plan   deterministic fault injection, e.g.
 ///                 `0:fail_every=3;1:hang_ms=200` (keys: fail_every,
 ///                 fail_first, hang_ms, crash_on_submit, slow_read_ms,
-///                 crash_on_append). Arms fault tolerance
-///                 (retry/failover + circuit breakers).
-///                 crash_on_append=1 aborts the process after an
-///                 appended delta shard is durable but before the
-///                 manifest tmp is written; =2 aborts after the tmp is
-///                 written but before the rename — both for drilling
-///                 the warm-restart torn-manifest guarantee.
+///                 crash_on_append). Injected transient failures and
+///                 submit crashes are retried, failed over and counted
+///                 by the circuit breakers. crash_on_append=1 aborts
+///                 the process after an appended delta shard is durable
+///                 but before the manifest tmp is written; =2 aborts
+///                 after the tmp is written but before the rename —
+///                 both for drilling the warm-restart torn-manifest
+///                 guarantee.
 ///  --trace-out    enable span tracing for the whole run and write the
 ///                 tape as Chrome trace-event JSON (Perfetto-loadable) to
 ///                 PATH after the drain completes. While the server runs,
@@ -121,7 +122,8 @@ void print_usage() {
         "                           0:fail_every=3;1:hang_ms=200 (keys:\n"
         "                           fail_every, fail_first, hang_ms,\n"
         "                           crash_on_submit, slow_read_ms,\n"
-        "                           crash_on_append). Arms retry/failover.\n"
+        "                           crash_on_append); injected failures are\n"
+        "                           retried on another backend.\n"
         "\n"
         "Serves a fleet of --backends services (default 2) over the\n"
         "--stores corpus stores, if any, and wire-supplied buildings.\n"
@@ -233,6 +235,10 @@ int main(int argc, char** argv) try {
                   << s.responses_sent << " responses\n";
 
     if (!trace_out.empty()) {
+        // A job answers before its worker closes the job's spans: wait the
+        // workers out so the tape holds every request's whole span tree.
+        for (std::size_t k = 0; k < fleet.num_backends(); ++k)
+            fleet.backend(k).backing_service().wait_all();
         std::ofstream f(trace_out);
         obs::dump_chrome_trace(f);
         f.close();

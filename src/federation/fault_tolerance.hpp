@@ -37,12 +37,10 @@
 
 namespace fisone::federation {
 
-/// Retry / deadline / breaker tuning. Protection engages when `enabled`
-/// is set (or the owning server turns it on implicitly — see
-/// `federation_config`); the other fields only matter then.
+/// Retry / deadline / breaker tuning. A federated fleet applies it to
+/// every building request; on a fleet with no armed fault plan and no
+/// `request_timeout` nothing ever fails transiently, so it never retries.
 struct fault_tolerance_config {
-    /// Master switch for the protected dispatch path.
-    bool enabled = false;
     /// Per-request deadline, enforced per attempt: an attempt that has
     /// not answered in time is cancelled, circuit-broken against, and
     /// failed over. 0 = no deadline (failures still retry).

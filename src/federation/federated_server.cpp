@@ -165,7 +165,7 @@ struct federated_server::resident_directory {
 // hold it without GCC's -Wsubobject-linkage firing.
 namespace detail {
 
-/// One in-flight protected building request. Lives in the tracker map
+/// One in-flight building request. Lives in the tracker map
 /// from submission until its final answer (success, genuine failure, or
 /// typed error) — a scheduled-but-not-yet-dispatched retry re-keys the
 /// entry under a fresh attempt id, so the map is never empty while the
@@ -178,8 +178,7 @@ struct attempt {
     bool no_cache = false;
     std::uint64_t affinity = 0;
     std::size_t backend = 0;      ///< backend of the current dispatch
-    std::size_t last_failed = 0;  ///< backend the previous try failed on
-    bool has_failed = false;      ///< `last_failed` is meaningful
+    std::size_t last_failed = 0;  ///< backend the previous try failed on (retries only)
     std::size_t tries = 0;        ///< dispatches so far
     /// The current dispatch's backend job; empty before dispatch, after a
     /// cache hit, and once a failed try is re-keyed.
@@ -191,7 +190,7 @@ struct attempt {
     obs::trace_context trace{};   ///< submitter's trace position (for retry spans)
 };
 
-/// Protected-mode bookkeeping of one session. Attempt ids are internal:
+/// The building requests one session has in flight. Attempt ids are internal:
 /// they key this map and the report callbacks of backend jobs, and never
 /// reach the wire, so every client correlation id stays usable.
 struct attempt_tracker {
@@ -199,7 +198,8 @@ struct attempt_tracker {
     std::condition_variable cv;  ///< notified whenever an attempt resolves
     std::unordered_map<std::uint64_t, attempt> attempts;  ///< by attempt id
     /// Client correlation id → current attempt id (the `cancel_job`
-    /// namespace under protection). Resubmitting under an id re-points it.
+    /// namespace of building requests). Resubmitting under an id re-points
+    /// it.
     std::unordered_map<std::uint64_t, std::uint64_t> attempt_by_client;
     std::uint64_t next_id = 0;
 
@@ -241,15 +241,16 @@ struct emitter {
 
 }  // namespace detail
 
-/// Per-connection state: the job table `cancel_job` routes by, plus
-/// (under protection) the attempt tracker.
+/// Per-connection state: the attempt tracker building requests live in,
+/// and the job table shard jobs live in — together the `cancel_job`
+/// namespace.
 struct federated_server::session::state {
     std::shared_ptr<detail::emitter> out;
     federated_server* fleet = nullptr;
     std::shared_ptr<federated_server::routing> routing;
-    /// Protection (both null when off). The tracker is shared with backend
-    /// jobs' report callbacks; fleet_health is shared with the server (its
-    /// watchdog must outlive every scheduled retry).
+    /// The tracker is shared with backend jobs' report callbacks;
+    /// fleet_health is shared with the server (its watchdog must outlive
+    /// every scheduled retry).
     std::shared_ptr<detail::attempt_tracker> tracker;
     std::shared_ptr<fleet_health> health;
     /// Live ingestion: the append engine (null when the fleet has no
@@ -260,33 +261,25 @@ struct federated_server::session::state {
     std::shared_ptr<watch_registry> watches;
     std::shared_ptr<federated_server::resident_directory> residents;
 
-    /// Backend jobs by client correlation id (the `cancel_job` namespace).
-    /// Under protection, building requests live in the tracker instead;
-    /// this table still holds shard jobs.
+    /// Shard jobs by client correlation id.
     api::job_table jobs;
 
     [[nodiscard]] api::server& backend(std::size_t k) const { return *fleet->backends_[k]; }
 
-    /// Probe every backend's load (and, under protection, breaker state)
-    /// for the router.
+    /// Probe every backend's load and breaker state for the router.
     [[nodiscard]] std::vector<backend_probe> probe() const {
         std::vector<backend_probe> probes(fleet->backends_.size());
+        const std::vector<bool> mask = health->unavailable_mask();
         for (std::size_t k = 0; k < probes.size(); ++k) {
             const service::floor_service& svc = backend(k).backing_service();
-            probes[k] = backend_probe{svc.pending_jobs(), svc.paused()};
-        }
-        if (health) {
-            const std::vector<bool> mask = health->unavailable_mask();
-            for (std::size_t k = 0; k < probes.size(); ++k) probes[k].broken = mask[k];
+            probes[k] = backend_probe{svc.pending_jobs(), svc.paused(), mask[k]};
         }
         return probes;
     }
 
-    std::size_t pick(std::uint64_t affinity) { return routing->route(affinity, probe()); }
-
     /// Drain barrier: the ingest manager idle (appends queued before the
     /// barrier durable, their dirty re-runs answered), every backend
-    /// finished, AND every protected attempt resolved. Ingest first — its
+    /// finished, AND every attempt resolved. Ingest first — its
     /// re-runs create the backend work the rest of the barrier waits on.
     /// Loops because a scheduled retry may submit new backend work after a
     /// round of finishes.
@@ -295,7 +288,6 @@ struct federated_server::session::state {
         for (;;) {
             for (const std::unique_ptr<api::server>& b : fleet->backends_)
                 b->backing_service().wait_all();
-            if (!tracker) return;
             std::unique_lock<std::mutex> lock(tracker->m);
             if (tracker->attempts.empty()) return;
             tracker->cv.wait_for(lock, std::chrono::milliseconds(20));
@@ -303,9 +295,9 @@ struct federated_server::session::state {
     }
 };
 
-// --- protected dispatch -----------------------------------------------------
+// --- building dispatch ------------------------------------------------------
 
-/// (Re)dispatch protected attempt \p attempt_id: route it (avoiding the
+/// (Re)dispatch attempt \p attempt_id: route it (avoiding the
 /// backend it last failed on and every circuit-broken backend — though
 /// when nothing is available the natural choice still gets the work, so
 /// a single-backend fleet keeps retrying toward exhaustion rather than
@@ -322,7 +314,6 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
     bool no_cache = false;
     std::uint64_t affinity = 0;
     std::size_t last_failed = 0;
-    bool has_failed = false;
     std::size_t tries = 0;
     obs::trace_context trace;
     {
@@ -337,18 +328,25 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
         no_cache = a.no_cache;
         affinity = a.affinity;
         last_failed = a.last_failed;
-        has_failed = a.has_failed;
         trace = a.trace;
     }
 
-    std::vector<backend_probe> probes = st->probe();
-    if (has_failed && last_failed < probes.size()) probes[last_failed].broken = true;
-    const std::size_t k = st->routing->route(affinity, probes);
-    if (tries > 1) {
-        health.count_retry();
+    std::size_t k = 0;
+    if (tries == 1) {
+        obs::scoped_span route_span("federation.route");
+        k = st->routing->route(affinity, st->probe());
+    } else {
+        // A retry runs on the watchdog, outside any span: record its route
+        // under the submitter's trace rather than rooting a new one.
+        const std::uint64_t start = obs::now_ns();
+        std::vector<backend_probe> probes = st->probe();
+        if (last_failed < probes.size()) probes[last_failed].broken = true;
+        k = st->routing->route(affinity, probes);
         const std::uint64_t now = obs::now_ns();
+        obs::emit_child_span("federation.route", trace, start, now);
+        health.count_retry();
         obs::emit_child_span("federation.retry", trace, now, now);
-        if (has_failed && k != last_failed) {
+        if (k != last_failed) {
             health.count_failover();
             obs::emit_child_span("federation.failover", trace, now, now);
         }
@@ -469,7 +467,6 @@ void federated_server::retry_or_fail(const std::shared_ptr<session::state>& st,
             detail::attempt a = std::move(it->second);
             tr.attempts.erase(it);
             a.last_failed = failed_backend;
-            a.has_failed = true;
             a.job = {};  // the failed try is no longer the cancel target
             new_id = tr.mint();
             const auto alias = tr.attempt_by_client.find(a.client_corr);
@@ -522,9 +519,10 @@ void federated_server::expire_attempt(const std::shared_ptr<session::state>& st,
     if (job.valid()) job.cancel();
 }
 
-/// Register a protected building request as a fresh attempt and dispatch
-/// it. The index is already pinned: the identity must survive failover —
-/// every retry reruns the SAME task.
+/// Register a building request as a fresh attempt and dispatch it. The
+/// index is already pinned: the identity must survive failover — every
+/// retry reruns the SAME task. Affinity reads the building's content hash
+/// only when the policy routes on it (the hash walks every sample).
 void federated_server::start_attempt(const std::shared_ptr<session::state>& st,
                                      std::uint64_t corr,
                                      std::shared_ptr<const data::building> b, std::size_t index,
@@ -547,24 +545,6 @@ void federated_server::start_attempt(const std::shared_ptr<session::state>& st,
     dispatch_attempt(st, id);
 }
 
-/// Unprotected building dispatch: route (affinity reads the building's
-/// content hash only when the policy routes on it — the hash walks every
-/// sample), then call the backend's `identify` with the pinned index.
-void federated_server::identify_on_backend(const std::shared_ptr<session::state>& st,
-                                           std::uint64_t corr, const data::building& b,
-                                           std::size_t index, bool no_cache) {
-    const std::size_t k = [&] {
-        obs::scoped_span route_span("federation.route");
-        const bool affine = st->routing->rt.policy() == routing_policy::content_hash_affinity;
-        return st->pick(affine ? data::content_hash(b) : 0);
-    }();
-    std::optional<service::floor_service::job> job = st->backend(k).identify(
-        b, index, no_cache, [out = st->out, corr](runtime::building_report report) {
-            out->respond(api::building_response{corr, std::move(report)});
-        });
-    if (job) st->jobs.remember(corr, std::move(*job));
-}
-
 void federated_server::session::handle(const api::request& req) {
     const std::shared_ptr<state> st = state_;
     std::visit(
@@ -582,11 +562,8 @@ void federated_server::session::handle(const api::request& req) {
                 } else {
                     index = st->routing->allocate_index();
                 }
-                if (st->tracker)
-                    start_attempt(st, m.correlation_id, std::make_shared<const data::building>(m.b),
-                                  index, m.no_cache);
-                else
-                    identify_on_backend(st, m.correlation_id, m.b, index, m.no_cache);
+                start_attempt(st, m.correlation_id, std::make_shared<const data::building>(m.b),
+                              index, m.no_cache);
             } else if constexpr (std::is_same_v<T, api::identify_shard_request>) {
                 obs::scoped_span span("federation.dispatch");
                 // Per-store confinement: only paths inside a mounted store
@@ -611,44 +588,38 @@ void federated_server::session::handle(const api::request& req) {
                                 out->respond(api::building_response{corr, report});
                             }));
                 };
-                if (st->tracker) {
-                    // Shards fail over only on submit-time crashes: once a
-                    // backend accepts the stream it may have answered some
-                    // buildings, and resubmission would duplicate them. The
-                    // loop is synchronous (submission is cheap — it only
-                    // enqueues), rerouting around each crashed backend.
-                    std::vector<backend_probe> probes = st->probe();
-                    const std::size_t max_tries =
-                        std::min(st->health->config().max_attempts, probes.size());
-                    std::size_t prev = probes.size();
-                    for (std::size_t t = 0; t < max_tries; ++t) {
-                        const std::size_t k =
-                            st->routing->route(shard_affinity(m.ref), probes);
-                        if (t > 0) {
-                            st->health->count_retry();
-                            if (k != prev) st->health->count_failover();
-                        }
-                        try {
-                            submit(k);
-                            st->health->on_success(k);
-                            return;
-                        } catch (const std::exception&) {
-                            st->health->on_failure(k);
-                            probes[k].broken = true;  // reroute away from it
-                            prev = k;
-                        }
+                // Shards fail over only on submit-time crashes: once a
+                // backend accepts the stream it may have answered some
+                // buildings, and resubmission would duplicate them. The loop
+                // is synchronous (submission is cheap — it only enqueues),
+                // rerouting around each crashed backend.
+                std::vector<backend_probe> probes = st->probe();
+                const std::size_t max_tries =
+                    std::min(st->health->config().max_attempts, probes.size());
+                std::size_t prev = probes.size();
+                for (std::size_t t = 0; t < max_tries; ++t) {
+                    const std::size_t k = [&] {
+                        obs::scoped_span route_span("federation.route");
+                        return st->routing->route(shard_affinity(m.ref), probes);
+                    }();
+                    if (t > 0) {
+                        st->health->count_retry();
+                        if (k != prev) st->health->count_failover();
                     }
-                    st->health->count_backend_unavailable();
-                    st->out->respond(api::error_response{
-                        m.correlation_id, api::error_code::backend_unavailable,
-                        "every backend crashed on shard submit: " + m.ref.path});
-                    return;
+                    try {
+                        submit(k);
+                        st->health->on_success(k);
+                        return;
+                    } catch (const std::exception&) {
+                        st->health->on_failure(k);
+                        probes[k].broken = true;  // reroute away from it
+                        prev = k;
+                    }
                 }
-                const std::size_t k = [&] {
-                    obs::scoped_span route_span("federation.route");
-                    return st->pick(shard_affinity(m.ref));
-                }();
-                submit(k);
+                st->health->count_backend_unavailable();
+                st->out->respond(api::error_response{
+                    m.correlation_id, api::error_code::backend_unavailable,
+                    "every backend crashed on shard submit: " + m.ref.path});
             } else if constexpr (std::is_same_v<T, api::get_stats_request>) {
                 st->out->respond(api::stats_response{m.correlation_id, st->fleet->stats()});
             } else if constexpr (std::is_same_v<T, api::append_scans_request>) {
@@ -705,8 +676,8 @@ void federated_server::session::handle(const api::request& req) {
             } else if constexpr (std::is_same_v<T, api::identify_resident_request>) {
                 // Resolve the name against the mounted stores, then dispatch
                 // as a pinned identify_building: resident requests ride the
-                // exact routing/protection path client-supplied buildings
-                // do, without copying the cached building.
+                // exact routing/retry path client-supplied buildings do,
+                // without copying the cached building.
                 if (st->fleet->registry_.num_stores() == 0) {
                     st->out->respond(api::error_response{
                         m.correlation_id, api::error_code::bad_request,
@@ -723,22 +694,18 @@ void federated_server::session::handle(const api::request& req) {
                 }
                 obs::scoped_span span("federation.dispatch");
                 st->routing->advance_index(hit->global_index + 1);
-                if (st->tracker)
-                    start_attempt(st, m.correlation_id, hit->b, hit->global_index, m.fresh);
-                else
-                    identify_on_backend(st, m.correlation_id, *hit->b, hit->global_index,
-                                        m.fresh);
+                start_attempt(st, m.correlation_id, hit->b, hit->global_index, m.fresh);
             } else if constexpr (std::is_same_v<T, api::subscribe_stats_request>) {
                 st->out->respond(api::error_response{
                     m.correlation_id, api::error_code::bad_request,
                     "subscribe_stats: telemetry windows live at the TCP front door "
                     "(connect through serve_tcp to stream stats)"});
             } else if constexpr (std::is_same_v<T, api::cancel_job_request>) {
-                // A live protected building is cancelled through its current
-                // attempt's job; everything else (shard jobs, unprotected
-                // buildings, unknown targets) through the job table.
+                // A live building is cancelled through its current attempt's
+                // job; everything else (shard jobs, unknown targets) through
+                // the job table.
                 service::floor_service::job job;
-                if (st->tracker) {
+                {
                     const std::lock_guard<std::mutex> lock(st->tracker->m);
                     const auto alias =
                         st->tracker->attempt_by_client.find(m.target_correlation_id);
@@ -754,9 +721,9 @@ void federated_server::session::handle(const api::request& req) {
                     api::cancel_response{m.correlation_id, m.target_correlation_id, accepted});
             } else {
                 static_assert(std::is_same_v<T, api::flush_request>);
-                // Fan-out barrier: every backend drains — and, under
-                // protection, every attempt resolves (retries included) —
-                // before the one flush_response. (Flush on a paused fleet
+                // Fan-out barrier: every backend drains — and every
+                // attempt resolves (retries included) — before the one
+                // flush_response. (Flush on a paused fleet
                 // throws, exactly as floor_service::wait_all refuses to
                 // deadlock.)
                 st->drain();
@@ -794,15 +761,7 @@ federated_server::federated_server(federation_config cfg) : cfg_(std::move(cfg))
                                     std::to_string(cfg_.fault_plans.size()) +
                                     " fault plans for " + std::to_string(cfg_.num_backends) +
                                     " backends");
-    // Protection engages implicitly whenever something could go wrong on
-    // purpose (armed faults) or a deadline must be enforced; otherwise
-    // dispatch stays the byte-for-byte unprotected fast path.
-    bool any_fault = false;
-    for (const service::fault_plan& plan : cfg_.fault_plans) any_fault = any_fault || plan.any();
-    if (any_fault || cfg_.fault_tolerance.request_timeout.count() > 0)
-        cfg_.fault_tolerance.enabled = true;
-    if (cfg_.fault_tolerance.enabled)
-        health_ = std::make_shared<fleet_health>(cfg_.fault_tolerance, cfg_.num_backends);
+    health_ = std::make_shared<fleet_health>(cfg_.fault_tolerance, cfg_.num_backends);
     routing_ = std::make_shared<routing>(cfg_.policy, cfg_.num_backends);
     for (const std::string& dir : cfg_.store_dirs) static_cast<void>(registry_.mount(dir));
     backends_.reserve(cfg_.num_backends);
@@ -835,8 +794,8 @@ federated_server::federated_server(federation_config cfg) : cfg_(std::move(cfg))
             bindings.push_back(std::move(b));
         }
         // The manager's re-runs go through an internal session, so they
-        // ride the protected retry/failover/deadline path exactly as
-        // client work does. Opened BEFORE `ingest_` exists, so its state's
+        // ride the retry/failover/deadline path exactly as client work
+        // does. Opened BEFORE `ingest_` exists, so its state's
         // `ingest` pointer stays null — the manager must not own a session
         // that owns the manager. The bridge breaks the remaining knot: the
         // session's sink needs the manager, the manager needs the session.
@@ -878,7 +837,7 @@ federated_server::~federated_server() {
     // session, and with it the last other reference to fleet_health.
     ingest_.reset();
     backends_.clear();
-    if (health_) health_->stop();
+    health_->stop();
 }
 
 federated_server::session federated_server::open(frame_sink sink) {
@@ -890,10 +849,8 @@ federated_server::session federated_server::open(frame_sink sink) {
     st->ingest = ingest_;  // still null while the internal session opens
     st->watches = watches_;
     st->residents = residents_;
-    if (health_) {
-        st->health = health_;
-        st->tracker = std::make_shared<detail::attempt_tracker>();
-    }
+    st->health = health_;
+    st->tracker = std::make_shared<detail::attempt_tracker>();
     return session(std::move(st));
 }
 
@@ -953,10 +910,7 @@ void federated_server::resume() {
     for (const std::unique_ptr<api::server>& b : backends_) b->backing_service().resume();
 }
 
-std::optional<health_snapshot> federated_server::health() const {
-    if (!health_) return std::nullopt;
-    return health_->snapshot();
-}
+health_snapshot federated_server::health() const { return health_->snapshot(); }
 
 api::server& federated_server::backend(std::size_t k) {
     if (k >= backends_.size())

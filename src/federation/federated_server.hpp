@@ -34,9 +34,8 @@
 ///    stores are mounted at construction): the append becomes durable in
 ///    the named store, the `append_response` fires, and the dirty buildings
 ///    are resubmitted through an internal session — so the re-runs ride the
-///    same protected retry/failover/deadline path as client work and leave
-///    the backend caches warm. A fleet without stores answers
-///    `bad_request`.
+///    same retry/failover/deadline path as client work and leave the
+///    backend caches warm. A fleet without stores answers `bad_request`.
 ///  - `watch` — registered in the server-wide `watch_registry`; every
 ///    append-triggered re-identification of the watched building is pushed
 ///    to the subscribed connection as a `push_update`.
@@ -48,7 +47,7 @@
 ///    successful append drops the names it touched, so they and new names
 ///    resolve to the post-append scans. The request then dispatches as a
 ///    pinned `identify_building` — so resident requests
-///    ride the exact routing/protection path client-supplied buildings do,
+///    ride the exact routing/retry path client-supplied buildings do,
 ///    with a few name bytes on the wire instead of the whole building.
 ///    Unknown names and store-less fleets answer `bad_request`.
 ///  - `subscribe_stats` — answered `bad_request`: telemetry windows live at
@@ -70,33 +69,34 @@
 /// before any filesystem access (backends run with the front-end's
 /// already-confined paths).
 ///
-/// **Fault tolerance** (the protected dispatch path; engages when
-/// `fault_tolerance.enabled`, a request timeout is set, or any backend has
-/// an armed `fault_plan`): each building request becomes an *attempt*,
-/// tracked under an internal attempt id that never reaches the wire, with
-/// the backend job of its current try. The job's report callback reads the
-/// report directly. A success (or a genuine, deterministic pipeline
-/// failure — rerunning those would only repeat them) is encoded under the
-/// client's correlation id, so successful responses stay byte-identical to
-/// an unprotected run. A *transient* failure (`service::is_transient_fault`),
-/// a submit-time crash, or a deadline expiry (which cancels the hung job)
-/// instead feeds the backend's circuit breaker and reschedules the attempt
-/// under a fresh attempt id — exponential backoff, rerouted around broken
-/// backends (failover) — until it succeeds or `max_attempts` is spent, when
-/// the client gets a typed `backend_unavailable` / `deadline_exceeded`
-/// error. Reports of superseded tries are dropped as stale. All deferred
-/// work runs on the `fleet_health` watchdog thread, never inline from a
-/// completion callback (which must not block or submit). Shard requests
-/// fail over only on submit-time crashes (before any report exists);
-/// mid-shard failures are forwarded as-is — a shard stream has already
-/// answered some buildings, so resubmission would duplicate them. Every
-/// client correlation id is usable in either mode; none is reserved.
+/// **Fault tolerance** (the one building dispatch path): each building
+/// request becomes an *attempt*, tracked under an internal attempt id that
+/// never reaches the wire, with the backend job of its current try. The
+/// job's report callback reads the report directly. A success (or a
+/// genuine, deterministic pipeline failure — rerunning those would only
+/// repeat them) is encoded under the client's correlation id, so a
+/// response does not depend on how many tries produced it. A *transient*
+/// failure (`service::is_transient_fault`, which matches only injected
+/// faults), a submit-time crash, or a deadline expiry (which cancels the
+/// hung job) instead feeds the backend's circuit breaker and reschedules
+/// the attempt under a fresh attempt id — exponential backoff, rerouted
+/// around broken backends (failover) — until it succeeds or `max_attempts`
+/// is spent, when the client gets a typed `backend_unavailable` /
+/// `deadline_exceeded` error. Reports of superseded tries are dropped as
+/// stale. All deferred work runs on the `fleet_health` watchdog thread,
+/// never inline from a completion callback (which must not block or
+/// submit). Shard requests fail over only on submit-time crashes (before
+/// any report exists); mid-shard failures are forwarded as-is — a shard
+/// stream has already answered some buildings, so resubmission would
+/// duplicate them. Every client correlation id is usable; none is reserved.
+/// A fleet with no armed `fault_plan` and no `request_timeout` never
+/// retries: nothing produces a transient failure or a crash, and no
+/// deadline is armed, so every try is the first and only one.
 
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -133,10 +133,9 @@ struct federation_config {
     /// shard** (`content_hash % num_backends == k`) on restart. Empty —
     /// the default — keeps caches purely in-memory.
     std::string cache_dir;
-    /// Retry / deadline / circuit-breaker tuning. The protected dispatch
-    /// path engages when `enabled` is set, `request_timeout` is non-zero,
-    /// or any entry of `fault_plans` is armed; otherwise dispatch is
-    /// byte-for-byte the unprotected fast path.
+    /// Retry / deadline / circuit-breaker tuning, applied to every building
+    /// request. Retries only happen on injected faults (`fault_plans`) or
+    /// an expired `request_timeout` (0, the default, arms no deadline).
     fault_tolerance_config fault_tolerance{};
     /// Per-backend fault injection (tests and chaos drills). Empty = every
     /// backend healthy; otherwise exactly one plan per backend.
@@ -219,21 +218,17 @@ public:
     /// Backend \p k: the `api::server` holding that backend's service and
     /// result cache (its stats, cache stats, `backing_service()`). The
     /// fleet calls its `identify` and its service directly; sessions opened
-    /// on it bypass the fleet's routing and protection.
+    /// on it bypass the fleet's routing and retries.
     /// \throws std::out_of_range on a bad index.
     [[nodiscard]] api::server& backend(std::size_t k);
 
-    /// Fleet-health counters and per-backend breaker states; nullopt when
-    /// the protected dispatch path is off.
-    [[nodiscard]] std::optional<health_snapshot> health() const;
+    /// Fleet-health counters and per-backend breaker states.
+    [[nodiscard]] health_snapshot health() const;
 
 private:
     struct routing;
     struct resident_directory;
 
-    static void identify_on_backend(const std::shared_ptr<session::state>& st,
-                                    std::uint64_t corr, const data::building& b,
-                                    std::size_t index, bool no_cache);
     static void start_attempt(const std::shared_ptr<session::state>& st, std::uint64_t corr,
                               std::shared_ptr<const data::building> b, std::size_t index,
                               bool no_cache);
@@ -250,10 +245,9 @@ private:
     /// Shared with sessions so routing state outlives a dropped handle.
     std::shared_ptr<routing> routing_;
     /// Shared with sessions and backend jobs' report callbacks (they may
-    /// outlive the server's own pointer during teardown); null when
-    /// protection is off. The destructor stops its watchdog after
-    /// `backends_` drain, so the watchdog outlives draining jobs and never
-    /// runs the last fleet_health release itself.
+    /// outlive the server's own pointer during teardown). The destructor
+    /// stops its watchdog after `backends_` drain, so the watchdog outlives
+    /// draining jobs and never runs the last fleet_health release itself.
     std::shared_ptr<fleet_health> health_;
     /// The in-memory cache of buildings `identify_resident` has served,
     /// over per-building reads of the mounted stores. Shared with every

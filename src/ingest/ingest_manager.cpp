@@ -64,10 +64,11 @@ void ingest_manager::on_reindex_result(std::uint64_t corr,
         ++publishing_;
     }
     if (report != nullptr && publish_) publish_(name, version, *report);
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        --publishing_;
-    }
+    // Notify under the lock: once `publishing_` can read 0, the destructor
+    // may return and free `idle_cv_`, so it must not be touched after the
+    // lock is released.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    --publishing_;
     idle_cv_.notify_all();
 }
 

@@ -279,7 +279,7 @@ std::string render_metrics(const tcp_server_stats& net, const service::service_s
     if (extras.federation) {
         const federation::health_snapshot& fh = *extras.federation;
         p.counter("fisone_federation_retries_total",
-                  "protected requests re-dispatched after a transient failure or timeout",
+                  "requests re-dispatched after a transient failure or timeout",
                   d(fh.retries));
         p.counter("fisone_federation_failovers_total",
                   "retries that moved to a different backend", d(fh.failovers));

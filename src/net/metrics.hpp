@@ -88,7 +88,7 @@ struct metrics_extras {
     std::vector<obs::stage_snapshot> stages;
     /// Fleet-health counters + per-backend breaker states
     /// (`fisone_federation_retries_total`, `fisone_federation_failovers_total`,
-    /// `fisone_backend_up`); nullopt when the fleet runs unprotected.
+    /// `fisone_backend_up`); nullopt renders no federation families.
     std::optional<federation::health_snapshot> federation;
 };
 

@@ -16,6 +16,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -593,45 +594,40 @@ TEST(federated_server, every_policy_drains_cleanly_on_flush) {
 
 TEST(federated_server, cancel_routes_to_owning_backend_and_unknown_ids_answer_false) {
     const data::corpus city = tiny_corpus(2);
-    // Unprotected buildings are cancelled through the connection's job
-    // table, protected ones through their current attempt's job.
-    for (const bool protect : {false, true}) {
-        SCOPED_TRACE(protect ? "protected" : "unprotected");
-        federation::federation_config cfg;
-        cfg.service = fast_service_config(1);
-        cfg.num_backends = 2;
-        cfg.policy = federation::routing_policy::round_robin;
-        cfg.fault_tolerance.enabled = protect;
-        federation::federated_server srv(cfg);
+    // A building is cancelled through its current attempt's job.
+    federation::federation_config cfg;
+    cfg.service = fast_service_config(1);
+    cfg.num_backends = 2;
+    cfg.policy = federation::routing_policy::round_robin;
+    federation::federated_server srv(cfg);
 
-        response_collector collected;
-        federation::federated_server::session s = srv.open(collected.sink());
+    response_collector collected;
+    federation::federated_server::session s = srv.open(collected.sink());
 
-        // Hold the fleet so the cancel deterministically lands before the job.
-        srv.pause();
-        api::identify_building_request req;
-        req.correlation_id = 7;
-        req.b = city.buildings[0];
-        s.handle(api::request{req});
-        s.handle(api::cancel_job_request{8, 7});    // known target → its job cancels
-        s.handle(api::cancel_job_request{9, 404});  // unknown target → refused
-        srv.resume();
-        s.handle(api::flush_request{10});
+    // Hold the fleet so the cancel deterministically lands before the job.
+    srv.pause();
+    api::identify_building_request req;
+    req.correlation_id = 7;
+    req.b = city.buildings[0];
+    s.handle(api::request{req});
+    s.handle(api::cancel_job_request{8, 7});    // known target → its job cancels
+    s.handle(api::cancel_job_request{9, 404});  // unknown target → refused
+    srv.resume();
+    s.handle(api::flush_request{10});
 
-        const auto cancels = collected.of<api::cancel_response>();
-        ASSERT_EQ(cancels.size(), 2u);
-        EXPECT_EQ(cancels[0].correlation_id, 8u);
-        EXPECT_EQ(cancels[0].target_correlation_id, 7u);
-        EXPECT_TRUE(cancels[0].accepted);
-        EXPECT_EQ(cancels[1].correlation_id, 9u);
-        EXPECT_FALSE(cancels[1].accepted);
+    const auto cancels = collected.of<api::cancel_response>();
+    ASSERT_EQ(cancels.size(), 2u);
+    EXPECT_EQ(cancels[0].correlation_id, 8u);
+    EXPECT_EQ(cancels[0].target_correlation_id, 7u);
+    EXPECT_TRUE(cancels[0].accepted);
+    EXPECT_EQ(cancels[1].correlation_id, 9u);
+    EXPECT_FALSE(cancels[1].accepted);
 
-        const auto buildings = collected.of<api::building_response>();
-        ASSERT_EQ(buildings.size(), 1u);
-        EXPECT_EQ(buildings[0].correlation_id, 7u);
-        EXPECT_FALSE(buildings[0].report.ok);
-        EXPECT_EQ(buildings[0].report.error, "cancelled");
-    }
+    const auto buildings = collected.of<api::building_response>();
+    ASSERT_EQ(buildings.size(), 1u);
+    EXPECT_EQ(buildings[0].correlation_id, 7u);
+    EXPECT_FALSE(buildings[0].report.ok);
+    EXPECT_EQ(buildings[0].report.error, "cancelled");
 }
 
 // --- fault injection + fault tolerance ---------------------------------------
@@ -663,7 +659,7 @@ TEST(fault_plan, parses_specs_and_rejects_garbage) {
 /// Run \p count pinned-index building requests through \p srv and return
 /// the input-order NDJSON of the collected reports (empty string when any
 /// request erred or went missing — the caller asserts against that).
-std::string protected_campaign_ndjson(federation::federated_server& srv, std::size_t count) {
+std::string campaign_ndjson(federation::federated_server& srv, std::size_t count) {
     const data::corpus city = tiny_corpus(count);
     response_collector collected;
     federation::federated_server::session s = srv.open(collected.sink());
@@ -689,14 +685,20 @@ std::string protected_campaign_ndjson(federation::federated_server& srv, std::si
 }
 
 TEST(fault_tolerant_fleet, transient_failures_retry_to_byte_identical_ndjson) {
-    // Baseline: the same campaign through a healthy, unprotected fleet.
+    // Baseline: the same campaign through a healthy fleet, which never
+    // retries, fails over or fails a request.
     federation::federation_config healthy;
     healthy.service = fast_service_config(1);
     healthy.num_backends = 2;
     federation::federated_server healthy_srv(healthy);
-    const std::string baseline = protected_campaign_ndjson(healthy_srv, 6);
+    const std::string baseline = campaign_ndjson(healthy_srv, 6);
     ASSERT_FALSE(baseline.empty());
-    EXPECT_FALSE(healthy_srv.health().has_value());  // protection off: no snapshot
+    const federation::health_snapshot calm = healthy_srv.health();
+    EXPECT_EQ(calm.retries, 0u);
+    EXPECT_EQ(calm.failovers, 0u);
+    EXPECT_EQ(calm.deadline_exceeded, 0u);
+    EXPECT_EQ(calm.backend_unavailable, 0u);
+    EXPECT_EQ(calm.backend_up, std::vector<bool>(2, true));
 
     // Every third execution on backend 0 fails transiently; the fleet must
     // retry/failover to the exact same bytes.
@@ -704,13 +706,12 @@ TEST(fault_tolerant_fleet, transient_failures_retry_to_byte_identical_ndjson) {
     cfg.policy = federation::routing_policy::round_robin;
     cfg.fault_plans = service::parse_fault_plans("0:fail_every=3", 2);
     federation::federated_server srv(cfg);
-    EXPECT_EQ(protected_campaign_ndjson(srv, 6), baseline);
+    EXPECT_EQ(campaign_ndjson(srv, 6), baseline);
 
-    const std::optional<federation::health_snapshot> health = srv.health();
-    ASSERT_TRUE(health.has_value());
-    EXPECT_GE(health->retries, 1u);
-    EXPECT_EQ(health->backend_unavailable, 0u);
-    EXPECT_EQ(health->deadline_exceeded, 0u);
+    const federation::health_snapshot health = srv.health();
+    EXPECT_GE(health.retries, 1u);
+    EXPECT_EQ(health.backend_unavailable, 0u);
+    EXPECT_EQ(health.deadline_exceeded, 0u);
 }
 
 TEST(fault_tolerant_fleet, submit_crashes_fail_over_and_trip_the_breaker) {
@@ -722,16 +723,15 @@ TEST(fault_tolerant_fleet, submit_crashes_fail_over_and_trip_the_breaker) {
     cfg.fault_tolerance.breaker_cooldown = std::chrono::milliseconds(60000);  // stay tripped
     federation::federated_server srv(cfg);
 
-    EXPECT_FALSE(protected_campaign_ndjson(srv, 8).empty());
+    EXPECT_FALSE(campaign_ndjson(srv, 8).empty());
     EXPECT_EQ(srv.backend(0).stats().jobs_submitted, 0u);  // crashed before enqueue
     EXPECT_EQ(srv.backend(1).stats().buildings_ok, 8u);
 
-    const std::optional<federation::health_snapshot> health = srv.health();
-    ASSERT_TRUE(health.has_value());
-    EXPECT_GE(health->failovers, 1u);
-    ASSERT_EQ(health->backend_up.size(), 2u);
-    EXPECT_FALSE(health->backend_up[0]);  // three straight crashes: breaker open
-    EXPECT_TRUE(health->backend_up[1]);
+    const federation::health_snapshot health = srv.health();
+    EXPECT_GE(health.failovers, 1u);
+    ASSERT_EQ(health.backend_up.size(), 2u);
+    EXPECT_FALSE(health.backend_up[0]);  // three straight crashes: breaker open
+    EXPECT_TRUE(health.backend_up[1]);
 }
 
 TEST(fault_tolerant_fleet, exhausted_retries_answer_typed_backend_unavailable) {
@@ -761,10 +761,9 @@ TEST(fault_tolerant_fleet, exhausted_retries_answer_typed_backend_unavailable) {
     EXPECT_EQ(errors[0].code, api::error_code::backend_unavailable);
     EXPECT_NE(errors[0].message.find("3 attempts"), std::string::npos) << errors[0].message;
 
-    const std::optional<federation::health_snapshot> health = srv.health();
-    ASSERT_TRUE(health.has_value());
-    EXPECT_EQ(health->backend_unavailable, 1u);
-    EXPECT_EQ(health->retries, 2u);  // attempts 2 and 3
+    const federation::health_snapshot health = srv.health();
+    EXPECT_EQ(health.backend_unavailable, 1u);
+    EXPECT_EQ(health.retries, 2u);  // attempts 2 and 3
 }
 
 TEST(fault_tolerant_fleet, deadline_cancels_hung_backend_and_fails_over) {
@@ -778,12 +777,11 @@ TEST(fault_tolerant_fleet, deadline_cancels_hung_backend_and_fails_over) {
     cfg.fault_tolerance.request_timeout = std::chrono::milliseconds(2000);
     federation::federated_server srv(cfg);
 
-    EXPECT_FALSE(protected_campaign_ndjson(srv, 2).empty());
+    EXPECT_FALSE(campaign_ndjson(srv, 2).empty());
 
-    const std::optional<federation::health_snapshot> health = srv.health();
-    ASSERT_TRUE(health.has_value());
-    EXPECT_GE(health->retries, 1u);          // at least one expired attempt rerouted
-    EXPECT_EQ(health->deadline_exceeded, 0u);  // nothing exhausted its deadline outright
+    const federation::health_snapshot health = srv.health();
+    EXPECT_GE(health.retries, 1u);          // at least one expired attempt rerouted
+    EXPECT_EQ(health.deadline_exceeded, 0u);  // nothing exhausted its deadline outright
 }
 
 TEST(fault_tolerant_fleet, half_open_probe_readmits_a_recovered_backend) {
@@ -798,19 +796,17 @@ TEST(fault_tolerant_fleet, half_open_probe_readmits_a_recovered_backend) {
     cfg.fault_tolerance.breaker_cooldown = std::chrono::milliseconds(300);
     federation::federated_server srv(cfg);
 
-    EXPECT_FALSE(protected_campaign_ndjson(srv, 6).empty());
+    EXPECT_FALSE(campaign_ndjson(srv, 6).empty());
     {
-        const std::optional<federation::health_snapshot> health = srv.health();
-        ASSERT_TRUE(health.has_value());
-        EXPECT_FALSE(health->backend_up[0]) << "three straight failures should trip";
+        const federation::health_snapshot health = srv.health();
+        EXPECT_FALSE(health.backend_up[0]) << "three straight failures should trip";
     }
 
     std::this_thread::sleep_for(std::chrono::milliseconds(400));  // past the cooldown
-    EXPECT_FALSE(protected_campaign_ndjson(srv, 6).empty());
+    EXPECT_FALSE(campaign_ndjson(srv, 6).empty());
     {
-        const std::optional<federation::health_snapshot> health = srv.health();
-        ASSERT_TRUE(health.has_value());
-        EXPECT_TRUE(health->backend_up[0]) << "a successful probe should close the breaker";
+        const federation::health_snapshot health = srv.health();
+        EXPECT_TRUE(health.backend_up[0]) << "a successful probe should close the breaker";
     }
     EXPECT_GT(srv.backend(0).stats().buildings_ok, 0u);  // really readmitted
 }
@@ -845,9 +841,8 @@ TEST(fault_tolerant_fleet, shard_submission_fails_over_on_submit_crash) {
     service::export_input_order(out, std::move(reports));
     EXPECT_EQ(out.str(), baseline);
 
-    const std::optional<federation::health_snapshot> health = srv.health();
-    ASSERT_TRUE(health.has_value());
-    EXPECT_GE(health->failovers, 1u);
+    const federation::health_snapshot health = srv.health();
+    EXPECT_GE(health.failovers, 1u);
 }
 
 TEST(fault_tolerant_fleet, shard_submission_with_no_survivor_answers_typed_error) {
@@ -877,8 +872,8 @@ TEST(fault_tolerant_fleet, shard_submission_with_no_survivor_answers_typed_error
 }
 
 TEST(fault_tolerant_fleet, high_bit_correlation_ids_get_every_shard_response) {
-    // No client correlation id is reserved: a protected fleet answers an id
-    // with the top bit set exactly as an unprotected one does.
+    // No client correlation id is reserved: the fleet answers an id with
+    // the top bit set like any other.
     const std::string root = scratch_dir("high_bit");
     const data::corpus city = tiny_corpus(3);
     const std::string dir = (std::filesystem::path(root) / "store").string();
@@ -888,7 +883,6 @@ TEST(fault_tolerant_fleet, high_bit_correlation_ids_get_every_shard_response) {
     cfg.service = fast_service_config(1);
     cfg.num_backends = 1;
     cfg.store_dirs = {dir};
-    cfg.fault_tolerance.enabled = true;
     federation::federated_server srv(cfg);
 
     response_collector collected;
@@ -942,6 +936,80 @@ TEST(fleet_health, stop_finishes_the_running_action_and_drops_the_rest) {
     health->schedule_after(std::chrono::milliseconds(0), [&ran] { ran += 100; });
     health->stop();  // idempotent
     EXPECT_EQ(ran.load(), 1);
+}
+
+TEST(fault_tolerant_fleet, teardown_with_watchdog_action_pending_or_running_never_aborts) {
+    // Every fleet runs the watchdog, and a watchdog action can hold the last
+    // session — and through it the last reference to fleet_health besides
+    // the fleet's own. Tear fleets down, session handle first, with such an
+    // action running (an expired deadline answering through a slow sink) or
+    // pending (a retry behind a long backoff). Neither may abort (the
+    // watchdog joining itself) or answer a request twice.
+    const data::building b = tiny_building(0);
+    for (int i = 0; i < 50; ++i) {
+        for (const bool running : {true, false}) {
+            SCOPED_TRACE(std::string(running ? "running" : "pending") + " action, iteration " +
+                         std::to_string(i));
+            federation::federation_config cfg;
+            cfg.service = fast_service_config(1);
+            cfg.num_backends = 1;
+            if (running) {
+                cfg.fault_plans = service::parse_fault_plans("0:hang_ms=10", 1);
+                cfg.fault_tolerance.request_timeout = std::chrono::milliseconds(2);
+                cfg.fault_tolerance.max_attempts = 1;  // the expiry answers on the watchdog
+            } else {
+                cfg.fault_plans = service::parse_fault_plans("0:fail_every=1", 1);
+                cfg.fault_tolerance.backoff_base = std::chrono::seconds(10);
+                cfg.fault_tolerance.backoff_cap = std::chrono::seconds(10);
+            }
+
+            std::mutex m;
+            std::vector<std::uint64_t> answered;  // correlation id of every terminal response
+            std::promise<void> first;
+            std::atomic<bool> seen{false};
+            const auto sink = [&](std::string_view frame) {
+                const api::decode_result<api::response> r = api::decode_response(frame);
+                if (!r.ok()) return;
+                if (const auto* br = std::get_if<api::building_response>(&*r.value)) {
+                    const std::lock_guard<std::mutex> lock(m);
+                    answered.push_back(br->correlation_id);
+                } else if (const auto* er = std::get_if<api::error_response>(&*r.value)) {
+                    const std::lock_guard<std::mutex> lock(m);
+                    answered.push_back(er->correlation_id);
+                }
+                if (seen.exchange(true)) return;
+                first.set_value();
+                // Hold the answering thread — the watchdog, for an expired
+                // deadline — while the session and the fleet go away.
+                std::this_thread::sleep_for(std::chrono::milliseconds(30));
+            };
+            {
+                auto srv = std::make_unique<federation::federated_server>(cfg);
+                std::optional<federation::federated_server::session> s = srv->open(sink);
+                // One request when the action runs: a second would queue its
+                // answer behind the held sink and keep the fleet draining
+                // until the action is done.
+                for (std::uint64_t corr = 1; corr <= (running ? 1u : 2u); ++corr) {
+                    api::identify_building_request req;
+                    req.correlation_id = corr;
+                    req.has_index = true;
+                    req.corpus_index = corr - 1;
+                    req.b = b;
+                    s->handle(api::request{req});
+                }
+                if (running)
+                    ASSERT_EQ(first.get_future().wait_for(std::chrono::seconds(30)),
+                              std::future_status::ready);
+                else
+                    std::this_thread::sleep_for(std::chrono::milliseconds(i % 4));
+                s.reset();
+                srv.reset();
+            }
+            std::sort(answered.begin(), answered.end());  // every thread is joined
+            EXPECT_EQ(std::adjacent_find(answered.begin(), answered.end()), answered.end())
+                << "a request got two terminal responses";
+        }
+    }
 }
 
 TEST(fault_tolerant_fleet, rejects_misshapen_fault_plan_vector) {
@@ -1281,7 +1349,7 @@ TEST(live_ingestion, crash_mid_append_leaves_manifest_intact_for_warm_restart) {
         cfg.num_backends = 2;
         cfg.store_dirs = dirs;
         federation::federated_server srv(cfg);
-        EXPECT_EQ(protected_campaign_ndjson(srv, 2), cold_rebuild_ndjson(city.buildings));
+        EXPECT_EQ(campaign_ndjson(srv, 2), cold_rebuild_ndjson(city.buildings));
 
         // And the interrupted append, retried for real, lands exactly once.
         response_collector collected;

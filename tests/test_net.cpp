@@ -436,6 +436,9 @@ TEST(TcpServer, MetricsProbeSpeaksHttpAndRawText) {
         EXPECT_NE(page.find("fisone_service_jobs_submitted_total"), std::string::npos);
         EXPECT_NE(page.find("fisone_net_request_latency_seconds{quantile=\"0.99\"}"),
                   std::string::npos);
+        for (std::size_t k = 0; k < tf.fleet().num_backends(); ++k)  // a fault-free fleet
+            EXPECT_NE(page.find("fisone_backend_up{backend=\"" + std::to_string(k) + "\"} 1"),
+                      std::string::npos);
     }
     {
         net::socket_fd fd = net::connect_tcp("127.0.0.1", tf.port());
@@ -747,10 +750,9 @@ TEST(TcpServer, DrainRacesCircuitBrokenBackendWithoutHanging) {
     EXPECT_EQ(ok, n) << errors << " typed errors";  // failover rescued every request
     loop.join();
 
-    const auto health = fed.health();
-    ASSERT_TRUE(health.has_value());
-    EXPECT_GE(health->retries, 1u);  // backend 0 sent every request it saw back out
-    EXPECT_FALSE(health->backend_up[0]);
+    const federation::health_snapshot health = fed.health();
+    EXPECT_GE(health.retries, 1u);  // backend 0 sent every request it saw back out
+    EXPECT_FALSE(health.backend_up[0]);
 
     // The scrapeable page carries the new federation families.
     const std::string page = front.metrics_text();
