@@ -4,15 +4,22 @@
 
 namespace fisone::autodiff {
 
-void clip_gradient(matrix& grad, double clip) noexcept {
-    if (clip <= 0.0) return;
+namespace {
+/// Factor that brings \p grad to L2 norm \p clip; exactly 1.0 when no
+/// clipping applies, so `g * factor` is then `g` bit for bit.
+double clip_factor(const matrix& grad, double clip) noexcept {
+    if (clip <= 0.0) return 1.0;
     double norm_sq = 0.0;
     for (const double g : grad.flat()) norm_sq += g * g;
     const double norm = std::sqrt(norm_sq);
-    if (norm > clip) {
-        const double scale = clip / norm;
+    return norm > clip ? clip / norm : 1.0;
+}
+}  // namespace
+
+void clip_gradient(matrix& grad, double clip) noexcept {
+    const double scale = clip_factor(grad, clip);
+    if (scale != 1.0)
         for (double& g : grad.flat()) g *= scale;
-    }
 }
 
 sgd::sgd(double learning_rate, double momentum, double clip)
@@ -26,12 +33,12 @@ void sgd::step(matrix& param, const matrix& grad) {
     if (param.rows() != grad.rows() || param.cols() != grad.cols())
         throw std::invalid_argument("sgd::step: shape mismatch");
 
-    matrix clipped = grad;
-    clip_gradient(clipped, clip_);
+    // Clip by scaling each entry inside the update loop: no gradient copy.
+    const double scale = clip_factor(grad, clip_);
 
     if (momentum_ == 0.0) {
         for (std::size_t i = 0; i < param.size(); ++i)
-            param.flat()[i] -= lr_ * clipped.flat()[i];
+            param.flat()[i] -= lr_ * (grad.flat()[i] * scale);
         return;
     }
 
@@ -48,7 +55,7 @@ void sgd::step(matrix& param, const matrix& grad) {
     }
     matrix& vel = velocities_[slot];
     for (std::size_t i = 0; i < param.size(); ++i) {
-        vel.flat()[i] = momentum_ * vel.flat()[i] + clipped.flat()[i];
+        vel.flat()[i] = momentum_ * vel.flat()[i] + grad.flat()[i] * scale;
         param.flat()[i] -= lr_ * vel.flat()[i];
     }
 }
@@ -71,8 +78,7 @@ void adam::step(matrix& param, const matrix& grad) {
     if (param.rows() != grad.rows() || param.cols() != grad.cols())
         throw std::invalid_argument("adam::step: shape mismatch");
 
-    matrix clipped = grad;
-    clip_gradient(clipped, cfg_.clip);
+    const double scale = clip_factor(grad, cfg_.clip);
 
     slot& s = find_slot(param);
     const double b1 = cfg_.beta1;
@@ -80,7 +86,7 @@ void adam::step(matrix& param, const matrix& grad) {
     const double bc1 = 1.0 - std::pow(b1, static_cast<double>(t_));
     const double bc2 = 1.0 - std::pow(b2, static_cast<double>(t_));
     for (std::size_t i = 0; i < param.size(); ++i) {
-        const double g = clipped.flat()[i];
+        const double g = grad.flat()[i] * scale;
         s.m.flat()[i] = b1 * s.m.flat()[i] + (1.0 - b1) * g;
         s.v.flat()[i] = b2 * s.v.flat()[i] + (1.0 - b2) * g * g;
         const double mhat = s.m.flat()[i] / bc1;

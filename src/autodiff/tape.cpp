@@ -387,40 +387,42 @@ var tape::gather_rows(var a, std::vector<std::size_t> indices) {
     return v;
 }
 
-var tape::weighted_sum_rows(var a,
-                            std::vector<std::vector<std::pair<std::size_t, double>>> groups) {
+var tape::weighted_sum_rows(var a, const row_csr& op) {
     const matrix& av = at(a).value;
-    std::size_t terms = 0;
-    for (const auto& group : groups) {
-        terms += group.size();
-        for (const auto& [idx, w] : group) {
-            (void)w;
-            if (idx >= av.rows())
-                throw std::out_of_range("tape::weighted_sum_rows: index out of range");
-        }
-    }
-    matrix out = ws_.take_zero(groups.size(), av.cols());
+    const std::size_t n = op.rows();
+    if (op.offsets.empty() || op.offsets.front() != 0 || op.offsets.back() != op.terms.size() ||
+        !std::is_sorted(op.offsets.begin(), op.offsets.end()))
+        throw std::invalid_argument("tape::weighted_sum_rows: malformed CSR offsets");
+    for (const weighted_row& t : op.terms)
+        if (t.row >= av.rows())
+            throw std::out_of_range("tape::weighted_sum_rows: index out of range");
+    matrix out = ws_.take_zero(n, av.cols());
     // Output rows are independent, so pooled aggregation is bit-exact; the
-    // backward scatter below stays serial (groups share source rows).
+    // backward scatter below stays serial (rows share source rows).
     const std::size_t flops_per_row =
-        (terms / std::max<std::size_t>(groups.size(), 1) + 1) * av.cols();
-    util::parallel_for(pool_, 0, groups.size(),
-                       linalg::parallel_policy::row_grain(flops_per_row),
+        (op.terms.size() / std::max<std::size_t>(n, 1) + 1) * av.cols();
+    util::parallel_for(pool_, 0, n, linalg::parallel_policy::row_grain(flops_per_row),
                        [&](std::size_t r0, std::size_t r1) {
                            for (std::size_t i = r0; i < r1; ++i)
-                               for (const auto& [idx, w] : groups[i])
+                               for (std::size_t t = op.offsets[i]; t < op.offsets[i + 1]; ++t) {
+                                   const auto src = av.row(op.terms[t].row);
+                                   const double w = op.terms[t].weight;
                                    for (std::size_t j = 0; j < av.cols(); ++j)
-                                       out(i, j) += w * av(idx, j);
+                                       out(i, j) += w * src[j];
+                               }
                        });
     const bool rg = at(a).requires_grad;
     var v = push(std::move(out), rg, {});
     if (rg) {
-        nodes_.back().backprop = [this, a, v, groups = std::move(groups)] {
+        nodes_.back().backprop = [this, a, v, &op] {
             const matrix& g = nodes_[v.index].grad;
             matrix& ga = grad_buffer(a.index);
-            for (std::size_t i = 0; i < groups.size(); ++i)
-                for (const auto& [idx, w] : groups[i])
+            for (std::size_t i = 0; i < op.rows(); ++i)
+                for (std::size_t t = op.offsets[i]; t < op.offsets[i + 1]; ++t) {
+                    const std::size_t idx = op.terms[t].row;
+                    const double w = op.terms[t].weight;
                     for (std::size_t j = 0; j < g.cols(); ++j) ga(idx, j) += w * g(i, j);
+                }
         };
     }
     return v;

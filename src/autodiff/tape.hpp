@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <functional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -37,6 +36,30 @@ using linalg::matrix;
 
 class tape;
 
+/// One term of a sparse row combination: `weight · a.row(row)`.
+struct weighted_row {
+    std::size_t row = 0;
+    double weight = 0.0;
+};
+
+/// A sparse linear operator on rows in CSR form: output row i combines
+/// `terms[offsets[i] .. offsets[i+1])`. `offsets` starts at 0, never
+/// decreases and ends at `terms.size()`, so it has rows() + 1 entries.
+/// Callers that rebuild one per step keep the object and call clear(),
+/// which keeps both buffers' capacity.
+struct row_csr {
+    std::vector<std::size_t> offsets{0};
+    std::vector<weighted_row> terms;
+
+    [[nodiscard]] std::size_t rows() const noexcept { return offsets.size() - 1; }
+    /// Close the current row after pushing its terms.
+    void end_row() { offsets.push_back(terms.size()); }
+    void clear() noexcept {
+        offsets.resize(1);
+        terms.clear();
+    }
+};
+
 /// Lightweight handle to a node on a tape. Valid only for the lifetime of
 /// the tape that produced it.
 struct var {
@@ -48,9 +71,13 @@ struct var {
 /// training steps to reuse the tape: every node's value and gradient
 /// storage is recycled through an internal `linalg::workspace`, so a
 /// steady-state forward+backward pass allocates no matrix temporaries at
-/// all. An optional thread pool parallelises the dense products (forward
-/// and backward) — pooled runs are bit-identical to serial ones (see
-/// matrix.hpp / kernels.hpp).
+/// all. What a step still allocates is a fixed count per recorded op,
+/// never proportional to the data: each op's backprop closure, and the
+/// index vector a `gather_rows` takes by value. `weighted_sum_rows`
+/// borrows its CSR operator and allocates nothing for it. An optional
+/// thread pool parallelises the dense products (forward and backward) —
+/// pooled runs are bit-identical to serial ones (see matrix.hpp /
+/// kernels.hpp).
 class tape {
 public:
     tape() = default;
@@ -111,10 +138,22 @@ public:
     /// Select rows `indices` of a (embedding lookup). Rows may repeat.
     var gather_rows(var a, std::vector<std::size_t> indices);
 
-    /// out.row(i) = Σ_k groups[i][k].second · a.row(groups[i][k].first).
-    /// This is the RF-GNN attention aggregator: weights are the normalised
-    /// f(RSS) edge weights of the sampled neighbourhood.
-    var weighted_sum_rows(var a, std::vector<std::vector<std::pair<std::size_t, double>>> groups);
+    /// out.row(i) = Σ_{t ∈ [op.offsets[i], op.offsets[i+1])}
+    ///              op.terms[t].weight · a.row(op.terms[t].row),
+    /// accumulated in term order, forward and backward. This is the RF-GNN
+    /// attention aggregator (weights are the normalised f(RSS) edge
+    /// weights of the sampled neighbourhood) and the baselines' sparse
+    /// adjacency product.
+    ///
+    /// The tape *borrows* \p op: nothing is copied, so recording the op
+    /// allocates nothing that scales with its size. \p op must stay alive
+    /// and unchanged until the tape is reset or destroyed (backward()
+    /// reads it); the rvalue overload is deleted so a temporary cannot
+    /// dangle.
+    /// \throws std::invalid_argument if the offsets are not a CSR row
+    ///         index over `op.terms`; std::out_of_range on a bad row.
+    var weighted_sum_rows(var a, const row_csr& op);
+    var weighted_sum_rows(var a, const row_csr&& op) = delete;
 
     /// Row-wise dot product of two equally-shaped matrices → (n×1).
     var row_dot(var a, var b);

@@ -28,18 +28,19 @@ matrix glorot(std::size_t rows, std::size_t cols, util::rng& gen) {
 
 /// RSS-derived attention operator: row-normalised f(RSS) transition with a
 /// self-loop of weight equal to the node's mean incident weight.
-sparse_rows attention_adjacency(const graph::bipartite_graph& g) {
-    sparse_rows rows(g.num_nodes());
+autodiff::row_csr attention_adjacency(const graph::bipartite_graph& g) {
+    autodiff::row_csr rows;
+    rows.offsets.reserve(g.num_nodes() + 1);
+    rows.terms.reserve(g.num_nodes() + 2 * g.num_edges());
     for (std::uint32_t v = 0; v < g.num_nodes(); ++v) {
         const auto nbrs = g.neighbors(v);
         double total = 0.0;
         for (const graph::edge& e : nbrs) total += e.weight;
         const double self_w = nbrs.empty() ? 1.0 : total / static_cast<double>(nbrs.size());
         const double denom = total + self_w;
-        auto& row = rows[v];
-        row.reserve(nbrs.size() + 1);
-        row.emplace_back(v, self_w / denom);
-        for (const graph::edge& e : nbrs) row.emplace_back(e.neighbor, e.weight / denom);
+        rows.terms.push_back({v, self_w / denom});
+        for (const graph::edge& e : nbrs) rows.terms.push_back({e.neighbor, e.weight / denom});
+        rows.end_row();
     }
     return rows;
 }
@@ -50,7 +51,7 @@ struct daegc_params {
 };
 
 /// Encoder forward: z = Â_att · relu(Â_att · X · W1) · W2 (linear output).
-var encode(tape& t, const var x, const sparse_rows& att, const var w1, const var w2) {
+var encode(tape& t, const var x, const autodiff::row_csr& att, const var w1, const var w2) {
     const var h1 = t.relu(t.matmul(t.weighted_sum_rows(x, att), w1));
     return t.matmul(t.weighted_sum_rows(h1, att), w2);
 }
@@ -63,7 +64,7 @@ std::vector<int> daegc_cluster(const data::building& b, const daegc_config& cfg)
 
     const graph::bipartite_graph g = graph::bipartite_graph::from_building(b);
     const matrix x_data = node_features(b, g);
-    const sparse_rows att = attention_adjacency(g);
+    const autodiff::row_csr att = attention_adjacency(g);
     const std::size_t m = x_data.cols();
     const std::size_t n = g.num_nodes();
     const std::size_t k = b.num_floors;

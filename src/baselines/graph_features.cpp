@@ -23,19 +23,20 @@ linalg::matrix node_features(const data::building& b, const graph::bipartite_gra
     return x;
 }
 
-sparse_rows normalized_adjacency(const graph::bipartite_graph& g) {
+autodiff::row_csr normalized_adjacency(const graph::bipartite_graph& g) {
     const std::size_t n = g.num_nodes();
     std::vector<double> degree(n, 1.0);  // +1 for the self-loop
     for (std::uint32_t v = 0; v < n; ++v) degree[v] += static_cast<double>(g.degree(v));
 
-    sparse_rows rows(n);
+    autodiff::row_csr rows;
+    rows.offsets.reserve(n + 1);
+    rows.terms.reserve(n + 2 * g.num_edges());
     for (std::uint32_t v = 0; v < n; ++v) {
-        auto& row = rows[v];
-        row.reserve(g.degree(v) + 1);
         const double dv = std::sqrt(degree[v]);
-        row.emplace_back(v, 1.0 / (dv * dv));  // self-loop
+        rows.terms.push_back({v, 1.0 / (dv * dv)});  // self-loop
         for (const graph::edge& e : g.neighbors(v))
-            row.emplace_back(e.neighbor, 1.0 / (dv * std::sqrt(degree[e.neighbor])));
+            rows.terms.push_back({e.neighbor, 1.0 / (dv * std::sqrt(degree[e.neighbor]))});
+        rows.end_row();
     }
     return rows;
 }

@@ -12,21 +12,20 @@
 ///  - a MAC node's features are the one-hot indicator of itself.
 ///
 /// The adjacency is the symmetrically normalised Â = D^{−1/2}(A+I)D^{−1/2}
-/// (GCN convention), kept sparse as per-row (index, weight) lists so the
-/// autodiff `weighted_sum_rows` op can apply it in O(nnz · dim).
+/// (GCN convention), kept sparse as one CSR operator (`autodiff::row_csr`)
+/// so the autodiff `weighted_sum_rows` op applies it in O(nnz · dim). The
+/// tape borrows the operator, so a training step that applies it several
+/// times never copies it.
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
+#include "autodiff/tape.hpp"
 #include "data/rf_sample.hpp"
 #include "graph/bipartite_graph.hpp"
 #include "linalg/matrix.hpp"
 
 namespace fisone::baselines {
-
-/// Sparse row-major operator usable with tape::weighted_sum_rows.
-using sparse_rows = std::vector<std::vector<std::pair<std::size_t, double>>>;
 
 /// Node features for the full bipartite node set (num_nodes × num_macs).
 [[nodiscard]] linalg::matrix node_features(const data::building& b,
@@ -36,7 +35,7 @@ using sparse_rows = std::vector<std::vector<std::pair<std::size_t, double>>>;
 /// Edge strength is the binary adjacency (GCN convention); the RSS weights
 /// affect only FIS-ONE's own model, keeping the baselines faithful to
 /// their published formulations.
-[[nodiscard]] sparse_rows normalized_adjacency(const graph::bipartite_graph& g);
+[[nodiscard]] autodiff::row_csr normalized_adjacency(const graph::bipartite_graph& g);
 
 /// Student-t soft assignment Q between embedding rows and centroids, and
 /// the sharpened target distribution P — the self-supervision pair shared

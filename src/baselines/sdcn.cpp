@@ -43,7 +43,7 @@ struct sdcn_forward {
     var q;               // Student-t assignment (n × k)
 };
 
-sdcn_forward forward(tape& t, const var x, const sparse_rows& adj, bool with_gcn, bool with_q,
+sdcn_forward forward(tape& t, const var x, const autodiff::row_csr& adj, bool with_gcn, bool with_q,
                      std::vector<var>* out_param_vars, std::vector<matrix*>* out_params,
                      sdcn_params& owner) {
     auto param = [&](matrix& m) {
@@ -109,7 +109,7 @@ std::vector<int> sdcn_cluster(const data::building& b, const sdcn_config& cfg) {
 
     const graph::bipartite_graph g = graph::bipartite_graph::from_building(b);
     const matrix x_data = node_features(b, g);
-    const sparse_rows adj = normalized_adjacency(g);
+    const autodiff::row_csr adj = normalized_adjacency(g);
     const std::size_t m = x_data.cols();
     const std::size_t k = b.num_floors;
     util::rng gen(cfg.seed);

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "linalg/parallel_policy.hpp"
 #include "util/thread_pool.hpp"
@@ -26,6 +26,15 @@ rf_gnn::rf_gnn(const graph::bipartite_graph& g, rf_gnn_config cfg, util::thread_
     if (cfg.num_hops == 0) throw std::invalid_argument("rf_gnn: num_hops must be > 0");
     if (cfg.neighbor_samples == 0)
         throw std::invalid_argument("rf_gnn: neighbor_samples must be > 0");
+    if (cfg.batch_pairs == 0) throw std::invalid_argument("rf_gnn: batch_pairs must be > 0");
+    if (cfg.walks.walk_length < 2)
+        throw std::invalid_argument("rf_gnn: walks.walk_length must be >= 2");
+    if (cfg.walks.window == 0) throw std::invalid_argument("rf_gnn: walks.window must be >= 1");
+
+    slot_stamp_.assign(g.num_nodes(), 0);
+    slot_pos_.resize(g.num_nodes());
+    layers_.resize(cfg.num_hops + 1);
+    hoods_.resize(cfg.num_hops + 1);
 
     const std::size_t d = cfg.embedding_dim;
     base_ = matrix(g.num_nodes(), d);
@@ -77,110 +86,91 @@ double rf_gnn::train_batch(const std::vector<graph::walk_pair>& pairs, std::size
                            std::size_t end) {
     const std::size_t batch = end - begin;
     const std::size_t tau = cfg_.negatives;
+    const std::size_t K = cfg_.num_hops;
 
-    // --- assemble the target node set: lefts, rights, negatives ---
-    std::vector<std::uint32_t> lefts(batch), rights(batch);
-    std::vector<std::uint32_t> negs(batch * tau);
-    for (std::size_t i = 0; i < batch; ++i) {
-        lefts[i] = pairs[begin + i].first;
-        rights[i] = pairs[begin + i].second;
-        for (std::size_t z = 0; z < tau; ++z) negs[i * tau + z] = negatives_.sample(rng_);
-    }
+    // The previous batch's tape borrows `hoods_`; drop it before rebuilding.
+    tape_.reset();
 
-    // Deduplicated target list; `slot_of` maps node id → row in the final
-    // representation matrix.
-    std::unordered_map<std::uint32_t, std::size_t> slot_of;
-    std::vector<std::uint32_t> targets;
-    auto intern = [&](std::uint32_t node) {
-        const auto [it, inserted] = slot_of.emplace(node, targets.size());
-        if (inserted) targets.push_back(node);
-        return it->second;
+    // `intern(layer, node)` returns the node's position in `layer`,
+    // appending it on first sight. Positions never move once assigned, so
+    // the position returned for a node is final (see `slot_pos_`).
+    auto start_layer = [&](std::vector<std::uint32_t>& layer) {
+        layer.clear();
+        ++slot_gen_;
     };
+    auto intern = [&](std::vector<std::uint32_t>& layer, std::uint32_t node) -> std::size_t {
+        if (slot_stamp_[node] != slot_gen_) {
+            slot_stamp_[node] = slot_gen_;
+            slot_pos_[node] = static_cast<std::uint32_t>(layer.size());
+            layer.push_back(node);
+        }
+        return slot_pos_[node];
+    };
+
+    // --- the target layer, deduplicated: lefts and rights first, then
+    //     the whole batch's negatives (their draws precede all sampling) ---
+    std::vector<std::uint32_t>& targets = layers_[K];
+    start_layer(targets);
     std::vector<std::size_t> left_slots(batch), right_slots(batch), neg_slots(batch * tau),
         left_rep_slots(batch * tau);
     for (std::size_t i = 0; i < batch; ++i) {
-        left_slots[i] = intern(lefts[i]);
-        right_slots[i] = intern(rights[i]);
+        left_slots[i] = intern(targets, pairs[begin + i].first);
+        right_slots[i] = intern(targets, pairs[begin + i].second);
     }
     for (std::size_t i = 0; i < batch; ++i)
         for (std::size_t z = 0; z < tau; ++z) {
-            neg_slots[i * tau + z] = intern(negs[i * tau + z]);
+            neg_slots[i * tau + z] = intern(targets, negatives_.sample(rng_));
             left_rep_slots[i * tau + z] = left_slots[i];
         }
 
-    // --- build the layered computation: layers[K] = targets,
-    //     layers[k-1] ⊇ layers[k] ∪ sampled neighbours of layers[k] ---
-    const std::size_t K = cfg_.num_hops;
-    std::vector<std::vector<std::uint32_t>> layers(K + 1);
-    std::vector<std::unordered_map<std::uint32_t, std::size_t>> layer_index(K + 1);
-    // groups[k][i]: sampled (position in layer k-1, aggregation weight) of
-    // the i-th node of layer k.
-    std::vector<std::vector<std::vector<std::pair<std::size_t, double>>>> groups(K + 1);
-
-    layers[K] = targets;
-    for (std::size_t i = 0; i < targets.size(); ++i) layer_index[K].emplace(targets[i], i);
-
-    // Sampled neighbourhoods are drawn once per batch, reused when building
-    // both the lower layer membership and the aggregation groups.
-    std::vector<std::vector<std::vector<graph::edge>>> sampled(K + 1);
+    // --- build the layered computation from the top down:
+    //     layers_[k-1] = layers_[k] ∪ sampled neighbours of layers_[k],
+    //     in first-seen order. hoods_[k] row i holds the sampled
+    //     (position in layer k-1, aggregation weight) terms of node i of
+    //     layer k, in sampling order. ---
+    std::vector<std::vector<std::size_t>> self_pos(K + 1);
     for (std::size_t k = K; k >= 1; --k) {
-        auto& lower = layers[k - 1];
-        auto& lower_idx = layer_index[k - 1];
-        auto intern_lower = [&](std::uint32_t node) {
-            const auto [it, inserted] = lower_idx.emplace(node, lower.size());
-            if (inserted) lower.push_back(node);
-            return it->second;
-        };
-        sampled[k].resize(layers[k].size());
-        for (std::size_t i = 0; i < layers[k].size(); ++i) {
-            const std::uint32_t node = layers[k][i];
-            intern_lower(node);  // the node itself needs its previous rep
-            auto& edges = sampled[k][i];
-            edges.reserve(cfg_.neighbor_samples);
+        const std::vector<std::uint32_t>& upper = layers_[k];
+        std::vector<std::uint32_t>& lower = layers_[k - 1];
+        autodiff::row_csr& hood = hoods_[k];
+        start_layer(lower);
+        hood.clear();
+        self_pos[k].resize(upper.size());
+        for (std::size_t i = 0; i < upper.size(); ++i) {
+            const std::uint32_t node = upper[i];
+            self_pos[k][i] = intern(lower, node);  // the node's own previous rep
+            const std::size_t row_begin = hood.terms.size();
             for (std::size_t s = 0; s < cfg_.neighbor_samples; ++s) {
                 const graph::edge& e = sampler_.sample_edge(node, rng_);
-                edges.push_back(e);
-                intern_lower(e.neighbor);
+                hood.terms.push_back({intern(lower, e.neighbor), e.weight});
             }
-        }
-        // Aggregation groups with normalised weights.
-        groups[k].resize(layers[k].size());
-        for (std::size_t i = 0; i < layers[k].size(); ++i) {
-            const auto& edges = sampled[k][i];
+            // Normalise in place: the total is summed in sampling order.
+            const std::span<autodiff::weighted_row> row(hood.terms.data() + row_begin,
+                                                        cfg_.neighbor_samples);
             double total = 0.0;
             if (cfg_.use_attention)
-                for (const graph::edge& e : edges) total += e.weight;
+                for (const autodiff::weighted_row& t : row) total += t.weight;
             else
-                total = static_cast<double>(edges.size());
-            auto& grp = groups[k][i];
-            grp.reserve(edges.size());
-            for (const graph::edge& e : edges) {
-                const double w = cfg_.use_attention ? e.weight / total : 1.0 / total;
-                grp.emplace_back(lower_idx.at(e.neighbor), w);
-            }
+                total = static_cast<double>(row.size());
+            for (autodiff::weighted_row& t : row)
+                t.weight = cfg_.use_attention ? t.weight / total : 1.0 / total;
+            hood.end_row();
         }
     }
 
-    // --- forward pass on the reused tape (reset recycles node storage
-    //     into the tape's workspace, making the step allocation-free) ---
-    tape_.reset();
+    // --- forward pass on the reused tape (reset recycled node storage
+    //     into the tape's workspace, so no matrix temporary allocates) ---
     autodiff::tape& t = tape_;
     const var base_var = cfg_.train_base_embeddings ? t.parameter(base_) : t.constant(base_);
     std::vector<var> weight_vars;
     weight_vars.reserve(K);
     for (const matrix& w : weights_) weight_vars.push_back(t.parameter(w));
 
-    std::vector<std::size_t> layer0_rows(layers[0].size());
-    for (std::size_t i = 0; i < layers[0].size(); ++i) layer0_rows[i] = layers[0][i];
-    var h = t.gather_rows(base_var, layer0_rows);
+    var h = t.gather_rows(base_var, std::vector<std::size_t>(layers_[0].begin(), layers_[0].end()));
 
     for (std::size_t k = 1; k <= K; ++k) {
-        // self representations: positions of layer k nodes inside layer k-1
-        std::vector<std::size_t> self_pos(layers[k].size());
-        for (std::size_t i = 0; i < layers[k].size(); ++i)
-            self_pos[i] = layer_index[k - 1].at(layers[k][i]);
-        const var self_prev = t.gather_rows(h, std::move(self_pos));
-        const var agg = t.weighted_sum_rows(h, groups[k]);
+        const var self_prev = t.gather_rows(h, std::move(self_pos[k]));
+        const var agg = t.weighted_sum_rows(h, hoods_[k]);
         const var cat = t.concat_cols(self_prev, agg);
         var z = t.matmul(cat, weight_vars[k - 1]);
         switch (cfg_.act) {
@@ -192,13 +182,13 @@ double rf_gnn::train_batch(const std::vector<graph::walk_pair>& pairs, std::size
     }
 
     // --- skip-gram loss with negative sampling (paper §III-B) ---
-    const var left_rep = t.gather_rows(h, left_slots);
-    const var right_rep = t.gather_rows(h, right_slots);
+    const var left_rep = t.gather_rows(h, std::move(left_slots));
+    const var right_rep = t.gather_rows(h, std::move(right_slots));
     const var pos_scores = t.row_dot(left_rep, right_rep);
     var loss = t.negate(t.mean_all(t.log_sigmoid(pos_scores)));
     if (tau > 0) {
-        const var left_rep2 = t.gather_rows(h, left_rep_slots);
-        const var neg_rep = t.gather_rows(h, neg_slots);
+        const var left_rep2 = t.gather_rows(h, std::move(left_rep_slots));
+        const var neg_rep = t.gather_rows(h, std::move(neg_slots));
         const var neg_scores = t.row_dot(left_rep2, neg_rep);
         // τ · E_z[−log σ(−r_i·r_z)] estimated with τ samples per pair:
         // mean over the τ·B entries times τ recovers (1/B)·Σ.

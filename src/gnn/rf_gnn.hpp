@@ -14,6 +14,12 @@
 ///
 /// The "without attention" ablation (paper Fig. 8(a,b)) switches both the
 /// sampling and the aggregation to uniform.
+///
+/// Training minibatches are assembled without hashing, in buffers reused
+/// across batches (see the private members). RNG draws keep one order,
+/// which the golden digests pin: the batch's negatives, then
+/// `neighbor_samples` edges per row from hop K down to hop 1, rows in
+/// first-seen order.
 
 #include <cstdint>
 #include <vector>
@@ -60,7 +66,9 @@ struct rf_gnn_config {
 /// The trained model. Owns its parameters; the graph must outlive it.
 class rf_gnn {
 public:
-    /// \throws std::invalid_argument on nonsensical config (zero dims/hops).
+    /// \throws std::invalid_argument on nonsensical config: zero
+    ///         dims, hops, neighbour samples or batch pairs, walks shorter
+    ///         than 2 steps, or a zero co-occurrence window.
     /// \param pool optional worker pool for the minibatch forward/backward
     ///        products and full-graph propagation. Pooled runs are
     ///        bit-identical to serial ones: the work splits over output
@@ -131,6 +139,23 @@ private:
     /// `embed_new_sample` deliberately uses locals so warm-cache
     /// inference never mutates shared model state.
     mutable linalg::workspace ws_;
+
+    /// Minibatch assembly buffers, reused for every layer of every batch
+    /// so that a batch hashes nothing and its allocations do not grow
+    /// with the node count. Node ids are dense in [0, num_nodes): the
+    /// position of a node in the layer being built is `slot_pos_[node]`,
+    /// valid only while `slot_stamp_[node] == slot_gen_`; starting a layer
+    /// bumps `slot_gen_` instead of clearing the arrays.
+    std::vector<std::uint64_t> slot_stamp_;
+    std::vector<std::uint32_t> slot_pos_;
+    std::uint64_t slot_gen_ = 0;
+    /// layers_[K] = the batch's targets; layers_[k-1] = layers_[k] plus
+    /// its sampled neighbours, in first-seen order.
+    std::vector<std::vector<std::uint32_t>> layers_;
+    /// hoods_[k] (k ≥ 1): the sampled neighbourhood of each layer-k node
+    /// as a CSR operator over layer k-1, normalised weights in sampling
+    /// order. The training tape borrows these until the next batch.
+    std::vector<autodiff::row_csr> hoods_;
 
     linalg::matrix base_;                  // (num_nodes × d)
     std::vector<linalg::matrix> weights_;  // per hop, (2d × d)

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <functional>
+#include <utility>
 
 #include "autodiff/gradcheck.hpp"
 #include "autodiff/optimizer.hpp"
@@ -98,12 +99,30 @@ TEST(tape, forward_gather_weighted_sum) {
     EXPECT_DOUBLE_EQ(g(0, 0), 3.0);
     EXPECT_DOUBLE_EQ(g(2, 1), 3.0);
 
-    std::vector<std::vector<std::pair<std::size_t, double>>> groups{
-        {{0, 0.5}, {1, 0.5}}, {{2, 2.0}}};
+    const row_csr groups{{0, 2, 3}, {{0, 0.5}, {1, 0.5}, {2, 2.0}}};
     const auto w = t.value(t.weighted_sum_rows(x, groups));
     EXPECT_DOUBLE_EQ(w(0, 0), 1.5);
     EXPECT_DOUBLE_EQ(w(1, 1), 6.0);
 }
+
+TEST(tape, weighted_sum_rows_rejects_malformed_csr) {
+    tape t;
+    const var x = t.constant(matrix{{1, 1}, {2, 2}});
+    const row_csr bad_end{{0, 1}, {{0, 1.0}, {1, 1.0}}};
+    EXPECT_THROW((void)t.weighted_sum_rows(x, bad_end), std::invalid_argument);
+    const row_csr decreasing{{0, 2, 1, 2}, {{0, 1.0}, {1, 1.0}}};
+    EXPECT_THROW((void)t.weighted_sum_rows(x, decreasing), std::invalid_argument);
+    const row_csr bad_row{{0, 1}, {{2, 1.0}}};
+    EXPECT_THROW((void)t.weighted_sum_rows(x, bad_row), std::out_of_range);
+}
+
+// The tape borrows the operator, so passing a temporary must not compile.
+template <class Op>
+concept csr_accepted = requires(tape& t, var v, Op&& op) {
+    t.weighted_sum_rows(v, std::forward<Op>(op));
+};
+static_assert(csr_accepted<const row_csr&>);
+static_assert(!csr_accepted<row_csr>);
 
 TEST(tape, forward_softmax_and_normalize) {
     tape t;
@@ -271,8 +290,8 @@ TEST(gradcheck, gather_rows_with_repeats) {
 
 TEST(gradcheck, weighted_sum_rows) {
     rng gen(15);
-    std::vector<std::vector<std::pair<std::size_t, double>>> groups{
-        {{0, 0.3}, {1, 0.7}}, {{2, 1.0}, {0, -0.5}}, {{1, 2.0}}};
+    const row_csr groups{{0, 2, 4, 5},
+                         {{0, 0.3}, {1, 0.7}, {2, 1.0}, {0, -0.5}, {1, 2.0}}};
     expect_gradient_ok(
         [&groups](tape& t, var x) {
             const var w = t.weighted_sum_rows(x, groups);
@@ -335,8 +354,8 @@ TEST(gradcheck, composite_gnn_like_stack) {
     // training graph is differentiated correctly end to end.
     rng gen(20);
     const matrix w = random_matrix(4, 2, gen);
-    std::vector<std::vector<std::pair<std::size_t, double>>> groups{
-        {{1, 0.6}, {2, 0.4}}, {{0, 1.0}}, {{2, 0.5}, {0, 0.5}}};
+    const row_csr groups{{0, 2, 3, 5},
+                         {{1, 0.6}, {2, 0.4}, {0, 1.0}, {2, 0.5}, {0, 0.5}}};
     expect_gradient_ok(
         [&](tape& t, var x) {
             const var agg = t.weighted_sum_rows(x, groups);
@@ -397,6 +416,40 @@ TEST(optimizer, gradient_clipping) {
     matrix g2{{0.3, 0.4}};
     clip_gradient(g2, 1.0);  // below the cap: untouched
     EXPECT_DOUBLE_EQ(g2(0, 0), 0.3);
+}
+
+TEST(optimizer, clipping_in_the_update_matches_a_clipped_copy) {
+    // The optimisers scale by the clip factor inside the update loop; the
+    // result must equal, bit for bit, an unclipped step on a gradient that
+    // clip_gradient already brought to the cap.
+    rng gen(31);
+    const matrix start = random_matrix(3, 4, gen);
+    for (const double gain : {0.1, 10.0}) {  // below and above the cap
+        matrix grad = random_matrix(3, 4, gen);
+        grad *= gain;
+        matrix clipped = grad;
+        clip_gradient(clipped, 1.0);
+
+        matrix a = start, b = start;
+        adam with_clip(adam::config{0.05, 0.9, 0.999, 1e-8, 1.0});
+        adam without(adam::config{0.05});
+        for (int step = 0; step < 3; ++step) {
+            with_clip.step(a, grad);
+            with_clip.end_step();
+            without.step(b, clipped);
+            without.end_step();
+        }
+        EXPECT_EQ(a, b) << "adam, gain " << gain;
+
+        matrix c = start, d = start;
+        sgd sgd_clip(0.1, 0.9, 1.0);
+        sgd sgd_plain(0.1, 0.9);
+        for (int step = 0; step < 3; ++step) {
+            sgd_clip.step(c, grad);
+            sgd_plain.step(d, clipped);
+        }
+        EXPECT_EQ(c, d) << "sgd, gain " << gain;
+    }
 }
 
 TEST(optimizer, rejects_bad_config) {

@@ -79,14 +79,15 @@ TEST(graph_features, normalized_adjacency_is_symmetric_operator) {
     const auto& b = easy_building();
     const auto g = graph::bipartite_graph::from_building(b);
     const auto adj = baselines::normalized_adjacency(g);
-    ASSERT_EQ(adj.size(), g.num_nodes());
+    ASSERT_EQ(adj.rows(), g.num_nodes());
     // Â entries: Â[u][v] must equal Â[v][u]
     for (std::size_t u = 0; u < 10; ++u)
-        for (const auto& [v, w] : adj[u]) {
+        for (std::size_t t = adj.offsets[u]; t < adj.offsets[u + 1]; ++t) {
+            const auto [v, w] = adj.terms[t];
             bool found = false;
-            for (const auto& [uu, ww] : adj[v])
-                if (uu == u) {
-                    EXPECT_NEAR(w, ww, 1e-12);
+            for (std::size_t tt = adj.offsets[v]; tt < adj.offsets[v + 1]; ++tt)
+                if (adj.terms[tt].row == u) {
+                    EXPECT_NEAR(w, adj.terms[tt].weight, 1e-12);
                     found = true;
                 }
             EXPECT_TRUE(found);

@@ -1,15 +1,58 @@
 // Tests for src/gnn: RF-GNN construction, training dynamics, embedding
-// geometry (same-floor proximity), attention ablation, inductive inference.
+// geometry (same-floor proximity), attention ablation, inductive inference,
+// golden bits of the config branches, and the minibatch allocation budget.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 
 #include "gnn/rf_gnn.hpp"
 #include "graph/bipartite_graph.hpp"
 #include "linalg/matrix.hpp"
 #include "sim/building_generator.hpp"
+#include "util/hash.hpp"
 #include "util/stats.hpp"
+
+// Counting global allocator: every replaceable operator new bumps
+// `g_allocs` while `g_counting` is set (only inside the allocation test),
+// so a test can assert how many heap allocations a call makes.
+namespace {
+std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_allocs{0};
+
+void* counted_alloc(std::size_t n, std::size_t align) {
+    if (g_counting.load(std::memory_order_relaxed))
+        g_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (n == 0) n = 1;
+    void* p = align <= alignof(std::max_align_t)
+                  ? std::malloc(n)
+                  : std::aligned_alloc(align, (n + align - 1) / align * align);
+    if (p == nullptr) throw std::bad_alloc();
+    return p;
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n, 0); }
+void* operator new[](std::size_t n) { return counted_alloc(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+    return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+    return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -50,6 +93,16 @@ TEST(rf_gnn, rejects_degenerate_configs) {
     EXPECT_THROW(gnn::rf_gnn(g, cfg), std::invalid_argument);
     cfg = gnn::rf_gnn_config{};
     cfg.neighbor_samples = 0;
+    EXPECT_THROW(gnn::rf_gnn(g, cfg), std::invalid_argument);
+    // Rejected at construction, not at the first epoch.
+    cfg = gnn::rf_gnn_config{};
+    cfg.batch_pairs = 0;
+    EXPECT_THROW(gnn::rf_gnn(g, cfg), std::invalid_argument);
+    cfg = gnn::rf_gnn_config{};
+    cfg.walks.walk_length = 1;
+    EXPECT_THROW(gnn::rf_gnn(g, cfg), std::invalid_argument);
+    cfg = gnn::rf_gnn_config{};
+    cfg.walks.window = 0;
     EXPECT_THROW(gnn::rf_gnn(g, cfg), std::invalid_argument);
 }
 
@@ -238,6 +291,78 @@ TEST(rf_gnn, frozen_base_embeddings_do_not_move) {
     const auto before = model.base_embeddings();
     model.train();
     EXPECT_EQ(model.base_embeddings(), before);
+}
+
+// Golden bits for the config branches the quick-profile golden in
+// test_core never reaches. Each digest hashes every node's embedding after
+// train(); the constants were computed before minibatch assembly moved to
+// dense slot maps and CSR neighbourhoods, so a change to the RNG draw
+// order, the weight normalisation or the accumulation order fails here.
+std::uint64_t trained_digest(const gnn::rf_gnn_config& cfg) {
+    const auto g = graph::bipartite_graph::from_building(test_building());
+    gnn::rf_gnn model(g, cfg);
+    model.train();
+    const auto& emb = model.embed_all_nodes();
+    util::fnv1a64 h;
+    h.size(emb.rows());
+    h.size(emb.cols());
+    for (const double x : emb.flat()) h.f64(x);
+    return h.digest();
+}
+
+TEST(rf_gnn_golden, uniform_aggregation) {
+    gnn::rf_gnn_config cfg = fast_config();
+    cfg.use_attention = false;
+    EXPECT_EQ(trained_digest(cfg), 0x609eeffe2aa78cd5ULL);
+}
+
+TEST(rf_gnn_golden, frozen_base) {
+    gnn::rf_gnn_config cfg = fast_config();
+    cfg.train_base_embeddings = false;
+    EXPECT_EQ(trained_digest(cfg), 0x02b917a3048b0485ULL);
+}
+
+TEST(rf_gnn_golden, no_negatives) {
+    gnn::rf_gnn_config cfg = fast_config();
+    cfg.negatives = 0;
+    EXPECT_EQ(trained_digest(cfg), 0x722a9414a92f17acULL);
+}
+
+TEST(rf_gnn_golden, relu_activation) {
+    gnn::rf_gnn_config cfg = fast_config();
+    cfg.act = gnn::activation::relu;
+    EXPECT_EQ(trained_digest(cfg), 0xc06405fc20e12532ULL);
+}
+
+// Heap allocations of one steady-state epoch that is a single batch. The
+// count covers walk generation, minibatch assembly, the tape's closures
+// and the optimiser; none of it may scale with the node count.
+std::size_t steady_epoch_allocations(std::size_t floors, std::size_t samples_per_floor) {
+    sim::building_spec spec;
+    spec.num_floors = floors;
+    spec.samples_per_floor = samples_per_floor;
+    spec.seed = 43;
+    const auto b = sim::generate_building(spec).building;
+    const auto g = graph::bipartite_graph::from_building(b);
+    gnn::rf_gnn_config cfg = fast_config();
+    cfg.batch_pairs = std::size_t{1} << 20;
+    gnn::rf_gnn model(g, cfg);
+    model.train_epoch();  // warm-up: sizes every reused buffer
+    g_allocs.store(0);
+    g_counting.store(true);
+    model.train_epoch();
+    g_counting.store(false);
+    return g_allocs.load();
+}
+
+TEST(rf_gnn, minibatch_allocations_do_not_grow_with_nodes) {
+    const std::size_t small = steady_epoch_allocations(3, 40);
+    const std::size_t large = steady_epoch_allocations(7, 80);
+    EXPECT_LT(small, 200u) << "3x40 building";
+    EXPECT_LT(large, 200u) << "7x80 building";
+    // Slack for the tape workspace regrowing a buffer when the counted
+    // epoch's layers outsize the warm-up's; per-node costs would be far larger.
+    EXPECT_LE(large, small + 8) << "small " << small << ", large " << large;
 }
 
 }  // namespace
