@@ -3,20 +3,22 @@
 /// \file tape.hpp
 /// Reverse-mode automatic differentiation over dense matrices.
 ///
-/// The GNN models in this library (RF-GNN, and the SDCN/DAEGC baselines)
-/// build a fresh computation graph per training step — neighbourhood
-/// sampling makes the graph dynamic — so the engine is a classic tape:
-/// every operation appends a node holding its value and a backprop closure;
-/// `backward()` runs the closures in reverse topological (= insertion)
-/// order. Gradients are only materialised for nodes that (transitively)
-/// depend on a trainable leaf.
+/// The SDCN/DAEGC baselines build a fresh computation graph per training
+/// step, so the engine is a classic tape: every operation appends a node
+/// holding its value and a backprop closure; `backward()` runs the
+/// closures in reverse topological (= insertion) order. Gradients are only
+/// materialised for nodes that (transitively) depend on a trainable leaf.
 ///
-/// The operation set is exactly what the paper's models need: dense layers
-/// (matmul / bias / activations), the RF-GNN weighted aggregation
-/// (`weighted_sum_rows`, paper §III-B AGGREGATE_w), row L2 normalisation,
-/// embedding lookup (`gather_rows`), the skip-gram losses (`row_dot`,
-/// `log_sigmoid`), and the deep-clustering losses of the baselines
-/// (`pairwise_sqdist`, `row_normalize`, `softmax_rows`, `log`).
+/// RF-GNN does not record on the tape: its training step
+/// (`gnn::rf_gnn_step`) is one hand-derived forward and backward pass per
+/// hop. The tape is that pass's oracle — test_gnn records the same graph
+/// here and requires bit-identical gradients — which is why the operation
+/// set still covers the RF-GNN weighted aggregation (`weighted_sum_rows`,
+/// paper §III-B AGGREGATE_w), row L2 normalisation, embedding lookup
+/// (`gather_rows`) and the skip-gram losses (`row_dot`, `log_sigmoid`),
+/// next to dense layers (matmul / bias / activations) and the
+/// deep-clustering losses of the baselines (`pairwise_sqdist`,
+/// `row_normalize`, `softmax_rows`, `log`).
 
 #include <cstddef>
 #include <functional>

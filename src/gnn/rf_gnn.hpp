@@ -19,13 +19,15 @@
 /// across batches (see the private members). RNG draws keep one order,
 /// which the golden digests pin: the batch's negatives, then
 /// `neighbor_samples` edges per row from hop K down to hop 1, rows in
-/// first-seen order.
+/// first-seen order. Each batch's loss and gradient come from
+/// `rf_gnn_step`, one hand-derived forward and backward pass per hop
+/// that reproduces the autodiff tape's arithmetic bit for bit.
 
 #include <cstdint>
 #include <vector>
 
 #include "autodiff/optimizer.hpp"
-#include "autodiff/tape.hpp"
+#include "autodiff/tape.hpp"  // row_csr
 #include "graph/bipartite_graph.hpp"
 #include "graph/sampling.hpp"
 #include "linalg/matrix.hpp"
@@ -63,12 +65,89 @@ struct rf_gnn_config {
     std::uint64_t seed = 42;
 };
 
+/// One assembled training minibatch: the K+1 node layers of the sampled
+/// computation, each hop's neighbourhoods, and the skip-gram pairs as
+/// positions in the target layer. `rf_gnn` rebuilds one in place per
+/// batch (every vector keeps its capacity); tests build them by hand.
+struct rf_gnn_batch {
+    /// layers[K] = the batch's targets; layers[k-1] = layers[k] plus its
+    /// sampled neighbours, in first-seen order. Entries are node ids
+    /// (rows of the base embeddings), distinct within a layer.
+    std::vector<std::vector<std::uint32_t>> layers;
+    /// self[k][i] (k ≥ 1): the position of layers[k][i] in layers[k-1].
+    std::vector<std::vector<std::uint32_t>> self;
+    /// hoods[k] (k ≥ 1): the sampled neighbourhood of each layer-k node
+    /// as a CSR operator over layer k-1, normalised weights in sampling
+    /// order.
+    std::vector<autodiff::row_csr> hoods;
+    /// Positions in layers[K]. Pair i is (left[i], right[i]); its τ
+    /// negatives are negatives[i·τ, i·τ + τ), so τ = negatives / pairs.
+    std::vector<std::uint32_t> left, right, negatives;
+};
+
+/// The RF-GNN skip-gram loss of one minibatch and its gradient, by one
+/// hand-derived forward and backward pass per hop. Per hop: the self row
+/// and the f(RSS)-weighted neighbour sum are written straight into
+/// `cat`, then z = cat·W, σ in place, and L2 row normalisation; the
+/// scores read the top layer's rows by position. The backward does the
+/// autodiff tape's arithmetic in the tape's order with the same products
+/// (`matmul_nt_into`, `matmul_tn_into`, same pool), so every gradient is
+/// bit-identical to the same graph recorded on `autodiff::tape` — the
+/// oracle test in test_gnn checks exactly that.
+///
+/// The per-layer buffers (`cat`, σ output, normalised rows, row norms)
+/// and the gradient buffers are owned and reused across calls, so a
+/// steady-state pass allocates nothing. Not thread-safe; one per model.
+class rf_gnn_step {
+public:
+    /// Forward and backward over \p batch (at least one pair) with
+    /// parameters \p base (num_nodes × d) and \p weights (K of them,
+    /// 2d × d). Afterwards
+    /// `weight_grads()` holds ∂loss/∂W per hop and, when \p train_base,
+    /// `base_grad()` holds ∂loss/∂base (zero outside the batch's layer 0;
+    /// untouched otherwise).
+    /// \param with_loss compute the loss value; without it the pass skips
+    ///        the `log1p` per score, since the gradient needs only σ(−x).
+    /// \returns the batch loss, or 0.0 when \p with_loss is false.
+    double run(const rf_gnn_batch& batch, const linalg::matrix& base,
+               const std::vector<linalg::matrix>& weights, activation act, bool train_base,
+               bool with_loss, util::thread_pool* pool);
+
+    [[nodiscard]] const linalg::matrix& base_grad() const noexcept { return base_grad_; }
+    [[nodiscard]] const std::vector<linalg::matrix>& weight_grads() const noexcept {
+        return weight_grads_;
+    }
+
+private:
+    /// Forward state of hop k (stored at k-1): cat = [self | aggregate]
+    /// (n_k × 2d), act = σ(cat·W) (n_k × d), h = act with unit rows, and
+    /// each row's clamped norm.
+    struct hop_buffers {
+        linalg::matrix cat;
+        linalg::matrix act;
+        linalg::matrix h;
+        std::vector<double> norm;
+    };
+
+    std::vector<hop_buffers> hops_;
+    /// Per-score gradients of the loss: B positives, then B·τ negatives.
+    std::vector<double> pos_grad_, neg_grad_;
+    /// dh of the hop being unwound (its σ and normalisation backward run
+    /// in place, turning it into dz) and of the layer below it.
+    linalg::matrix dh_, dh_lower_;
+    linalg::matrix dcat_;
+    linalg::matrix base_grad_;
+    std::vector<linalg::matrix> weight_grads_;
+    linalg::workspace ws_;  ///< `matmul_nt_into`'s packing scratch
+};
+
 /// The trained model. Owns its parameters; the graph must outlive it.
 class rf_gnn {
 public:
     /// \throws std::invalid_argument on nonsensical config: zero
-    ///         dims, hops, neighbour samples or batch pairs, walks shorter
-    ///         than 2 steps, or a zero co-occurrence window.
+    ///         dims, hops, neighbour samples, batch pairs or walks per
+    ///         node, walks shorter than 2 steps, or a zero co-occurrence
+    ///         window.
     /// \param pool optional worker pool for the minibatch forward/backward
     ///        products and full-graph propagation. Pooled runs are
     ///        bit-identical to serial ones: the work splits over output
@@ -78,7 +157,8 @@ public:
            util::thread_pool* pool = nullptr);
 
     /// Run the full unsupervised training schedule (`cfg.epochs` epochs,
-    /// walks regenerated every epoch).
+    /// walks regenerated every epoch). Skips the loss value, which only
+    /// `train_epoch()` reports; the parameters move identically.
     void train();
 
     /// Run one epoch; returns the mean batch loss (useful for tests and
@@ -111,15 +191,16 @@ public:
     }
 
 private:
-    /// Apply σ in place.
-    void apply_activation(linalg::matrix& m) const noexcept;
-
     /// One full-neighbourhood propagation hop: H_k from H_{k-1}.
     [[nodiscard]] linalg::matrix propagate_full(const linalg::matrix& prev, std::size_t hop) const;
 
-    /// Train on one batch of positive pairs; returns batch loss.
+    /// One epoch; returns the mean batch loss, or 0.0 without \p with_loss.
+    double run_epoch(bool with_loss);
+
+    /// Train on one batch of positive pairs; returns the batch loss, or
+    /// 0.0 without \p with_loss.
     double train_batch(const std::vector<graph::walk_pair>& pairs, std::size_t begin,
-                       std::size_t end);
+                       std::size_t end, bool with_loss);
 
     const graph::bipartite_graph* graph_;
     rf_gnn_config cfg_;
@@ -129,10 +210,9 @@ private:
     graph::negative_table negatives_;
     autodiff::adam optimizer_;
 
-    /// Training tape, reused across batches: `reset()` recycles every
-    /// node's storage through the tape's workspace, so steady-state
-    /// forward+backward passes allocate no matrix temporaries.
-    autodiff::tape tape_;
+    /// Forward/backward pass with its per-layer buffers, reused by every
+    /// batch, so a steady-state step allocates no matrix.
+    rf_gnn_step step_;
     /// Scratch arena for full-graph propagation; mutable because
     /// propagation is logically const but reuses these buffers. Only
     /// touched on the (already mutating) cache-rebuild path —
@@ -149,13 +229,8 @@ private:
     std::vector<std::uint64_t> slot_stamp_;
     std::vector<std::uint32_t> slot_pos_;
     std::uint64_t slot_gen_ = 0;
-    /// layers_[K] = the batch's targets; layers_[k-1] = layers_[k] plus
-    /// its sampled neighbours, in first-seen order.
-    std::vector<std::vector<std::uint32_t>> layers_;
-    /// hoods_[k] (k ≥ 1): the sampled neighbourhood of each layer-k node
-    /// as a CSR operator over layer k-1, normalised weights in sampling
-    /// order. The training tape borrows these until the next batch.
-    std::vector<autodiff::row_csr> hoods_;
+    /// The batch being trained, rebuilt in place (see `rf_gnn_batch`).
+    rf_gnn_batch batch_;
 
     linalg::matrix base_;                  // (num_nodes × d)
     std::vector<linalg::matrix> weights_;  // per hop, (2d × d)

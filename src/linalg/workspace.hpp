@@ -1,11 +1,12 @@
 #pragma once
 
 /// \file workspace.hpp
-/// Scratch-buffer arena for matrix temporaries. The autodiff tape and the
-/// RF-GNN inference path used to allocate (and zero) a fresh matrix for
-/// every operation of every training step; with a workspace the storage of
-/// finished temporaries is recycled, so a steady-state forward+backward
-/// pass performs no heap allocation for matrix data at all.
+/// Scratch-buffer arena for matrix temporaries. The autodiff tape recycles
+/// every node's value and gradient through one, so a steady-state
+/// forward+backward pass of a baseline allocates no matrix data; RF-GNN's
+/// full-graph propagation takes its scratch from one, and its training
+/// step packs `matmul_nt_into`'s Bᵀ in one (the step's own per-layer
+/// buffers are plain reused matrices).
 ///
 /// Usage pattern:
 ///   matrix t = ws.take(r, c);      // uninitialised scratch — write first!

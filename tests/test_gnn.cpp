@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "autodiff/tape.hpp"
 #include "gnn/rf_gnn.hpp"
 #include "graph/bipartite_graph.hpp"
 #include "linalg/matrix.hpp"
@@ -103,6 +106,10 @@ TEST(rf_gnn, rejects_degenerate_configs) {
     EXPECT_THROW(gnn::rf_gnn(g, cfg), std::invalid_argument);
     cfg = gnn::rf_gnn_config{};
     cfg.walks.window = 0;
+    EXPECT_THROW(gnn::rf_gnn(g, cfg), std::invalid_argument);
+    // Zero walks yield no pairs, so train() would leave every parameter as is.
+    cfg = gnn::rf_gnn_config{};
+    cfg.walks.walks_per_node = 0;
     EXPECT_THROW(gnn::rf_gnn(g, cfg), std::invalid_argument);
 }
 
@@ -295,9 +302,11 @@ TEST(rf_gnn, frozen_base_embeddings_do_not_move) {
 
 // Golden bits for the config branches the quick-profile golden in
 // test_core never reaches. Each digest hashes every node's embedding after
-// train(); the constants were computed before minibatch assembly moved to
-// dense slot maps and CSR neighbourhoods, so a change to the RNG draw
-// order, the weight normalisation or the accumulation order fails here.
+// train(); the first four constants were computed before minibatch
+// assembly moved to dense slot maps and CSR neighbourhoods, and the rest
+// (sigmoid, one and three hops, epoch losses) while training still ran on
+// the autodiff tape, so a change to the RNG draw order, the weight
+// normalisation or the accumulation order fails here.
 std::uint64_t trained_digest(const gnn::rf_gnn_config& cfg) {
     const auto g = graph::bipartite_graph::from_building(test_building());
     gnn::rf_gnn model(g, cfg);
@@ -334,9 +343,216 @@ TEST(rf_gnn_golden, relu_activation) {
     EXPECT_EQ(trained_digest(cfg), 0xc06405fc20e12532ULL);
 }
 
-// Heap allocations of one steady-state epoch that is a single batch. The
-// count covers walk generation, minibatch assembly, the tape's closures
-// and the optimiser; none of it may scale with the node count.
+TEST(rf_gnn_golden, sigmoid_activation) {
+    gnn::rf_gnn_config cfg = fast_config();
+    cfg.act = gnn::activation::sigmoid;
+    EXPECT_EQ(trained_digest(cfg), 0xe5cd299576de130bULL);
+}
+
+TEST(rf_gnn_golden, one_hop) {
+    gnn::rf_gnn_config cfg = fast_config();
+    cfg.num_hops = 1;
+    EXPECT_EQ(trained_digest(cfg), 0x46b56da66da8c7aaULL);
+}
+
+TEST(rf_gnn_golden, three_hops) {
+    gnn::rf_gnn_config cfg = fast_config();
+    cfg.num_hops = 3;
+    EXPECT_EQ(trained_digest(cfg), 0x985bcb492132725bULL);
+}
+
+// Bit patterns of the first three train_epoch() returns. train() skips
+// the loss value, so the digests above never see it.
+std::vector<std::uint64_t> epoch_loss_bits(const gnn::rf_gnn_config& cfg) {
+    const auto g = graph::bipartite_graph::from_building(test_building());
+    gnn::rf_gnn model(g, cfg);
+    std::vector<std::uint64_t> bits;
+    for (int e = 0; e < 3; ++e) bits.push_back(std::bit_cast<std::uint64_t>(model.train_epoch()));
+    return bits;
+}
+
+TEST(rf_gnn_golden, epoch_losses) {
+    EXPECT_EQ(epoch_loss_bits(fast_config()),
+              (std::vector<std::uint64_t>{0x400c58234de794a4ULL,
+                                          0x400c0ebccaa547e3ULL,
+                                          0x400bd2d642f40b89ULL}));
+    gnn::rf_gnn_config no_negatives = fast_config();
+    no_negatives.negatives = 0;
+    EXPECT_EQ(epoch_loss_bits(no_negatives),
+              (std::vector<std::uint64_t>{0x3fdce5eec999ee85ULL,
+                                          0x3fd4192d656a3bbbULL,
+                                          0x3fd40e61c3c6635bULL}));
+}
+
+// ---- the fused training step against the autodiff tape ----
+
+/// A random minibatch assembled the way rf_gnn assembles one: targets
+/// interned from the pairs then the negatives, each lower layer the upper
+/// one plus `samples` sampled neighbours per row in first-seen order, and
+/// each row's weights normalised (f(RSS)-like or uniform).
+gnn::rf_gnn_batch random_batch(util::rng& gen, std::size_t nodes, std::size_t pairs,
+                               std::size_t tau, std::size_t hops, std::size_t samples,
+                               bool attention) {
+    gnn::rf_gnn_batch b;
+    b.layers.resize(hops + 1);
+    b.self.resize(hops + 1);
+    b.hoods.resize(hops + 1);
+    std::vector<std::int64_t> pos(nodes, -1);  // node -> position in the layer being built
+    auto intern = [&](std::vector<std::uint32_t>& layer, std::size_t node) {
+        if (pos[node] < 0) {
+            pos[node] = static_cast<std::int64_t>(layer.size());
+            layer.push_back(static_cast<std::uint32_t>(node));
+        }
+        return static_cast<std::uint32_t>(pos[node]);
+    };
+    for (std::size_t i = 0; i < pairs; ++i) {
+        b.left.push_back(intern(b.layers[hops], gen.uniform_index(nodes)));
+        b.right.push_back(intern(b.layers[hops], gen.uniform_index(nodes)));
+    }
+    for (std::size_t r = 0; r < pairs * tau; ++r)
+        b.negatives.push_back(intern(b.layers[hops], gen.uniform_index(nodes)));
+    for (std::size_t k = hops; k >= 1; --k) {
+        pos.assign(nodes, -1);
+        for (const std::uint32_t node : b.layers[k]) {
+            b.self[k].push_back(intern(b.layers[k - 1], node));
+            double total = 0.0;
+            for (std::size_t s = 0; s < samples; ++s) {
+                const double w = gen.uniform(1.0, 60.0);
+                b.hoods[k].terms.push_back({intern(b.layers[k - 1], gen.uniform_index(nodes)), w});
+                total += w;
+            }
+            for (std::size_t s = b.hoods[k].terms.size() - samples; s < b.hoods[k].terms.size();
+                 ++s) {
+                double& w = b.hoods[k].terms[s].weight;
+                w = attention ? w / total : 1.0 / static_cast<double>(samples);
+            }
+            b.hoods[k].end_row();
+        }
+    }
+    return b;
+}
+
+struct tape_step_result {
+    double loss = 0.0;
+    linalg::matrix base_grad;
+    std::vector<linalg::matrix> weight_grads;
+};
+
+/// The RF-GNN skip-gram step recorded on the general autodiff tape: gather,
+/// weighted sum, concat, matmul, σ and L2 normalisation per hop, then the
+/// negative-sampling loss. This is the oracle for gnn::rf_gnn_step.
+tape_step_result tape_step(const gnn::rf_gnn_batch& b, const linalg::matrix& base,
+                           const std::vector<linalg::matrix>& weights, gnn::activation act,
+                           bool train_base) {
+    using autodiff::var;
+    const auto indices = [](const std::vector<std::uint32_t>& v) {
+        return std::vector<std::size_t>(v.begin(), v.end());
+    };
+    const std::size_t tau = b.negatives.size() / b.left.size();
+    autodiff::tape t;
+    const var base_var = train_base ? t.parameter(base) : t.constant(base);
+    std::vector<var> weight_vars;
+    for (const linalg::matrix& w : weights) weight_vars.push_back(t.parameter(w));
+
+    var h = t.gather_rows(base_var, indices(b.layers[0]));
+    for (std::size_t k = 1; k <= weights.size(); ++k) {
+        const var self_prev = t.gather_rows(h, indices(b.self[k]));
+        const var agg = t.weighted_sum_rows(h, b.hoods[k]);
+        const var cat = t.concat_cols(self_prev, agg);
+        var z = t.matmul(cat, weight_vars[k - 1]);
+        switch (act) {
+            case gnn::activation::tanh: z = t.tanh_act(z); break;
+            case gnn::activation::relu: z = t.relu(z); break;
+            case gnn::activation::sigmoid: z = t.sigmoid(z); break;
+        }
+        h = t.l2_normalize_rows(z);
+    }
+
+    // Separate statements: the recording order is the backward's order.
+    const var left_rows = t.gather_rows(h, indices(b.left));
+    const var right_rows = t.gather_rows(h, indices(b.right));
+    var loss = t.negate(t.mean_all(t.log_sigmoid(t.row_dot(left_rows, right_rows))));
+    if (tau > 0) {
+        std::vector<std::size_t> left_rep;
+        for (const std::uint32_t l : b.left) left_rep.insert(left_rep.end(), tau, l);
+        const var left_rep_rows = t.gather_rows(h, std::move(left_rep));
+        const var neg_rows = t.gather_rows(h, indices(b.negatives));
+        const var neg_scores = t.row_dot(left_rep_rows, neg_rows);
+        loss = t.add(loss, t.scale(t.mean_all(t.log_sigmoid(t.negate(neg_scores))),
+                                   -static_cast<double>(tau)));
+    }
+    t.backward(loss);
+
+    tape_step_result r;
+    r.loss = t.value(loss)(0, 0);
+    if (train_base) r.base_grad = t.grad(base_var);
+    for (const var w : weight_vars) r.weight_grads.push_back(t.grad(w));
+    return r;
+}
+
+/// Equal shapes and equal bit patterns (so +0.0 ≠ −0.0 and NaN == NaN).
+bool same_bits(const linalg::matrix& a, const linalg::matrix& b) {
+    if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (std::bit_cast<std::uint64_t>(a.flat()[i]) != std::bit_cast<std::uint64_t>(b.flat()[i]))
+            return false;
+    return true;
+}
+
+/// Random parameters and two random batches of different sizes through one
+/// step object (so stale reused buffers would show), each compared with
+/// the tape: the loss and every gradient, bit for bit.
+void expect_step_matches_tape(util::rng& gen, gnn::activation act, bool attention,
+                              std::size_t tau, bool train_base, std::size_t hops) {
+    constexpr std::size_t nodes = 50, d = 6, samples = 3;
+    linalg::matrix base(nodes, d);
+    for (double& x : base.flat()) x = gen.normal(0.0, 0.5);
+    std::vector<linalg::matrix> weights;
+    for (std::size_t k = 0; k < hops; ++k) {
+        linalg::matrix w(2 * d, d);
+        for (double& x : w.flat()) x = gen.normal(0.0, 0.6);
+        weights.push_back(std::move(w));
+    }
+    gnn::rf_gnn_step step;
+    for (const std::size_t pairs : {std::size_t{12}, std::size_t{5}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "act " << static_cast<int>(act) << " attention " << attention << " tau "
+                     << tau << " train_base " << train_base << " hops " << hops << " pairs "
+                     << pairs);
+        const gnn::rf_gnn_batch b = random_batch(gen, nodes, pairs, tau, hops, samples, attention);
+        const tape_step_result want = tape_step(b, base, weights, act, train_base);
+        for (const bool with_loss : {true, false}) {
+            const double loss = step.run(b, base, weights, act, train_base, with_loss, nullptr);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(loss),
+                      std::bit_cast<std::uint64_t>(with_loss ? want.loss : 0.0));
+            if (train_base) {
+                EXPECT_TRUE(same_bits(step.base_grad(), want.base_grad));
+            }
+            ASSERT_EQ(step.weight_grads().size(), hops);
+            for (std::size_t k = 0; k < hops; ++k) {
+                EXPECT_TRUE(same_bits(step.weight_grads()[k], want.weight_grads[k])) << "W" << k;
+            }
+        }
+    }
+}
+
+TEST(rf_gnn_step, matches_the_tape_bit_for_bit) {
+    util::rng gen(2024);
+    for (const auto act :
+         {gnn::activation::tanh, gnn::activation::relu, gnn::activation::sigmoid})
+        for (const bool attention : {true, false})
+            for (const std::size_t tau : {std::size_t{0}, std::size_t{4}})
+                for (const bool train_base : {true, false})
+                    for (std::size_t hops = 1; hops <= 3; ++hops)
+                        expect_step_matches_tape(gen, act, attention, tau, train_base, hops);
+}
+
+// Heap allocations of one steady-state epoch that is a single batch: 9 at
+// both sizes, the walk generator's three buffers and one std::function
+// per dense product. Minibatch assembly, the forward/backward buffers
+// and the optimiser reuse their storage; nothing may scale with the node
+// count.
 std::size_t steady_epoch_allocations(std::size_t floors, std::size_t samples_per_floor) {
     sim::building_spec spec;
     spec.num_floors = floors;
@@ -358,10 +574,10 @@ std::size_t steady_epoch_allocations(std::size_t floors, std::size_t samples_per
 TEST(rf_gnn, minibatch_allocations_do_not_grow_with_nodes) {
     const std::size_t small = steady_epoch_allocations(3, 40);
     const std::size_t large = steady_epoch_allocations(7, 80);
-    EXPECT_LT(small, 200u) << "3x40 building";
-    EXPECT_LT(large, 200u) << "7x80 building";
-    // Slack for the tape workspace regrowing a buffer when the counted
-    // epoch's layers outsize the warm-up's; per-node costs would be far larger.
+    EXPECT_LT(small, 12u) << "3x40 building";
+    EXPECT_LT(large, 12u) << "7x80 building";
+    // Slack for a reused buffer regrowing when the counted epoch's layers
+    // outsize the warm-up's; per-node costs would be far larger.
     EXPECT_LE(large, small + 8) << "small " << small << ", large " << large;
 }
 
