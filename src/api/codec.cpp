@@ -12,57 +12,91 @@ namespace {
 
 // --- canonical scalar encoding ----------------------------------------------
 
-/// Append-only little-endian byte writer over a std::string.
+/// Store \p v at \p dst as sizeof(T) little-endian bytes. The bytes are
+/// formed by shifts in a local buffer and copied out whole: one portable
+/// path for every host, which GCC (at -O2 and -O3, x86-64) turns into a
+/// single move and which its loop vectoriser leaves as one.
+template <class T>
+void store_le(char* dst, T v) noexcept {
+    char b[sizeof(T)];
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < sizeof(T); ++i) b[i] = static_cast<char>(v >> (8 * i));
+    std::memcpy(dst, b, sizeof(T));
+}
+
+/// Load sizeof(T) little-endian bytes from \p src; the mirror of `store_le`.
+template <class T>
+T load_le(const char* src) noexcept {
+    unsigned char b[sizeof(T)];
+    std::memcpy(b, src, sizeof(T));
+    T v = 0;
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        v = static_cast<T>(v | static_cast<T>(b[i]) << (8 * i));
+    return v;
+}
+
+/// Append-only little-endian byte writer into a caller-owned std::string
+/// (so a frame's header and payload share one buffer).
 class wire_writer {
 public:
+    explicit wire_writer(std::string& out) : out_(out) {}
+
     void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-
-    void u16(std::uint16_t v) {
-        u8(static_cast<std::uint8_t>(v));
-        u8(static_cast<std::uint8_t>(v >> 8));
-    }
-
-    void u32(std::uint32_t v) {
-        u16(static_cast<std::uint16_t>(v));
-        u16(static_cast<std::uint16_t>(v >> 16));
-    }
-
-    void u64(std::uint64_t v) {
-        u32(static_cast<std::uint32_t>(v));
-        u32(static_cast<std::uint32_t>(v >> 32));
-    }
-
+    void u16(std::uint16_t v) { put(v); }
+    void u32(std::uint32_t v) { put(v); }
+    void u64(std::uint64_t v) { put(v); }
     void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
     void boolean(bool v) { u8(v ? 1 : 0); }
     void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+    void raw(std::string_view s) { out_.append(s.data(), s.size()); }
 
     void str(std::string_view s) {
         u64(s.size());
-        out_.append(s.data(), s.size());
+        raw(s);
     }
 
     void vec_i32(const std::vector<int>& v) {
         u64(v.size());
-        for (const int x : v) i32(static_cast<std::int32_t>(x));
+        char* dst = grow(4 * v.size());
+        for (std::size_t i = 0; i < v.size(); ++i)
+            store_le(dst + 4 * i, static_cast<std::uint32_t>(v[i]));
     }
 
+    /// Row-major cells as IEEE-754 bit patterns, sized once and stored in
+    /// place (the matrix is the bulk of a building report).
     void matrix(const linalg::matrix& m) {
         u64(m.rows());
         u64(m.cols());
-        for (std::size_t r = 0; r < m.rows(); ++r)
-            for (std::size_t c = 0; c < m.cols(); ++c) f64(m(r, c));
+        const std::size_t n = m.rows() * m.cols();
+        const double* src = m.data();
+        char* dst = grow(8 * n);
+        for (std::size_t i = 0; i < n; ++i)
+            store_le(dst + 8 * i, std::bit_cast<std::uint64_t>(src[i]));
     }
 
-    [[nodiscard]] std::string take() && { return std::move(out_); }
-    [[nodiscard]] const std::string& bytes() const noexcept { return out_; }
-
 private:
-    std::string out_;
+    template <class T>
+    void put(T v) {
+        char b[sizeof(T)];
+        store_le(b, v);
+        out_.append(b, sizeof(T));
+    }
+
+    /// Extend the buffer by \p n bytes and return where they start.
+    char* grow(std::size_t n) {
+        const std::size_t at = out_.size();
+        out_.resize(at + n);
+        return out_.data() + at;
+    }
+
+    std::string& out_;
 };
 
-/// Bounds-checked little-endian reader over a byte span. Any overrun (or
-/// hostile count) sets `failed` and makes every further read a no-op
-/// returning zeros — callers check once at the end.
+/// Bounds-checked little-endian reader over a byte span. An overrun (or a
+/// hostile count) sets `failed` and that read returns zero — callers check
+/// once at the end. Each scalar checks the remaining bytes once; arrays
+/// check their whole payload once, before reading it.
 class wire_reader {
 public:
     explicit wire_reader(std::string_view bytes) : p_(bytes.data()), end_(bytes.data() + bytes.size()) {}
@@ -74,29 +108,10 @@ public:
     [[nodiscard]] bool exhausted() const noexcept { return p_ == end_; }
     void fail() noexcept { failed_ = true; }
 
-    std::uint8_t u8() {
-        if (remaining() < 1) return fail_zero<std::uint8_t>();
-        return static_cast<std::uint8_t>(*p_++);
-    }
-
-    std::uint16_t u16() {
-        const std::uint16_t lo = u8();
-        const std::uint16_t hi = u8();
-        return static_cast<std::uint16_t>(lo | (hi << 8));
-    }
-
-    std::uint32_t u32() {
-        const std::uint32_t lo = u16();
-        const std::uint32_t hi = u16();
-        return lo | (hi << 16);
-    }
-
-    std::uint64_t u64() {
-        const std::uint64_t lo = u32();
-        const std::uint64_t hi = u32();
-        return lo | (hi << 32);
-    }
-
+    std::uint8_t u8() { return get<std::uint8_t>(); }
+    std::uint16_t u16() { return get<std::uint16_t>(); }
+    std::uint32_t u32() { return get<std::uint32_t>(); }
+    std::uint64_t u64() { return get<std::uint64_t>(); }
     std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
     bool boolean() { return u8() != 0; }
     double f64() { return std::bit_cast<double>(u64()); }
@@ -123,10 +138,10 @@ public:
 
     std::vector<int> vec_i32() {
         const std::size_t n = count(4);
-        std::vector<int> v;
-        if (failed_) return v;
-        v.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) v.push_back(static_cast<int>(i32()));
+        std::vector<int> v(n);
+        for (std::size_t i = 0; i < n; ++i)
+            v[i] = static_cast<int>(static_cast<std::int32_t>(load_le<std::uint32_t>(p_ + 4 * i)));
+        p_ += 4 * n;
         return v;
     }
 
@@ -142,16 +157,24 @@ public:
         }
         linalg::matrix m =
             linalg::matrix::uninit(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-        for (std::size_t r = 0; r < rows; ++r)
-            for (std::size_t c = 0; c < cols; ++c) m(r, c) = f64();
+        const std::size_t n = m.rows() * m.cols();
+        double* dst = m.data();
+        for (std::size_t i = 0; i < n; ++i)
+            dst[i] = std::bit_cast<double>(load_le<std::uint64_t>(p_ + 8 * i));
+        p_ += 8 * n;
         return m;
     }
 
 private:
     template <class T>
-    T fail_zero() noexcept {
-        failed_ = true;
-        return T{};
+    T get() noexcept {
+        if (remaining() < sizeof(T)) {
+            failed_ = true;
+            return T{};
+        }
+        const T v = load_le<T>(p_);
+        p_ += sizeof(T);
+        return v;
     }
 
     const char* p_;
@@ -278,9 +301,13 @@ service::service_stats get_stats_body(wire_reader& r) {
     s.latency_p99 = r.f64();
     s.latency_count = r.u64();
     s.latency_sum = r.f64();
+    // Hostile-count guard: every bucket count is a u64 still to come.
     const std::uint32_t n_le = r.u32();
-    s.latency_le.reserve(n_le);
-    for (std::uint32_t i = 0; i < n_le; ++i) s.latency_le.push_back(r.u64());
+    if (n_le > r.remaining() / 8) r.fail();
+    if (!r.failed()) {
+        s.latency_le.reserve(n_le);
+        for (std::uint32_t i = 0; i < n_le; ++i) s.latency_le.push_back(r.u64());
+    }
     s.cache_hits = static_cast<std::size_t>(r.u64());
     s.cache_misses = static_cast<std::size_t>(r.u64());
     s.cache_evictions = static_cast<std::size_t>(r.u64());
@@ -663,29 +690,62 @@ decode_result<M> decode_frame(std::string_view bytes, std::size_t* consumed, Par
                              bytes.substr(k_frame_header_size, h.payload_len), parse);
 }
 
+/// Payload bytes to reserve before encoding: exact for the variable-size
+/// parts that dominate a frame (embeddings, index vectors, scans), plus
+/// slack for the fixed-width fields. A capacity hint only — the writer
+/// grows past it if a message needs more.
+constexpr std::size_t k_fixed_slack = 256;
+
+std::size_t reserve_hint(const data::building& b) {
+    std::size_t n = k_fixed_slack + b.name.size();
+    for (const data::rf_sample& s : b.samples) n += 16 + 12 * s.observations.size();
+    return n;
+}
+
+std::size_t reserve_hint(const runtime::building_report& r) {
+    const core::fis_one_result& res = r.result;
+    return k_fixed_slack + r.name.size() + r.error.size() +
+           4 * (res.assignment.size() + res.cluster_to_floor.size() +
+                res.predicted_floor.size()) +
+           8 * res.embeddings.rows() * res.embeddings.cols();
+}
+
+template <class T>
+std::size_t payload_hint(const T& m) {
+    if constexpr (requires { m.report; }) {
+        return reserve_hint(m.report);
+    } else if constexpr (requires { m.b; }) {
+        return reserve_hint(m.b);
+    } else if constexpr (requires { m.records; }) {
+        std::size_t n = k_fixed_slack;
+        for (const data::building& b : m.records) n += reserve_hint(b);
+        return n;
+    } else {
+        return k_fixed_slack;
+    }
+}
+
 template <class M, class Encoder>
 std::string encode_message(const M& m) {
-    wire_writer body;
-    std::visit(Encoder{body}, m);
+    std::string out;
+    out.reserve(k_frame_header_size +
+                std::visit([](const auto& msg) { return payload_hint(msg); }, m));
+    wire_writer w(out);
+    w.raw({k_frame_magic, sizeof k_frame_magic});
+    w.u32(k_schema_version);
+    w.u16(static_cast<std::uint16_t>(tag_of(m)));
+    w.u32(0);  // payload length, patched below once the payload is written
+    std::visit(Encoder{w}, m);
+    const std::size_t payload = out.size() - k_frame_header_size;
     // A frame the protocol cannot carry must fail loudly at the encode
     // boundary: past the bound the decoder would fatally reject it, and
     // past 2^32 the u32 length field would wrap and desynchronise the
     // stream.
-    if (body.bytes().size() > k_max_payload)
-        throw std::length_error("api::encode: " + std::to_string(body.bytes().size()) +
+    if (payload > k_max_payload)
+        throw std::length_error("api::encode: " + std::to_string(payload) +
                                 "-byte payload exceeds the " + std::to_string(k_max_payload) +
                                 "-byte frame bound");
-
-    wire_writer frame;
-    frame.u8(static_cast<std::uint8_t>(k_frame_magic[0]));
-    frame.u8(static_cast<std::uint8_t>(k_frame_magic[1]));
-    frame.u8(static_cast<std::uint8_t>(k_frame_magic[2]));
-    frame.u8(static_cast<std::uint8_t>(k_frame_magic[3]));
-    frame.u32(k_schema_version);
-    frame.u16(static_cast<std::uint16_t>(tag_of(m)));
-    frame.u32(static_cast<std::uint32_t>(body.bytes().size()));
-    std::string out = std::move(frame).take();
-    out += body.bytes();
+    store_le(out.data() + k_frame_header_size - 4, static_cast<std::uint32_t>(payload));
     return out;
 }
 
@@ -747,14 +807,7 @@ std::optional<std::string> frame_splitter::next() {
         return std::nullopt;
     }
     if (pending.size() < k_frame_header_size) return std::nullopt;
-    const auto u32_at = [&](std::size_t off) {
-        std::uint32_t v = 0;
-        for (std::size_t i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(static_cast<unsigned char>(pending[off + i]))
-                 << (8 * i);
-        return v;
-    };
-    const std::uint32_t payload_len = u32_at(10);
+    const std::uint32_t payload_len = load_le<std::uint32_t>(pending.data() + 10);
     if (payload_len > k_max_payload) {
         error_ = decode_error{error_code::oversized,
                               "declared payload length " + std::to_string(payload_len) +
@@ -775,13 +828,14 @@ std::optional<std::string> frame_splitter::next() {
 
 std::string make_frame(std::uint16_t tag, std::string_view payload, std::uint32_t version,
                        std::string_view magic) {
-    wire_writer frame;
-    for (const char c : magic) frame.u8(static_cast<std::uint8_t>(c));
-    frame.u32(version);
-    frame.u16(tag);
-    frame.u32(static_cast<std::uint32_t>(payload.size()));
-    std::string out = std::move(frame).take();
-    out.append(payload.data(), payload.size());
+    std::string out;
+    out.reserve(magic.size() + 10 + payload.size());
+    wire_writer w(out);
+    w.raw(magic);
+    w.u32(version);
+    w.u16(tag);
+    w.u32(static_cast<std::uint32_t>(payload.size()));
+    w.raw(payload);
     return out;
 }
 

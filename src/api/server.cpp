@@ -87,7 +87,8 @@ void server::session::handle(const request& req) {
                                               ? static_cast<std::size_t>(m.corpus_index)
                                               : svc.allocate_corpus_index();
                 std::optional<service::floor_service::job> job = st->srv->identify(
-                    m.b, index, m.no_cache, [st, corr](runtime::building_report report) {
+                    m.b, data::content_hash(m.b), index, m.no_cache,
+                    [st, corr](runtime::building_report report) {
                         st->emit(building_response{corr, std::move(report)});
                     });
                 if (job) st->jobs.remember(corr, std::move(*job));
@@ -206,6 +207,7 @@ void server::serve(std::istream& in, std::ostream& out) {
 }
 
 std::optional<service::floor_service::job> server::identify(const data::building& b,
+                                                            std::uint64_t content_hash,
                                                             std::size_t index, bool no_cache,
                                                             report_sink on_report) {
     obs::scoped_span span("api.identify");
@@ -214,7 +216,7 @@ std::optional<service::floor_service::job> server::identify(const data::building
         const clock::time_point start = clock::now();
         obs::scoped_span probe_span("api.cache_probe");
         const service::service_config& scfg = svc_->config();
-        key = cache_key{data::content_hash(b),
+        key = cache_key{content_hash,
                         core::config_fingerprint(runtime::effective_task_config(
                             scfg.pipeline, scfg.seed, index, svc_->num_workers() > 1))};
         if (std::optional<runtime::building_report> hit = cache_->lookup(*key)) {

@@ -162,12 +162,17 @@ public:
 
     /// The building path of every front-end: probe the result cache (unless
     /// \p no_cache) under the task's key, else submit \p b at corpus index
-    /// \p index and fill the cache when the run succeeds. \p on_report gets
-    /// the building's one report under the service's callback rules; on a
-    /// hit it runs inline, before `identify` returns no job. Spans
+    /// \p index and fill the cache when the run succeeds. The key is
+    /// (\p content_hash, the task's config fingerprint); \p content_hash
+    /// must be `data::content_hash(b)`, which the caller already holds (the
+    /// fleet hashes a building once per request, a resident building once
+    /// per load), so `identify` never walks the scans itself. \p on_report
+    /// gets the building's one report under the service's callback rules;
+    /// on a hit it runs inline, before `identify` returns no job. Spans
     /// `api.identify` and `api.cache_probe`.
     /// \throws whatever `floor_service::submit` throws (an injected crash).
     std::optional<service::floor_service::job> identify(const data::building& b,
+                                                        std::uint64_t content_hash,
                                                         std::size_t index, bool no_cache,
                                                         report_sink on_report);
 

@@ -4,9 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/parallel_policy.hpp"
-#include "util/thread_pool.hpp"
-
 namespace fisone::autodiff {
 
 namespace {
@@ -143,7 +140,7 @@ var tape::hadamard(var a, var b) {
 
 var tape::matmul(var a, var b) {
     matrix out = ws_.take(at(a).value.rows(), at(b).value.cols());
-    linalg::matmul_into(out, at(a).value, at(b).value, pool_);
+    linalg::matmul_into(out, at(a).value, at(b).value, nullptr);
     const bool rg = at(a).requires_grad || at(b).requires_grad;
     var v = push(std::move(out), rg, {});
     if (rg) {
@@ -151,13 +148,13 @@ var tape::matmul(var a, var b) {
             const matrix& g = nodes_[v.index].grad;
             if (nodes_[a.index].requires_grad) {
                 matrix t = ws_.take(g.rows(), nodes_[b.index].value.rows());
-                linalg::matmul_nt_into(t, g, nodes_[b.index].value, pool_, &ws_);
+                linalg::matmul_nt_into(t, g, nodes_[b.index].value, nullptr, &ws_);
                 grad_buffer(a.index) += t;
                 ws_.recycle(std::move(t));
             }
             if (nodes_[b.index].requires_grad) {
                 matrix t = ws_.take(nodes_[a.index].value.cols(), g.cols());
-                linalg::matmul_tn_into(t, nodes_[a.index].value, g, pool_);
+                linalg::matmul_tn_into(t, nodes_[a.index].value, g, nullptr);
                 grad_buffer(b.index) += t;
                 ws_.recycle(std::move(t));
             }
@@ -397,20 +394,12 @@ var tape::weighted_sum_rows(var a, const row_csr& op) {
         if (t.row >= av.rows())
             throw std::out_of_range("tape::weighted_sum_rows: index out of range");
     matrix out = ws_.take_zero(n, av.cols());
-    // Output rows are independent, so pooled aggregation is bit-exact; the
-    // backward scatter below stays serial (rows share source rows).
-    const std::size_t flops_per_row =
-        (op.terms.size() / std::max<std::size_t>(n, 1) + 1) * av.cols();
-    util::parallel_for(pool_, 0, n, linalg::parallel_policy::row_grain(flops_per_row),
-                       [&](std::size_t r0, std::size_t r1) {
-                           for (std::size_t i = r0; i < r1; ++i)
-                               for (std::size_t t = op.offsets[i]; t < op.offsets[i + 1]; ++t) {
-                                   const auto src = av.row(op.terms[t].row);
-                                   const double w = op.terms[t].weight;
-                                   for (std::size_t j = 0; j < av.cols(); ++j)
-                                       out(i, j) += w * src[j];
-                               }
-                       });
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t t = op.offsets[i]; t < op.offsets[i + 1]; ++t) {
+            const auto src = av.row(op.terms[t].row);
+            const double w = op.terms[t].weight;
+            for (std::size_t j = 0; j < av.cols(); ++j) out(i, j) += w * src[j];
+        }
     const bool rg = at(a).requires_grad;
     var v = push(std::move(out), rg, {});
     if (rg) {

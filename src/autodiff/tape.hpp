@@ -28,10 +28,6 @@
 #include "linalg/matrix.hpp"
 #include "linalg/workspace.hpp"
 
-namespace fisone::util {
-class thread_pool;
-}
-
 namespace fisone::autodiff {
 
 using linalg::matrix;
@@ -76,19 +72,13 @@ struct var {
 /// all. What a step still allocates is a fixed count per recorded op,
 /// never proportional to the data: each op's backprop closure, and the
 /// index vector a `gather_rows` takes by value. `weighted_sum_rows`
-/// borrows its CSR operator and allocates nothing for it. An optional
-/// thread pool parallelises the dense products (forward and backward) —
-/// pooled runs are bit-identical to serial ones (see matrix.hpp /
-/// kernels.hpp).
+/// borrows its CSR operator and allocates nothing for it. Every op runs
+/// serially.
 class tape {
 public:
     tape() = default;
-    explicit tape(util::thread_pool* pool) noexcept : pool_(pool) {}
     tape(const tape&) = delete;
     tape& operator=(const tape&) = delete;
-
-    /// Pool used by subsequently recorded operations (null = serial).
-    void set_pool(util::thread_pool* pool) noexcept { pool_ = pool; }
 
     /// Remove all nodes; handles from before the reset become invalid.
     /// Node storage (values and gradients) is recycled into the tape's
@@ -202,7 +192,6 @@ private:
     matrix& grad_buffer(std::size_t index);  ///< lazily allocate grad of node
 
     std::vector<node> nodes_;
-    util::thread_pool* pool_ = nullptr;
     linalg::workspace ws_;  ///< recycled storage for node values/grads
 };
 

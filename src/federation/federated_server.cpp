@@ -103,15 +103,19 @@ struct federated_server::routing {
 /// (resident mode pins served buildings in memory — that is its point:
 /// neither the wire nor the disk should gate the pipeline). A miss reads
 /// only the named building, through the stores' per-building reads of the
-/// effective view. Appends land through the ingest manager's own store
+/// effective view, and hashes it once: the entry is immutable, so every
+/// later read of the name reuses that content hash for routing and the
+/// backend cache key. Appends land through the ingest manager's own store
 /// handle, so the front-end reports each successful one here: the touched
-/// names leave the cache and the store's handle is reopened on the next
-/// miss, which resolves the post-append scans and any new names at their
-/// tail indices. Cached resolutions of untouched names stay.
+/// names leave the cache (their hashes with them) and the store's handle is
+/// reopened on the next miss, which resolves the post-append scans and any
+/// new names at their tail indices. Cached resolutions of untouched names
+/// stay.
 struct federated_server::resident_directory {
     struct hit {
         std::size_t global_index = 0;
         std::shared_ptr<const data::building> b;
+        std::uint64_t content_hash = 0;  ///< `data::content_hash(*b)`
     };
 
     explicit resident_directory(const store_registry& reg) {
@@ -143,8 +147,9 @@ struct federated_server::resident_directory {
             }
             std::optional<data::located_building> found = stores[s].read_effective(name);
             if (!found) continue;
+            const std::uint64_t hash = data::content_hash(found->b);
             hit h{offsets[s] + found->index,
-                  std::make_shared<const data::building>(std::move(found->b))};
+                  std::make_shared<const data::building>(std::move(found->b)), hash};
             cache.emplace(name, h);
             return h;
         }
@@ -174,9 +179,11 @@ namespace detail {
 struct attempt {
     std::uint64_t client_corr = 0;
     std::shared_ptr<const data::building> b;
+    /// `data::content_hash(*b)`, computed once: the router's affinity key
+    /// and the backend's cache key on every try.
+    std::uint64_t content_hash = 0;
     std::size_t index = 0;        ///< pinned: every retry reruns the same task
     bool no_cache = false;
-    std::uint64_t affinity = 0;
     std::size_t backend = 0;      ///< backend of the current dispatch
     std::size_t last_failed = 0;  ///< backend the previous try failed on (retries only)
     std::size_t tries = 0;        ///< dispatches so far
@@ -310,9 +317,9 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
     fleet_health& health = *st->health;
 
     std::shared_ptr<const data::building> b;
+    std::uint64_t content_hash = 0;
     std::size_t index = 0;
     bool no_cache = false;
-    std::uint64_t affinity = 0;
     std::size_t last_failed = 0;
     std::size_t tries = 0;
     obs::trace_context trace;
@@ -324,9 +331,9 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
         ++a.tries;
         tries = a.tries;
         b = a.b;
+        content_hash = a.content_hash;
         index = a.index;
         no_cache = a.no_cache;
-        affinity = a.affinity;
         last_failed = a.last_failed;
         trace = a.trace;
     }
@@ -334,14 +341,14 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
     std::size_t k = 0;
     if (tries == 1) {
         obs::scoped_span route_span("federation.route");
-        k = st->routing->route(affinity, st->probe());
+        k = st->routing->route(content_hash, st->probe());
     } else {
         // A retry runs on the watchdog, outside any span: record its route
         // under the submitter's trace rather than rooting a new one.
         const std::uint64_t start = obs::now_ns();
         std::vector<backend_probe> probes = st->probe();
         if (last_failed < probes.size()) probes[last_failed].broken = true;
-        k = st->routing->route(affinity, probes);
+        k = st->routing->route(content_hash, probes);
         const std::uint64_t now = obs::now_ns();
         obs::emit_child_span("federation.route", trace, start, now);
         health.count_retry();
@@ -413,7 +420,7 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
     };
     std::optional<service::floor_service::job> job;
     try {
-        job = st->backend(k).identify(*b, index, no_cache, std::move(on_report));
+        job = st->backend(k).identify(*b, content_hash, index, no_cache, std::move(on_report));
     } catch (const std::exception& e) {
         // Submit-time crash: no backend job exists, no report will come.
         health.on_failure(k);
@@ -521,16 +528,18 @@ void federated_server::expire_attempt(const std::shared_ptr<session::state>& st,
 
 /// Register a building request as a fresh attempt and dispatch it. The
 /// index is already pinned: the identity must survive failover — every
-/// retry reruns the SAME task. Affinity reads the building's content hash
-/// only when the policy routes on it (the hash walks every sample).
+/// retry reruns the SAME task. \p content_hash is the building's one hash
+/// for the whole request: a resident building brings the hash its directory
+/// entry computed at load; a client-supplied one passes nullopt and is
+/// hashed here.
 void federated_server::start_attempt(const std::shared_ptr<session::state>& st,
                                      std::uint64_t corr,
-                                     std::shared_ptr<const data::building> b, std::size_t index,
-                                     bool no_cache) {
-    const bool affine = st->routing->rt.policy() == routing_policy::content_hash_affinity;
+                                     std::shared_ptr<const data::building> b,
+                                     std::optional<std::uint64_t> content_hash,
+                                     std::size_t index, bool no_cache) {
     detail::attempt a;
     a.client_corr = corr;
-    a.affinity = affine ? data::content_hash(*b) : 0;
+    a.content_hash = content_hash ? *content_hash : data::content_hash(*b);
     a.b = std::move(b);
     a.index = index;
     a.no_cache = no_cache;
@@ -563,7 +572,7 @@ void federated_server::session::handle(const api::request& req) {
                     index = st->routing->allocate_index();
                 }
                 start_attempt(st, m.correlation_id, std::make_shared<const data::building>(m.b),
-                              index, m.no_cache);
+                              std::nullopt, index, m.no_cache);
             } else if constexpr (std::is_same_v<T, api::identify_shard_request>) {
                 obs::scoped_span span("federation.dispatch");
                 // Per-store confinement: only paths inside a mounted store
@@ -694,7 +703,8 @@ void federated_server::session::handle(const api::request& req) {
                 }
                 obs::scoped_span span("federation.dispatch");
                 st->routing->advance_index(hit->global_index + 1);
-                start_attempt(st, m.correlation_id, hit->b, hit->global_index, m.fresh);
+                start_attempt(st, m.correlation_id, hit->b, hit->content_hash, hit->global_index,
+                              m.fresh);
             } else if constexpr (std::is_same_v<T, api::subscribe_stats_request>) {
                 st->out->respond(api::error_response{
                     m.correlation_id, api::error_code::bad_request,

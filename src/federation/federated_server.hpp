@@ -43,12 +43,14 @@
 ///    in a mounted store; the front-end resolves the name through the
 ///    server-wide resident directory, which on a miss reads that one
 ///    building of the store's effective view (and its global corpus index)
-///    into an in-memory cache (span `federation.resident_load`). A
-///    successful append drops the names it touched, so they and new names
-///    resolve to the post-append scans. The request then dispatches as a
-///    pinned `identify_building` — so resident requests
+///    into an in-memory cache and hashes it once (span
+///    `federation.resident_load`). A successful append drops the names it
+///    touched, hashes included, so they and new names resolve to the
+///    post-append scans. The request then dispatches as a pinned
+///    `identify_building` carrying the cached hash — so resident requests
 ///    ride the exact routing/retry path client-supplied buildings do,
-///    with a few name bytes on the wire instead of the whole building.
+///    with a few name bytes on the wire instead of the whole building and
+///    no hashing on a cached read.
 ///    Unknown names and store-less fleets answer `bad_request`.
 ///  - `subscribe_stats` — answered `bad_request`: telemetry windows live at
 ///    the TCP front door (`net::tcp_server`, which serves this class
@@ -97,6 +99,7 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -230,7 +233,8 @@ private:
     struct resident_directory;
 
     static void start_attempt(const std::shared_ptr<session::state>& st, std::uint64_t corr,
-                              std::shared_ptr<const data::building> b, std::size_t index,
+                              std::shared_ptr<const data::building> b,
+                              std::optional<std::uint64_t> content_hash, std::size_t index,
                               bool no_cache);
     static void dispatch_attempt(const std::shared_ptr<session::state>& st,
                                  std::uint64_t attempt_id);

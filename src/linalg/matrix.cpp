@@ -40,11 +40,12 @@ void matmul_into(matrix& out, const matrix& a, const matrix& b, util::thread_poo
     const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
     out.resize_uninit(m, n);
     pool = parallel_policy::effective(pool, m * k * n);
+    const auto rows = [&](std::size_t r0, std::size_t r1) {
+        kernels::matmul_blocked(a.data(), b.data(), out.data(), m, k, n, r0, r1);
+    };
+    // One captured reference keeps the std::function allocation-free.
     util::parallel_for(pool, 0, m, parallel_policy::row_grain(k * n),
-                       [&](std::size_t r0, std::size_t r1) {
-                           kernels::matmul_blocked(a.data(), b.data(), out.data(), m, k, n, r0,
-                                                   r1);
-                       });
+                       [&rows](std::size_t r0, std::size_t r1) { rows(r0, r1); });
 }
 
 void matmul_nt_into(matrix& out, const matrix& a, const matrix& b, util::thread_pool* pool,
@@ -66,11 +67,12 @@ void matmul_tn_into(matrix& out, const matrix& a, const matrix& b, util::thread_
     const std::size_t m = a.cols(), k = a.rows(), n = b.cols();
     out.resize_uninit(m, n);
     pool = parallel_policy::effective(pool, m * k * n);
+    const auto rows = [&](std::size_t r0, std::size_t r1) {
+        kernels::matmul_tn_blocked(a.data(), b.data(), out.data(), m, k, n, r0, r1);
+    };
+    // One captured reference keeps the std::function allocation-free.
     util::parallel_for(pool, 0, m, parallel_policy::row_grain(k * n),
-                       [&](std::size_t r0, std::size_t r1) {
-                           kernels::matmul_tn_blocked(a.data(), b.data(), out.data(), m, k, n,
-                                                      r0, r1);
-                       });
+                       [&rows](std::size_t r0, std::size_t r1) { rows(r0, r1); });
 }
 
 matrix matmul(const matrix& a, const matrix& b, util::thread_pool* pool) {

@@ -27,6 +27,7 @@
 #include "runtime/task_executor.hpp"
 #include "service/ndjson_export.hpp"
 #include "sim/building_generator.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -514,6 +515,93 @@ TEST(codec, randomized_request_round_trip_property) {
     }
 }
 
+// --- codec: golden bytes ----------------------------------------------------
+
+/// FNV-1a over an encoded frame's bytes.
+std::uint64_t frame_digest(const std::string& frame) {
+    util::fnv1a64 h;
+    for (const char c : frame) h.byte(static_cast<std::uint8_t>(c));
+    return h.digest();
+}
+
+TEST(codec, golden_frame_bytes) {
+    // Round trips cannot see a byte-order slip made symmetrically by the
+    // encoder and the decoder; these digests pin the exact wire bytes. The
+    // inputs are built by plain arithmetic (no libm, no generator), so the
+    // digests depend on the codec alone.
+    runtime::building_report ok;
+    ok.index = 17;
+    ok.name = "golden-hall";
+    ok.ok = true;
+    ok.seed = 0x0123456789abcdefULL;
+    ok.seconds = 0.125;
+    ok.result.num_clusters = 4;
+    for (int i = 0; i < 300; ++i) {
+        ok.result.assignment.push_back(i % 4);
+        ok.result.predicted_floor.push_back((i * 7) % 5 - 1);
+    }
+    ok.result.cluster_to_floor = {2, 0, 3, 1};
+    ok.result.embeddings = linalg::matrix(300, 16);
+    for (std::size_t r = 0; r < 300; ++r)
+        for (std::size_t c = 0; c < 16; ++c)
+            ok.result.embeddings(r, c) =
+                (static_cast<double>(r) - 150.0) / 64.0 + static_cast<double>(c) * 1e-3;
+    ok.result.embeddings(7, 3) = -0.0;
+    ok.result.embeddings(299, 15) = 1e-300;
+    ok.result.has_ground_truth = true;
+    ok.result.ari = 0.75;
+    ok.result.nmi = 0.8125;
+    ok.result.edit_distance = 0.96875;
+    EXPECT_EQ(frame_digest(api::encode(api::response(api::building_response{21, ok}))),
+              0x1198b0b4b01d5b99ULL);
+
+    runtime::building_report failed;
+    failed.index = 3;
+    failed.name = "failed-hall";
+    failed.ok = false;
+    failed.error = "no labeled sample";
+    failed.seed = 42;
+    failed.result.embeddings = linalg::matrix(12, 0);
+    EXPECT_EQ(frame_digest(api::encode(api::response(api::building_response{22, failed}))),
+              0x4078edf2f00fec3eULL);
+
+    api::identify_building_request ib;
+    ib.correlation_id = 0x1122334455667788ULL;
+    ib.has_index = true;
+    ib.corpus_index = 9;
+    ib.b.name = "golden-scan";
+    ib.b.num_floors = 3;
+    ib.b.num_macs = 5;
+    ib.b.labeled_sample = 1;
+    ib.b.labeled_floor = -1;
+    for (std::uint32_t s = 0; s < 4; ++s) {
+        data::rf_sample smp;
+        smp.true_floor = static_cast<std::int32_t>(s % 3) - 1;
+        smp.device_id = 1000 + s;
+        for (std::uint32_t o = 0; o <= s; ++o)
+            smp.observations.push_back({o + s, -40.0 - 0.5 * static_cast<double>(o + 3 * s)});
+        ib.b.samples.push_back(std::move(smp));
+    }
+    EXPECT_EQ(frame_digest(api::encode(api::request(ib))), 0x1c0fa3eb87d5819bULL);
+
+    service::service_stats stats;
+    stats.jobs_submitted = 11;
+    stats.jobs_done = 10;
+    stats.buildings_ok = 9;
+    stats.buildings_failed = 1;
+    stats.latency_p50 = 0.0625;
+    stats.latency_p90 = 0.25;
+    stats.latency_p99 = 1.5;
+    stats.latency_count = 10;
+    stats.latency_sum = 3.375;
+    stats.latency_le = {1, 4, 9, 10};
+    stats.cache_hits = 6;
+    stats.cache_misses = 4;
+    stats.watch_subscribers = 2;
+    EXPECT_EQ(frame_digest(api::encode(api::response(api::stats_response{23, stats}))),
+              0xd6c4effa2aa74677ULL);
+}
+
 // --- codec: adversarial decode ----------------------------------------------
 
 TEST(codec, rejects_truncation_at_every_prefix_length) {
@@ -621,6 +709,16 @@ TEST(codec, hostile_counts_inside_payload_fail_cleanly) {
     const api::decode_result<api::request> decoded = api::decode_request(frame);
     ASSERT_TRUE(decoded.error.has_value());
     EXPECT_EQ(decoded.error->code, api::error_code::bad_payload);
+
+    // A stats_result whose histogram claims 2^32 - 1 bucket counts: the
+    // guard must fail it before reserving 32 GiB.
+    std::string stats(8 + 9 * 8 + 5 * 8, '\0');  // correlation id .. latency_sum
+    stats.append(4, '\xff');                     // hostile bucket count
+    stats.append(6 * 8, '\0');                   // the six counters after it
+    const api::decode_result<api::response> hostile_stats = api::decode_response(
+        api::make_frame(static_cast<std::uint16_t>(api::message_tag::stats_result), stats));
+    ASSERT_TRUE(hostile_stats.error.has_value());
+    EXPECT_EQ(hostile_stats.error->code, api::error_code::bad_payload);
 }
 
 TEST(codec, stream_reader_recovers_after_recoverable_frames) {

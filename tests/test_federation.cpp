@@ -1303,6 +1303,71 @@ TEST(live_ingestion, identify_resident_serves_post_append_scans_and_new_names) {
     }
 }
 
+TEST(live_ingestion, cached_resident_hash_leaves_with_an_append) {
+    // The resident directory keeps each building's content hash beside it
+    // and the backend cache keys on that hash, so a stale hash would serve
+    // a cached pre-append answer to a post-append read.
+    const std::string root = scratch_dir("ingest_cached_hash");
+    const data::corpus city = tiny_corpus(4);
+    const std::vector<std::string> dirs = split_into_stores(city, 1, root, 2);
+
+    federation::federation_config cfg;
+    cfg.service = fast_service_config(1);
+    cfg.num_backends = 2;
+    cfg.store_dirs = dirs;
+    federation::federated_server srv(cfg);
+    response_collector collected;
+    federation::federated_server::session s = srv.open(collected.sink());
+
+    // 1. Cache X (fed-1) and Y (fed-2) with non-fresh reads.
+    s.handle(api::request{api::identify_resident_request{10, "fed-1", false}});
+    s.handle(api::request{api::identify_resident_request{11, "fed-2", false}});
+    s.handle(api::flush_request{12});
+    ASSERT_EQ(collected.of<api::building_response>().size(), 2u);
+
+    // 2. Append scans to X with every backend held at the gate, so X's
+    // dirty re-run cannot fill the cache before the reads below.
+    srv.pause();
+    api::append_scans_request ap;
+    ap.correlation_id = 20;
+    ap.corpus_name = "fed-city-part-0";
+    ap.records = {fresh_scans_for(1, 6601)};
+    s.handle(api::request{std::move(ap)});
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (collected.of<api::append_response>().empty() &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_EQ(collected.of<api::append_response>().size(), 1u);
+
+    // 3. A non-fresh read of X misses the cache; 4. one of Y stays a hit
+    // (answered inline, even with the backends paused).
+    const std::size_t hits_before = srv.stats().cache_hits;
+    s.handle(api::request{api::identify_resident_request{30, "fed-1", false}});
+    s.handle(api::request{api::identify_resident_request{31, "fed-2", false}});
+    EXPECT_EQ(srv.stats().cache_hits, hits_before + 1);
+    srv.resume();
+    s.handle(api::flush_request{32});
+    s.finish();
+    ASSERT_TRUE(collected.of<api::error_response>().empty())
+        << collected.of<api::error_response>().front().message;
+
+    // X is bit-identical to the task over its post-append building; Y to
+    // the task over its untouched one.
+    const data::corpus effective = data::corpus_store::open(dirs[0]).load_all_effective();
+    ASSERT_EQ(effective.buildings.size(), 4u);
+    const std::vector<api::building_response> served = collected.of<api::building_response>();
+    for (const auto& [corr, index] : {std::pair<std::uint64_t, std::size_t>{30, 1}, {31, 2}}) {
+        const auto it = std::find_if(served.begin(), served.end(), [c = corr](const auto& b) {
+            return b.correlation_id == c;
+        });
+        ASSERT_NE(it, served.end()) << "no answer for " << corr;
+        expect_bit_identical(it->report,
+                             runtime::run_building_task(fast_pipeline(), 4242, index,
+                                                        effective.buildings[index], false),
+                             effective.buildings[index].name);
+    }
+}
+
 TEST(live_ingestion, crash_mid_append_leaves_manifest_intact_for_warm_restart) {
 #ifdef FISONE_TSAN
     GTEST_SKIP() << "fork-based death test; the CI ingestion chaos smoke "
