@@ -339,6 +339,102 @@ TEST(TcpServer, CancelUnknownTargetAnsweredLocally) {
     EXPECT_FALSE(c->accepted);
 }
 
+/// Poll \p pred for up to 60 s: the front door updates its counters just
+/// after it buffers the answer they describe.
+template <typename Pred>
+bool eventually(Pred pred) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!pred()) {
+        if (std::chrono::steady_clock::now() >= deadline) return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return true;
+}
+
+/// Request conservation: every admitted request retired, none in flight.
+void expect_conserved(net::tcp_server& front) {
+    EXPECT_TRUE(eventually([&front] {
+        const net::tcp_server_stats s = front.stats();
+        return s.requests_admitted == s.requests_completed && s.requests_in_flight == 0;
+    }));
+    const net::tcp_server_stats s = front.stats();
+    EXPECT_EQ(s.requests_admitted, s.requests_completed);
+    EXPECT_EQ(s.requests_in_flight, 0u);
+}
+
+TEST(TcpServer, LiveCancelTargetsTheClientsOwnId) {
+    test_front tf(net::tcp_server_config{}, /*paused=*/true);  // the job stays queued
+    net::frame_conn conn("127.0.0.1", tf.port());
+    conn.send(identify_frame(7, 0, 0));
+    conn.send(api::encode(api::request(api::cancel_job_request{8, 7})));
+    // The cancel's answer and the cancelled request's one terminal frame
+    // may arrive in either order.
+    std::optional<api::cancel_response> cancel;
+    std::vector<api::response> terminal;
+    while (!cancel || terminal.empty()) {
+        const std::optional<std::string> reply = conn.read_frame();
+        ASSERT_TRUE(reply.has_value());
+        const api::response resp = decode_one(*reply);
+        if (const auto* c = std::get_if<api::cancel_response>(&resp))
+            cancel = *c;
+        else
+            terminal.push_back(resp);
+        if (cancel) tf.fleet().resume();
+    }
+    EXPECT_EQ(cancel->correlation_id, 8u);
+    EXPECT_EQ(cancel->target_correlation_id, 7u);
+    EXPECT_TRUE(cancel->accepted);
+    ASSERT_EQ(terminal.size(), 1u);
+    EXPECT_TRUE(std::holds_alternative<api::building_response>(terminal[0]) ||
+                std::holds_alternative<api::error_response>(terminal[0]));
+    EXPECT_EQ(api::correlation_id(terminal[0]), 7u);
+    conn.shutdown_write();
+    EXPECT_FALSE(conn.read_frame().has_value());
+    expect_conserved(tf.front());
+    EXPECT_EQ(tf.front().stats().requests_admitted, 1u);
+}
+
+TEST(TcpServer, ShardResultsCarryTheClientIdAndRetireOneAdmission) {
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / "fisone_test_net_shard").string();
+    std::filesystem::remove_all(dir);
+    constexpr std::size_t n = 3;
+    data::corpus corpus;
+    corpus.name = "net-shard";
+    for (std::size_t i = 0; i < n; ++i) corpus.buildings.push_back(tiny_building(i));
+    static_cast<void>(data::write_corpus_store(corpus, dir, n));  // one shard of n
+    const service::shard_ref ref = service::make_shard_ref(data::corpus_store::open(dir), 0);
+    ASSERT_EQ(ref.num_buildings, n);
+    {
+        federation::federation_config fcfg;
+        fcfg.service = service::quick_profile(11, 1);
+        fcfg.num_backends = 2;
+        fcfg.store_dirs = {dir};
+        federation::federated_server fed(fcfg);
+        net::tcp_server front(fed);
+        std::thread loop([&front] { front.run(); });
+
+        net::frame_conn conn("127.0.0.1", front.port());
+        conn.send(api::encode(api::request(api::identify_shard_request{5, ref})));
+        conn.shutdown_write();
+        std::vector<std::string> names;
+        while (const std::optional<std::string> reply = conn.read_frame()) {
+            const api::response resp = decode_one(*reply);
+            const auto* b = std::get_if<api::building_response>(&resp);
+            ASSERT_NE(b, nullptr);
+            EXPECT_EQ(b->correlation_id, 5u);
+            EXPECT_TRUE(b->report.ok) << b->report.error;
+            names.push_back(b->report.name);
+        }
+        EXPECT_EQ(names.size(), n);
+        expect_conserved(front);
+        EXPECT_EQ(front.stats().requests_admitted, 1u);
+        front.drain();
+        loop.join();
+    }
+    std::filesystem::remove_all(dir);
+}
+
 TEST(TcpServer, FlushOnIdleConnectionAnswersImmediately) {
     test_front tf;
     net::frame_conn conn("127.0.0.1", tf.port());
