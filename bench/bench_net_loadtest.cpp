@@ -2,8 +2,8 @@
 /// Open-loop load test of the network front door, and the proof that the
 /// TCP path changes nothing: many concurrent connections blast
 /// `identify_building` frames at a `net::tcp_server` (each connection
-/// deliberately reusing correlation ids 1..k, so the per-connection id
-/// remap is on the hot path), per-request wall latency is recorded
+/// deliberately reusing correlation ids 1..k, so per-connection id
+/// spaces are on the hot path), per-request wall latency is recorded
 /// client-side, and at the end the merged input-order NDJSON re-export is
 /// compared **byte for byte** against an in-process loopback run of the
 /// same corpus. Then an overload phase pauses the fleet, blasts

@@ -53,14 +53,6 @@ message_tag tag_of(const request& r) noexcept {
     return std::visit(visitor{}, r);
 }
 
-void set_correlation_id(request& r, std::uint64_t id) noexcept {
-    std::visit([id](auto& m) { m.correlation_id = id; }, r);
-}
-
-void set_correlation_id(response& r, std::uint64_t id) noexcept {
-    std::visit([id](auto& m) { m.correlation_id = id; }, r);
-}
-
 message_tag tag_of(const response& r) noexcept {
     struct visitor {
         message_tag operator()(const building_response&) const {

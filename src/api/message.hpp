@@ -293,16 +293,4 @@ using response = std::variant<building_response, stats_response, cancel_response
 [[nodiscard]] message_tag tag_of(const request& r) noexcept;
 [[nodiscard]] message_tag tag_of(const response& r) noexcept;
 
-/// Rewrite the correlation id in place — the primitive a multiplexing
-/// front-end (e.g. `net::tcp_server`) uses to give every connection its own
-/// id space: client ids are remapped to globally unique internal ids before
-/// a shared backend sees them, and mapped back on the way out. Note that
-/// `cancel_job_request::target_correlation_id` / `cancel_response::
-/// target_correlation_id` are NOT touched: the *target* lives in the same
-/// per-connection namespace and the front-end remaps it through its own
-/// table (an unknown target must become a local `accepted = false`, not a
-/// forwarded id).
-void set_correlation_id(request& r, std::uint64_t id) noexcept;
-void set_correlation_id(response& r, std::uint64_t id) noexcept;
-
 }  // namespace fisone::api

@@ -228,18 +228,19 @@ struct attempt_tracker {
 /// while they are in flight, and pointing them at the session state instead
 /// would cycle session → job table → job → callback → session.
 struct emitter {
-    federated_server::frame_sink sink;
+    federated_server::response_sink sink;
     std::mutex m;  ///< serialises sink calls across every backend's workers
     bool broken = false;
 
-    /// Encode one response and hand it to the sink. A sink that throws
-    /// marks the transport broken; later frames are dropped silently.
+    /// Encode one response and hand it, with its frame, to the sink. A
+    /// sink that throws marks the transport broken; later responses are
+    /// dropped silently.
     void respond(const api::response& resp) {
         const std::string frame = api::encode(resp);
         const std::lock_guard<std::mutex> lock(m);
         if (broken) return;
         try {
-            sink(frame);
+            sink(resp, frame);
         } catch (...) {
             broken = true;
         }
@@ -530,8 +531,8 @@ void federated_server::expire_attempt(const std::shared_ptr<session::state>& st,
 /// index is already pinned: the identity must survive failover — every
 /// retry reruns the SAME task. \p content_hash is the building's one hash
 /// for the whole request: a resident building brings the hash its directory
-/// entry computed at load; a client-supplied one passes nullopt and is
-/// hashed here.
+/// entry computed at load, an ingest re-run the hash its dirty check
+/// computed; a client-supplied one passes nullopt and is hashed here.
 void federated_server::start_attempt(const std::shared_ptr<session::state>& st,
                                      std::uint64_t corr,
                                      std::shared_ptr<const data::building> b,
@@ -810,26 +811,25 @@ federated_server::federated_server(federation_config cfg) : cfg_(std::move(cfg))
         // that owns the manager. The bridge breaks the remaining knot: the
         // session's sink needs the manager, the manager needs the session.
         auto bridge = std::make_shared<std::weak_ptr<ingest::ingest_manager>>();
-        session internal = open([bridge](std::string_view frame) {
+        const session internal = open([bridge](const api::response& resp, std::string_view) {
             const std::shared_ptr<ingest::ingest_manager> mgr = bridge->lock();
             if (!mgr) return;
-            const api::decode_result<api::response> d = api::decode_response(frame);
-            if (!d.value) return;
-            if (const auto* br = std::get_if<api::building_response>(&*d.value))
+            if (const auto* br = std::get_if<api::building_response>(&resp))
                 mgr->on_reindex_result(br->correlation_id, &br->report);
-            else if (const auto* er = std::get_if<api::error_response>(&*d.value))
+            else if (const auto* er = std::get_if<api::error_response>(&resp))
                 mgr->on_reindex_result(er->correlation_id, nullptr);
         });
         std::shared_ptr<watch_registry> watches = watches_;
         ingest_ = std::make_shared<ingest::ingest_manager>(
             std::move(bindings),
-            [internal](std::uint64_t corr, std::size_t index, data::building b) mutable {
-                api::identify_building_request req;
-                req.correlation_id = corr;
-                req.has_index = true;
-                req.corpus_index = index;
-                req.b = std::move(b);
-                internal.handle(api::request{std::move(req)});
+            // A re-run takes the pinned path resident requests take, with
+            // the hash the dirty check already computed.
+            [st = internal.state_](std::uint64_t corr, std::size_t index, data::building b,
+                                   std::uint64_t content_hash) {
+                obs::scoped_span span("federation.dispatch");
+                st->routing->advance_index(index + 1);
+                start_attempt(st, corr, std::make_shared<const data::building>(std::move(b)),
+                              content_hash, index, /*no_cache=*/false);
             },
             [watches](const std::string& name, std::uint64_t version,
                       const runtime::building_report& report) {
@@ -851,6 +851,12 @@ federated_server::~federated_server() {
 }
 
 federated_server::session federated_server::open(frame_sink sink) {
+    return open([sink = std::move(sink)](const api::response&, std::string_view frame) {
+        sink(frame);
+    });
+}
+
+federated_server::session federated_server::open(response_sink sink) {
     auto st = std::make_shared<session::state>();
     st->out = std::make_shared<detail::emitter>();
     st->out->sink = std::move(sink);

@@ -94,6 +94,32 @@
 /// A fleet with no armed `fault_plan` and no `request_timeout` never
 /// retries: nothing produces a transient failure or a crash, and no
 /// deadline is armed, so every try is the first and only one.
+///
+/// **Threads and lifetimes** (the rule every response sink lives by):
+///  - *Who runs a sink.* A session's sink is called on backend worker
+///    threads (job reports), on the `fleet_health` watchdog (retries,
+///    deadline expiries and the typed errors they end in), on the ingest
+///    worker (append acks) and inline on the thread calling `handle`
+///    (cache hits, stats, cancel and watch answers, refusals — the event
+///    loop for `net::tcp_server`). Calls are serialised per session by its
+///    emitter; a sink must not block and must not re-enter its session.
+///  - *What a sink may own.* The sink lives in the session's emitter, which
+///    backend jobs' callbacks, append acks and watch entries share, so it
+///    can outlive the session handle and its transport. It owns what it
+///    touches by `shared_ptr` — the TCP front door's sink owns the
+///    server's `core` and the connection's `conn`, and drops frames once
+///    the connection is closed — and holds no raw reference to a
+///    transport. Callbacks hold the session state only weakly (the state
+///    owns the jobs that own them); the emitter is shared, never the
+///    session.
+///  - *Who joins which thread.* The destructor destroys `ingest_` first
+///    (it joins the ingest worker after its queued appends land and its
+///    re-runs are answered, while the backends can still answer them),
+///    then the backends drain (each waits out its in-flight jobs and joins
+///    its workers), then `health_->stop()` joins the watchdog. A transport
+///    over the fleet stops first: the fleet outlives `tcp_server::run()`,
+///    and the sinks that fire during its teardown land in the shared
+///    `core` and `conn`.
 
 #include <cstdint>
 #include <functional>
@@ -157,6 +183,10 @@ struct federation_config {
 class federated_server {
 public:
     using frame_sink = api::server::frame_sink;
+    /// Receives each response both typed and encoded (the frame is
+    /// `api::encode(resp)`), so a transport forwards the bytes and reads
+    /// the id and kind off the message, never off the bytes.
+    using response_sink = std::function<void(const api::response& resp, std::string_view frame)>;
 
     /// One client connection over the fleet: a correlation-id namespace
     /// spanning every backend, plus the response channel. Cheap handle;
@@ -198,6 +228,8 @@ public:
     federated_server& operator=(const federated_server&) = delete;
 
     /// Open an in-process loopback session over the fleet.
+    [[nodiscard]] session open(response_sink sink);
+    /// The same, for a sink that wants only the encoded frames.
     [[nodiscard]] session open(frame_sink sink);
 
     /// Serve one framed connection (same loop as `api::server::serve`):

@@ -138,7 +138,8 @@ std::vector<ingest_manager::dirty_item> ingest_manager::reindex(
         const auto [it, fresh] = ss.hashes.try_emplace(name, hash);
         if (!fresh && it->second == hash) continue;
         it->second = hash;
-        dirty.push_back(dirty_item{name, binding.base_offset + found->index, std::move(found->b)});
+        dirty.push_back(
+            dirty_item{name, binding.base_offset + found->index, std::move(found->b), hash});
     }
     // Re-runs go out in corpus order, whatever order the batch named them.
     std::sort(dirty.begin(), dirty.end(),
@@ -201,7 +202,7 @@ void ingest_manager::process(op& item) {
                 pending_.emplace(corr, pending_run{d.name, outcome.version});
             }
             try {
-                submit_(corr, d.index, std::move(d.b));
+                submit_(corr, d.index, std::move(d.b), d.content_hash);
             } catch (...) {
                 // Submission never left the front-end; nothing will answer.
                 const std::lock_guard<std::mutex> lock(mutex_);

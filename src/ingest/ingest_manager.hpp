@@ -22,11 +22,12 @@
 ///      durable and the dirty count known, while the re-runs follow
 ///      asynchronously (barrier: `flush`).
 ///   4. **Re-serve** (`ingest.reindex` span) — each dirty building is
-///      resubmitted as a pinned `identify_building` at its unchanged global
-///      corpus index through the owning server's internal session, so the
-///      re-runs ride the same retry/failover/deadline machinery as client
-///      work and leave the backend result caches warm with the post-append
-///      bits. Clean buildings are untouched — they keep serving from cache.
+///      resubmitted, pinned at its unchanged global corpus index and with
+///      the hash step 2 computed, through the owning server's internal
+///      session, so the re-runs ride the same retry/failover/deadline
+///      machinery as client work and leave the backend result caches warm
+///      with the post-append bits. Clean buildings are untouched — they
+///      keep serving from cache.
 ///   5. **Push** — every completed re-run is handed to the publish hook
 ///      (the federation `watch_registry`), which fans it out to standing
 ///      `watch` subscriptions.
@@ -85,12 +86,13 @@ struct append_ack {
 
 class ingest_manager {
 public:
-    /// Resubmit one dirty building: a pinned `identify_building` at global
-    /// index \p index under correlation id \p corr; the eventual
+    /// Resubmit one dirty building: a pinned identification at global
+    /// index \p index under correlation id \p corr, with the
+    /// `data::content_hash` the dirty check already computed; the eventual
     /// `building_response` (or typed error) must come back through
     /// `on_reindex_result`.
-    using reindex_submit =
-        std::function<void(std::uint64_t corr, std::size_t index, data::building b)>;
+    using reindex_submit = std::function<void(std::uint64_t corr, std::size_t index,
+                                              data::building b, std::uint64_t content_hash)>;
 
     /// Fan one completed re-identification out to subscribers.
     using publish_fn = std::function<void(const std::string& name, std::uint64_t version,
@@ -151,6 +153,7 @@ private:
         std::string name;
         std::size_t index = 0;
         data::building b;
+        std::uint64_t content_hash = 0;  ///< `data::content_hash(b)`
     };
 
     struct pending_run {

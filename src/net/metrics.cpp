@@ -162,7 +162,7 @@ std::string render_metrics(const tcp_server_stats& net, const service::service_s
     p.counter("fisone_net_telemetry_ticks_total", "telemetry windows closed so far",
               static_cast<double>(net.telemetry_ticks));
     p.counter("fisone_net_protocol_errors_total",
-              "typed error responses for framing or decode failures",
+              "typed error responses for framing or decode failures and duplicate live ids",
               d(net.protocol_errors));
     p.counter("fisone_net_bytes_received_total", "bytes read off accepted sockets",
               d(net.bytes_received));

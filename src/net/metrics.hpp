@@ -47,7 +47,10 @@ struct tcp_server_stats {
     std::size_t stats_pushes_sent = 0;
     /// Live `subscribe_stats` streams across all connections (gauge).
     std::size_t stats_subscribers = 0;
-    std::size_t protocol_errors = 0;   ///< typed error_responses for framing/decoding
+    /// Typed error_responses for framing or decode failures, and for a
+    /// job request refused because its correlation id is already in
+    /// flight on its connection (never admitted).
+    std::size_t protocol_errors = 0;
     std::size_t requests_admitted = 0; ///< jobs forwarded to the backend
     std::size_t requests_completed = 0;
     std::size_t requests_in_flight = 0;     ///< admitted - completed (gauge)

@@ -31,30 +31,6 @@ namespace {
 
 using clock_type = std::chrono::steady_clock;
 
-// Response-frame layout offsets (see api/codec.hpp): every response
-// payload begins with its u64 correlation id, so a multiplexer can remap
-// ids with an 8-byte patch instead of a decode/re-encode round trip.
-constexpr std::size_t k_off_tag = 8;
-constexpr std::size_t k_off_corr = api::k_frame_header_size;       // 14
-constexpr std::size_t k_off_cancel_target = k_off_corr + 8;        // 22
-
-std::uint16_t rd_u16(std::string_view b, std::size_t off) {
-    return static_cast<std::uint16_t>(static_cast<unsigned char>(b[off]) |
-                                      (static_cast<unsigned char>(b[off + 1]) << 8));
-}
-
-std::uint64_t rd_u64(std::string_view b, std::size_t off) {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[off + i])) << (8 * i);
-    return v;
-}
-
-void patch_u64(std::string& b, std::size_t off, std::uint64_t v) {
-    for (std::size_t i = 0; i < 8; ++i)
-        b[off + i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
 [[noreturn]] void throw_errno(const char* what) {
     throw std::system_error(errno, std::generic_category(), what);
 }
@@ -68,6 +44,22 @@ struct request_finish {
     obs::trace_context trace{};   ///< the request's root span ({0,0} untraced)
     std::uint64_t start_ns = 0;   ///< admission time on the span clock
 };
+
+/// How many answers retire \p req if it is a job request — one per
+/// building of a shard, one for every other job — or nullopt if it is not
+/// a job. Jobs pass admission and are tracked until retired; resident
+/// identification counts as one, so it sheds at the same bound (the
+/// capacity bench leans on that parity), and so do appends, so drain
+/// waits for their durability.
+std::optional<std::size_t> job_answers(const api::request& req) {
+    if (const auto* shard = std::get_if<api::identify_shard_request>(&req))
+        return shard->ref.num_buildings;
+    if (std::holds_alternative<api::identify_building_request>(req) ||
+        std::holds_alternative<api::identify_resident_request>(req) ||
+        std::holds_alternative<api::append_scans_request>(req))
+        return 1;
+    return std::nullopt;
+}
 
 // Telemetry-window column order, fixed by the registration sequence in
 // core's constructor (registry windows carry parallel value vectors, not
@@ -95,7 +87,6 @@ struct tcp_server::core {
     obs::telemetry_registry registry;
     std::atomic<bool> draining{false};
     std::atomic<bool> stopping{false};
-    std::atomic<std::uint64_t> next_internal{1};
     socket_fd wake_fd;
     const clock_type::time_point started = clock_type::now();  ///< uptime epoch
     /// Slow-request log settings, copied from the config at construction
@@ -134,9 +125,9 @@ struct tcp_server::core {
         [[maybe_unused]] const ssize_t r = ::write(wake_fd.get(), &one, sizeof one);
     }
 
-    static void on_response_frame(const std::shared_ptr<core>& co,
-                                  const std::shared_ptr<conn>& c, std::size_t max_wbuf,
-                                  std::string_view frame);
+    static void on_response(const std::shared_ptr<core>& co, const std::shared_ptr<conn>& c,
+                            std::size_t max_wbuf, const api::response& resp,
+                            std::string_view frame);
 
     /// Post-completion work that must run outside every lock: close the
     /// request's root span and emit the slow-request log line.
@@ -179,30 +170,24 @@ struct tcp_server::conn {
     std::size_t woff = 0;  ///< flushed prefix of wbuf
 
     struct pending {
-        std::uint64_t client_id = 0;
         std::size_t remaining = 0;  ///< building responses still expected
         clock_type::time_point start;
         obs::trace_context trace{};  ///< request root span ({0,0} untraced)
         std::uint64_t start_ns = 0;  ///< admission time on the span clock
     };
-    std::unordered_map<std::uint64_t, pending> inflight;         ///< internal id →
-    std::unordered_map<std::uint64_t, std::uint64_t> by_client;  ///< client id → internal
-    /// Internal target id → client target id, for rewriting
-    /// `cancel_response::target_correlation_id` on the way out.
-    std::unordered_map<std::uint64_t, std::uint64_t> cancel_rewrites;
+    /// Admitted job requests by the client's correlation id (unique among
+    /// live requests: `admit` refuses a duplicate).
+    std::unordered_map<std::uint64_t, pending> inflight;
     struct flush_barrier {
         std::uint64_t corr = 0;
-        std::unordered_set<std::uint64_t> waiting;  ///< internal ids
+        std::unordered_set<std::uint64_t> waiting;  ///< client ids
     };
     std::vector<flush_barrier> flushes;  ///< FIFO
 
-    /// Append one response frame to the write buffer (patching \p
-    /// patch_corr over the correlation id when set). Returns false when
+    /// Append one response frame to the write buffer. Returns false when
     /// the frame was dropped: connection torn down, already shedding, or
     /// this frame tripped the bound and engaged shedding.
-    bool append_locked(std::string_view frame, std::size_t max_wbuf,
-                       const std::uint64_t* patch_corr = nullptr,
-                       const std::uint64_t* patch_target = nullptr) {
+    bool append_locked(std::string_view frame, std::size_t max_wbuf) {
         if (closed || overflowed) return false;
         if (wbuf.size() - woff + frame.size() > max_wbuf) {
             overflowed = true;
@@ -212,31 +197,25 @@ struct tcp_server::conn {
             wbuf.erase(0, woff);
             woff = 0;
         }
-        const std::size_t at = wbuf.size();
         wbuf.append(frame.data(), frame.size());
-        if (patch_corr) patch_u64(wbuf, at + k_off_corr, *patch_corr);
-        if (patch_target) patch_u64(wbuf, at + k_off_cancel_target, *patch_target);
         return true;
     }
 
-    /// Retire the in-flight entry of \p internal: drop the id maps, update
-    /// flush barriers (appending any now-satisfied flush_response frames),
-    /// and hand back the latency sample plus what the lock-free completion
-    /// path needs (trace context, admission time). Call with `m` held.
-    request_finish finish_locked(std::uint64_t internal, std::size_t max_wbuf,
-                                 std::size_t& sent, std::size_t& dropped) {
-        const auto it = inflight.find(internal);
+    /// Retire the in-flight entry of \p corr: update flush barriers
+    /// (appending any now-satisfied flush_response frames), and hand back
+    /// the latency sample plus what the lock-free completion path needs
+    /// (trace context, admission time). Call with `m` held.
+    request_finish finish_locked(std::uint64_t corr, std::size_t max_wbuf, std::size_t& sent,
+                                 std::size_t& dropped) {
+        const auto it = inflight.find(corr);
         request_finish fi;
         fi.seconds = std::chrono::duration<double>(clock_type::now() - it->second.start).count();
-        fi.client_id = it->second.client_id;
+        fi.client_id = corr;
         fi.trace = it->second.trace;
         fi.start_ns = it->second.start_ns;
-        const std::uint64_t client_id = it->second.client_id;
         inflight.erase(it);
-        const auto bc = by_client.find(client_id);
-        if (bc != by_client.end() && bc->second == internal) by_client.erase(bc);
         for (auto fit = flushes.begin(); fit != flushes.end();) {
-            fit->waiting.erase(internal);
+            fit->waiting.erase(corr);
             if (fit->waiting.empty()) {
                 const std::string frame =
                     api::encode(api::response(api::flush_response{fit->corr}));
@@ -251,92 +230,42 @@ struct tcp_server::conn {
 };
 
 /// The response sink installed on each connection's fleet session. Runs
-/// on backend worker threads (and inline on the loop thread for
-/// synchronous answers); touches only `conn` shared state and `core`.
-void tcp_server::core::on_response_frame(const std::shared_ptr<core>& co,
-                                         const std::shared_ptr<conn>& c,
-                                         std::size_t max_wbuf, std::string_view frame) {
-    // Frames come from our own backend's encoder — always one complete,
-    // well-formed response frame per call. Anything shorter than a header
-    // plus a correlation id cannot be ours; drop it defensively.
-    if (frame.size() < k_off_corr + 8) return;
+/// on the threads the fleet's lifetime rule names (`federated_server.hpp`:
+/// backend workers, the watchdog, the ingest worker, and inline on the
+/// loop thread); touches only `conn` shared state and `core`. Every answer
+/// carries the client's own correlation id.
+void tcp_server::core::on_response(const std::shared_ptr<core>& co,
+                                   const std::shared_ptr<conn>& c, std::size_t max_wbuf,
+                                   const api::response& resp, std::string_view frame) {
     // Runs under the worker's trace context (installed at job pickup), so
     // the respond span lands inside the request tree it answers.
     obs::scoped_span span("net.respond");
-    const std::uint16_t tag = rd_u16(frame, k_off_tag);
-    const std::uint64_t wire_corr = rd_u64(frame, k_off_corr);
+    const std::uint64_t corr = api::correlation_id(resp);
+    // A building result counts its request down (a shard expects one per
+    // building); a typed error or an append result ends it whatever the
+    // count. A push answers no request; stats, cancel, flush and watch
+    // answers pass through.
+    const bool counts_down = std::holds_alternative<api::building_response>(resp);
+    const bool ends = std::holds_alternative<api::error_response>(resp) ||
+                      std::holds_alternative<api::append_response>(resp);
+    const bool is_push = std::holds_alternative<api::push_response>(resp);
 
     std::size_t sent = 0, dropped = 0, completed = 0;
     request_finish fi;
     bool have_sample = false;
-    bool is_push = false;
     {
         const std::lock_guard<std::mutex> lock(c->m);
-        const std::uint64_t* patch = nullptr;
-        std::uint64_t client_corr = 0;
-        std::uint64_t client_target = 0;
-        const std::uint64_t* patch_target = nullptr;
         bool completes = false;
-
-        switch (static_cast<api::message_tag>(tag)) {
-            case api::message_tag::building_result: {
-                const auto it = c->inflight.find(wire_corr);
-                if (it != c->inflight.end()) {
-                    client_corr = it->second.client_id;
-                    patch = &client_corr;
-                    completes = it->second.remaining <= 1;
-                    if (!completes) --it->second.remaining;
-                }
-                break;
+        if (counts_down || ends) {
+            const auto it = c->inflight.find(corr);
+            if (it != c->inflight.end()) {
+                completes = ends || it->second.remaining <= 1;
+                if (!completes) --it->second.remaining;
             }
-            case api::message_tag::error: {
-                // A typed backend failure (e.g. shard-path confinement)
-                // terminates its request whatever the remaining count was.
-                const auto it = c->inflight.find(wire_corr);
-                if (it != c->inflight.end()) {
-                    client_corr = it->second.client_id;
-                    patch = &client_corr;
-                    completes = true;
-                }
-                break;
-            }
-            case api::message_tag::append_result: {
-                // One answer per append_scans request, like an error frame:
-                // it terminates the request whatever the remaining count.
-                const auto it = c->inflight.find(wire_corr);
-                if (it != c->inflight.end()) {
-                    client_corr = it->second.client_id;
-                    patch = &client_corr;
-                    completes = true;
-                }
-                break;
-            }
-            case api::message_tag::cancel_result: {
-                if (frame.size() >= k_off_cancel_target + 8) {
-                    const std::uint64_t internal_target =
-                        rd_u64(frame, k_off_cancel_target);
-                    const auto it = c->cancel_rewrites.find(internal_target);
-                    if (it != c->cancel_rewrites.end()) {
-                        client_target = it->second;
-                        patch_target = &client_target;
-                        c->cancel_rewrites.erase(it);
-                    }
-                }
-                break;
-            }
-            case api::message_tag::push_update:
-                // Server-initiated: answers no in-flight request, carries
-                // the client's own watch correlation id already (watch
-                // requests pass through unmapped) — forward verbatim.
-                is_push = true;
-                break;
-            default:
-                break;  // stats_result / flush_done / watch_ack pass through unchanged
         }
-
-        (c->append_locked(frame, max_wbuf, patch, patch_target) ? sent : dropped) += 1;
+        (c->append_locked(frame, max_wbuf) ? sent : dropped) += 1;
         if (completes) {
-            fi = c->finish_locked(wire_corr, max_wbuf, sent, dropped);
+            fi = c->finish_locked(corr, max_wbuf, sent, dropped);
             have_sample = true;
             completed = 1;
         }
@@ -471,8 +400,8 @@ struct tcp_server::loop {
             const std::shared_ptr<core> core_sp = srv.core_;
             const std::size_t max_wbuf = srv.cfg_.max_write_buffer;
             federation::federated_server::session session = srv.fleet_.open(
-                [core_sp, c, max_wbuf](std::string_view frame) {
-                    core::on_response_frame(core_sp, c, max_wbuf, frame);
+                [core_sp, c, max_wbuf](const api::response& resp, std::string_view frame) {
+                    core::on_response(core_sp, c, max_wbuf, resp, frame);
                 });
             add(fd, EPOLLIN);
             c->events = EPOLLIN;
@@ -563,9 +492,26 @@ struct tcp_server::loop {
 
     // --- dispatch ------------------------------------------------------------
 
-    /// Admission gate for job requests. Sheds (with the right typed code)
-    /// when draining or at the in-flight bound.
+    /// Admission gate for job requests. An id already live on this
+    /// connection is refused as a protocol error: its answers could not be
+    /// told apart from the first request's. Otherwise sheds (with the right
+    /// typed code) when draining or at the in-flight bound.
     bool admit(conn& c, std::uint64_t corr) {
+        bool live = false;
+        {
+            const std::lock_guard<std::mutex> lock(c.m);
+            live = c.inflight.count(corr) != 0;
+        }
+        if (live) {
+            {
+                const std::lock_guard<std::mutex> lock(co().m);
+                ++co().counters.protocol_errors;
+            }
+            emit_local(c, api::error_response{corr, api::error_code::bad_request,
+                                              "correlation id " + std::to_string(corr) +
+                                                  " is already in flight on this connection"});
+            return false;
+        }
         api::error_code shed = api::error_code::none;
         {
             const std::lock_guard<std::mutex> lock(co().m);
@@ -589,11 +535,11 @@ struct tcp_server::loop {
         return false;
     }
 
-    /// Forward one admitted job request under a fresh internal id.
-    void forward_job(open_conn& oc, api::request req, std::uint64_t corr,
+    /// Forward one admitted job request under the client's own id: the
+    /// connection's fleet session is its id space.
+    void forward_job(open_conn& oc, const api::request& req, std::uint64_t corr,
                      std::size_t expected) {
         conn& c = *oc.c;
-        const std::uint64_t internal = co().next_internal.fetch_add(1);
         // Mint the request's trace here — admission is where the request
         // becomes real. The root span's id is allocated now so every child
         // (dispatch, routing, cache probe, queue wait, pipeline stages,
@@ -607,11 +553,8 @@ struct tcp_server::loop {
         }
         {
             const std::lock_guard<std::mutex> lock(c.m);
-            c.inflight[internal] =
-                conn::pending{corr, expected, clock_type::now(), req_trace, start_ns};
-            c.by_client[corr] = internal;
+            c.inflight[corr] = conn::pending{expected, clock_type::now(), req_trace, start_ns};
         }
-        api::set_correlation_id(req, internal);
         bool failed = false;
         std::string what;
         {
@@ -634,7 +577,7 @@ struct tcp_server::loop {
         bool retire_now = false;
         {
             const std::lock_guard<std::mutex> lock(c.m);
-            const auto it = c.inflight.find(internal);
+            const auto it = c.inflight.find(corr);
             retire_now = it != c.inflight.end() && (failed || it->second.remaining == 0);
         }
         if (failed)
@@ -646,8 +589,8 @@ struct tcp_server::loop {
             bool finished = false;
             {
                 const std::lock_guard<std::mutex> lock(c.m);
-                if (c.inflight.count(internal) != 0) {
-                    fi = c.finish_locked(internal, srv.cfg_.max_write_buffer, sent, dropped);
+                if (c.inflight.count(corr) != 0) {
+                    fi = c.finish_locked(corr, srv.cfg_.max_write_buffer, sent, dropped);
                     finished = true;
                 }
             }
@@ -662,22 +605,11 @@ struct tcp_server::loop {
         }
     }
 
-    void dispatch(open_conn& oc, api::request req) {
+    void dispatch(open_conn& oc, const api::request& req) {
         conn& c = *oc.c;
-        if (const auto* m = std::get_if<api::identify_building_request>(&req)) {
-            const std::uint64_t corr = m->correlation_id;
-            if (admit(c, corr)) forward_job(oc, std::move(req), corr, 1);
-        } else if (const auto* ms = std::get_if<api::identify_shard_request>(&req)) {
-            const std::uint64_t corr = ms->correlation_id;
-            const std::size_t expected = ms->ref.num_buildings;
-            if (admit(c, corr)) forward_job(oc, std::move(req), corr, expected);
-        } else if (const auto* mr = std::get_if<api::identify_resident_request>(&req)) {
-            // Resident identification is a job like any other: one answer
-            // (a building_result or a typed error) retires it, and it is
-            // shed at the same admission bound — the capacity bench leans
-            // on exactly this parity.
-            const std::uint64_t corr = mr->correlation_id;
-            if (admit(c, corr)) forward_job(oc, std::move(req), corr, 1);
+        if (const std::optional<std::size_t> expected = job_answers(req)) {
+            const std::uint64_t corr = api::correlation_id(req);
+            if (admit(c, corr)) forward_job(oc, req, corr, *expected);
         } else if (const auto* msub = std::get_if<api::subscribe_stats_request>(&req)) {
             // Served here, not by the fleet: the admission and shed
             // counters the stream exposes live in this layer. Ack, then
@@ -700,36 +632,6 @@ struct tcp_server::loop {
                     --co().counters.stats_subscribers;
             }
             emit_local(c, api::watch_ack_response{msub->correlation_id, msub->subscribe});
-        } else if (const auto* ma = std::get_if<api::append_scans_request>(&req)) {
-            // Appends go through admission like jobs: exactly one answer
-            // (append_result or a typed error) retires the entry, so drain
-            // waits for durability before the process may exit.
-            const std::uint64_t corr = ma->correlation_id;
-            if (admit(c, corr)) forward_job(oc, std::move(req), corr, 1);
-        } else if (const auto* mc = std::get_if<api::cancel_job_request>(&req)) {
-            std::uint64_t internal_target = 0;
-            bool known = false;
-            {
-                const std::lock_guard<std::mutex> lock(c.m);
-                const auto it = c.by_client.find(mc->target_correlation_id);
-                if (it != c.by_client.end()) {
-                    known = true;
-                    internal_target = it->second;
-                    c.cancel_rewrites[internal_target] = mc->target_correlation_id;
-                }
-            }
-            if (!known) {
-                // Finished (or never seen) in this connection's id space:
-                // answer locally, exactly as the fleet would for an
-                // unknown id.
-                emit_local(c, api::cancel_response{mc->correlation_id,
-                                                   mc->target_correlation_id, false});
-                return;
-            }
-            api::cancel_job_request fwd;
-            fwd.correlation_id = mc->correlation_id;
-            fwd.target_correlation_id = internal_target;
-            oc.session.handle(api::request(fwd));
         } else if (const auto* mf = std::get_if<api::flush_request>(&req)) {
             // Per-connection barrier over this connection's in-flight
             // requests — never a blocking backend wait on the event loop.
@@ -738,7 +640,7 @@ struct tcp_server::loop {
                 const std::lock_guard<std::mutex> lock(c.m);
                 conn::flush_barrier b;
                 b.corr = mf->correlation_id;
-                for (const auto& [internal, p] : c.inflight) b.waiting.insert(internal);
+                for (const auto& [corr, p] : c.inflight) b.waiting.insert(corr);
                 if (b.waiting.empty())
                     now = true;
                 else
@@ -746,10 +648,10 @@ struct tcp_server::loop {
             }
             if (now) emit_local(c, api::flush_response{mf->correlation_id});
         } else {
-            // get_stats / watch: pass through with the client's own
-            // correlation id — their answers (and any later push_update
-            // frames a watch produces) echo it and need no remapping,
-            // because each connection has its own fleet session.
+            // get_stats / watch / cancel_job: the connection's fleet
+            // session answers them (and any push_update frames a watch
+            // produces) in the client's own id space. A cancel of an
+            // unknown or finished target answers `accepted = false`.
             oc.session.handle(req);
         }
     }
@@ -776,7 +678,7 @@ struct tcp_server::loop {
                        api::error_response{0, decoded.error->code, decoded.error->message});
             return;
         }
-        dispatch(oc, std::move(*decoded.value));
+        dispatch(oc, *decoded.value);
     }
 
     void serve_text_line(open_conn& oc, std::string line) {

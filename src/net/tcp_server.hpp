@@ -11,17 +11,22 @@
 ///
 /// **Connection model.** One OS thread runs the epoll loop (`run()`);
 /// pipeline work happens on the fleet's own worker pools. Each accepted
-/// connection gets its own fleet session *and its own correlation-id
-/// space*: client-chosen ids are remapped through a per-connection table
-/// to globally unique internal ids before the fleet sees them (two
-/// clients both using correlation id 1 never collide), and mapped back —
-/// an 8-byte in-place patch of the response frame, the rest of the bytes
-/// forwarded verbatim — on the way out. Responses stream back in
-/// completion order, interleaved across a connection's requests exactly
-/// as jobs finish. `cancel_job` targets are remapped through the same
-/// table; an unknown target answers `accepted = false` locally. `flush`
-/// is a per-connection barrier over the connection's own in-flight
-/// requests (it never blocks the event loop).
+/// connection opens its own fleet session, and that session is the
+/// connection's correlation-id space: requests are forwarded under the
+/// client's own ids (two clients both using correlation id 1 never
+/// collide), and the session's typed sink hands each answer back as the
+/// `api::response` plus its encoded frame — the front door reads the id
+/// and kind off the message and forwards the bytes verbatim. Responses
+/// stream back in completion order, interleaved across a connection's
+/// requests exactly as jobs finish. `cancel_job` passes through to the
+/// session, which answers `accepted = false` for an unknown or finished
+/// target. A job request whose id is already in flight on its connection
+/// is refused before admission with `error_response{bad_request}` (its
+/// answers could not be told apart from the first request's) and counted
+/// in `protocol_errors`. `flush` is a per-connection barrier over the
+/// connection's own in-flight requests (it never blocks the event loop).
+/// Which thread runs the response sink, what it may own, and the teardown
+/// order are the fleet's lifetime rule (`federated_server.hpp`).
 ///
 /// **Overload behavior is explicit.** A bounded global admission count
 /// (`max_inflight_requests`) caps job requests forwarded to the fleet;

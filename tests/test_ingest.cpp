@@ -229,7 +229,7 @@ public:
     ~fake_fleet() { stop(); }
 
     ingest::ingest_manager::reindex_submit submit_fn() {
-        return [this](std::uint64_t corr, std::size_t index, data::building b) {
+        return [this](std::uint64_t corr, std::size_t index, data::building b, std::uint64_t) {
             {
                 const std::lock_guard<std::mutex> lock(m_);
                 q_.emplace_back(corr, index, std::move(b));
@@ -443,10 +443,12 @@ TEST(ingest_manager, dirty_set_equals_a_diff_of_full_snapshots) {
         bindings[0].base_offset = k_base_offset;
         ingest::ingest_manager mgr(
             bindings,
-            [&](std::uint64_t corr, std::size_t index, data::building b) {
+            [&](std::uint64_t corr, std::size_t index, data::building b,
+                std::uint64_t content_hash) {
+                EXPECT_EQ(content_hash, data::content_hash(b));  // the one hash, passed on
                 {
                     const std::lock_guard<std::mutex> lock(m);
-                    submitted.emplace(b.name, index, data::content_hash(b));
+                    submitted.emplace(b.name, index, content_hash);
                 }
                 const runtime::building_report r = make_report(index, b.name);
                 mgr_ptr->on_reindex_result(corr, &r);

@@ -1,10 +1,11 @@
 // Tests for the network front door: frame reassembly from arbitrary
 // chunking (including one byte at a time), hostile network input
 // (mid-frame disconnects, garbage streams, unmounted shard paths, slow
-// readers), the per-connection correlation-id remap under deliberately
-// colliding ids, typed admission shedding against a paused fleet,
-// graceful drain semantics, the plaintext metrics probe, and multi-store,
-// multi-backend fleets behind the same socket.
+// readers), per-connection correlation-id spaces under deliberately
+// colliding ids (live cancel, shard streams, duplicate live ids), typed
+// admission shedding against a paused fleet, graceful drain semantics,
+// the plaintext metrics probe, and multi-store, multi-backend fleets
+// behind the same socket.
 
 #include <gtest/gtest.h>
 
@@ -304,8 +305,9 @@ TEST(TcpServer, CollidingCorrelationIdsStayPerConnection) {
     for (std::size_t c = 0; c < k_conns; ++c) {
         threads.emplace_back([&, c] {
             net::frame_conn conn("127.0.0.1", tf.port());
-            // Every connection uses correlation id 1 — the collision the
-            // remap table exists for — but pins its own corpus index.
+            // Every connection uses correlation id 1 — the collision
+            // per-connection sessions keep apart — but pins its own corpus
+            // index.
             conn.send(identify_frame(1, c, c));
             conn.shutdown_write();
             const std::optional<std::string> reply = conn.read_frame();
@@ -389,6 +391,38 @@ TEST(TcpServer, LiveCancelTargetsTheClientsOwnId) {
                 std::holds_alternative<api::error_response>(terminal[0]));
     EXPECT_EQ(api::correlation_id(terminal[0]), 7u);
     conn.shutdown_write();
+    EXPECT_FALSE(conn.read_frame().has_value());
+    expect_conserved(tf.front());
+    EXPECT_EQ(tf.front().stats().requests_admitted, 1u);
+}
+
+TEST(TcpServer, DuplicateLiveIdIsRefusedBeforeAdmission) {
+    test_front tf(net::tcp_server_config{}, /*paused=*/true);  // the first stays live
+    net::frame_conn conn("127.0.0.1", tf.port());
+    conn.send(identify_frame(3, 0, 0));
+    conn.send(identify_frame(3, 1, 1));  // same id, first still in flight
+    const std::optional<std::string> reply = conn.read_frame();
+    ASSERT_TRUE(reply.has_value());
+    const api::response resp = decode_one(*reply);
+    const auto* e = std::get_if<api::error_response>(&resp);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->correlation_id, 3u);
+    EXPECT_EQ(e->code, api::error_code::bad_request);
+    const net::tcp_server_stats s = tf.front().stats();
+    EXPECT_EQ(s.protocol_errors, 1u);
+    EXPECT_EQ(s.requests_admitted, 1u);
+
+    // The first request still completes, under the same id.
+    tf.fleet().resume();
+    conn.shutdown_write();
+    const std::optional<std::string> last = conn.read_frame();
+    ASSERT_TRUE(last.has_value());
+    const api::response done = decode_one(*last);
+    const auto* b = std::get_if<api::building_response>(&done);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(b->correlation_id, 3u);
+    EXPECT_EQ(b->report.name, "net-0");
+    EXPECT_TRUE(b->report.ok) << b->report.error;
     EXPECT_FALSE(conn.read_frame().has_value());
     expect_conserved(tf.front());
     EXPECT_EQ(tf.front().stats().requests_admitted, 1u);
@@ -658,7 +692,7 @@ TEST_F(TcpServerTracing, FederatedRequestProducesOneParentLinkedTrace) {
 }
 
 /// Colliding client correlation ids (both connections use id 1) go through
-/// the per-connection remap — each request must still get its own complete,
+/// per-connection sessions — each request must still get its own complete,
 /// distinct trace.
 TEST_F(TcpServerTracing, CollidingCorrelationIdsGetDistinctTraces) {
     {
