@@ -99,16 +99,17 @@
 ///  - *Who runs a sink.* A session's sink is called on backend worker
 ///    threads (job reports), on the `fleet_health` watchdog (retries,
 ///    deadline expiries and the typed errors they end in), on the ingest
-///    worker (append acks) and inline on the thread calling `handle`
-///    (cache hits, stats, cancel and watch answers, refusals — the event
-///    loop for `net::tcp_server`). Calls are serialised per session by its
-///    emitter; a sink must not block and must not re-enter its session.
+///    worker (append acks, re-runs answered from cache) and inline on the
+///    thread calling `handle` (cache hits, stats, cancel and watch answers,
+///    refusals — the event loop for `net::tcp_server`). Calls are
+///    serialised per session by its emitter; a sink must not block and must
+///    not re-enter its session.
 ///  - *What a sink may own.* The sink lives in the session's emitter, which
-///    backend jobs' callbacks, append acks and watch entries share, so it
-///    can outlive the session handle and its transport. It owns what it
-///    touches by `shared_ptr` — the TCP front door's sink owns the
-///    server's `core` and the connection's `conn`, and drops frames once
-///    the connection is closed — and holds no raw reference to a
+///    backend jobs' callbacks and append acks share (watch entries hold it
+///    weakly), so it can outlive the session handle and its transport. It
+///    owns what it touches by `shared_ptr` — the TCP front door's sink owns
+///    the server's `core` and the connection's `conn`, and drops frames
+///    once the connection is closed — and holds no raw reference to a
 ///    transport. Callbacks hold the session state only weakly (the state
 ///    owns the jobs that own them); the emitter is shared, never the
 ///    session.

@@ -327,7 +327,7 @@ TEST(TcpServer, CollidingCorrelationIdsStayPerConnection) {
     }
 }
 
-TEST(TcpServer, CancelUnknownTargetAnsweredLocally) {
+TEST(TcpServer, CancelUnknownTargetIsNotAccepted) {
     test_front tf;
     net::frame_conn conn("127.0.0.1", tf.port());
     conn.send(api::encode(api::request(api::cancel_job_request{5, 4242})));
