@@ -218,14 +218,19 @@ data::building get_building(wire_reader& r) {
     return b;
 }
 
-void put_report(wire_writer& w, const runtime::building_report& report) {
+/// The per-answer fields of a report: everything before its result. A
+/// cache hit re-encodes only these (its index and probe time are its own).
+void put_report_head(wire_writer& w, const runtime::building_report& report) {
     w.u64(report.index);
     w.str(report.name);
     w.boolean(report.ok);
     w.str(report.error);
     w.u64(report.seed);
     w.f64(report.seconds);
-    const core::fis_one_result& res = report.result;
+}
+
+/// A report's result: the tail of its encoding, from `num_clusters` on.
+void put_result(wire_writer& w, const core::fis_one_result& res) {
     w.u64(res.num_clusters);
     w.vec_i32(res.assignment);
     w.vec_i32(res.cluster_to_floor);
@@ -236,6 +241,11 @@ void put_report(wire_writer& w, const runtime::building_report& report) {
     w.f64(res.ari);
     w.f64(res.nmi);
     w.f64(res.edit_distance);
+}
+
+void put_report(wire_writer& w, const runtime::building_report& report) {
+    put_report_head(w, report);
+    put_result(w, report.result);
 }
 
 runtime::building_report get_report(wire_reader& r) {
@@ -702,12 +712,15 @@ std::size_t reserve_hint(const data::building& b) {
     return n;
 }
 
-std::size_t reserve_hint(const runtime::building_report& r) {
-    const core::fis_one_result& res = r.result;
-    return k_fixed_slack + r.name.size() + r.error.size() +
+std::size_t reserve_hint(const core::fis_one_result& res) {
+    return k_fixed_slack +
            4 * (res.assignment.size() + res.cluster_to_floor.size() +
                 res.predicted_floor.size()) +
            8 * res.embeddings.rows() * res.embeddings.cols();
+}
+
+std::size_t reserve_hint(const runtime::building_report& r) {
+    return reserve_hint(r.result) + r.name.size() + r.error.size();
 }
 
 template <class T>
@@ -725,18 +738,17 @@ std::size_t payload_hint(const T& m) {
     }
 }
 
-template <class M, class Encoder>
-std::string encode_message(const M& m) {
-    std::string out;
-    out.reserve(k_frame_header_size +
-                std::visit([](const auto& msg) { return payload_hint(msg); }, m));
-    wire_writer w(out);
+/// Start a frame in \p w: magic, version, \p tag and a zero payload
+/// length that `seal_frame` patches once the payload is known.
+void begin_frame(wire_writer& w, message_tag tag) {
     w.raw({k_frame_magic, sizeof k_frame_magic});
     w.u32(k_schema_version);
-    w.u16(static_cast<std::uint16_t>(tag_of(m)));
-    w.u32(0);  // payload length, patched below once the payload is written
-    std::visit(Encoder{w}, m);
-    const std::size_t payload = out.size() - k_frame_header_size;
+    w.u16(static_cast<std::uint16_t>(tag));
+    w.u32(0);
+}
+
+/// Patch the payload length of the frame that starts \p out.
+void seal_frame(std::string& out, std::size_t payload) {
     // A frame the protocol cannot carry must fail loudly at the encode
     // boundary: past the bound the decoder would fatally reject it, and
     // past 2^32 the u32 length field would wrap and desynchronise the
@@ -746,6 +758,17 @@ std::string encode_message(const M& m) {
                                 "-byte payload exceeds the " + std::to_string(k_max_payload) +
                                 "-byte frame bound");
     store_le(out.data() + k_frame_header_size - 4, static_cast<std::uint32_t>(payload));
+}
+
+template <class M, class Encoder>
+std::string encode_message(const M& m) {
+    std::string out;
+    out.reserve(k_frame_header_size +
+                std::visit([](const auto& msg) { return payload_hint(msg); }, m));
+    wire_writer w(out);
+    begin_frame(w, tag_of(m));
+    std::visit(Encoder{w}, m);
+    seal_frame(out, out.size() - k_frame_header_size);
     return out;
 }
 
@@ -757,6 +780,32 @@ std::string encode(const request& r) {
 
 std::string encode(const response& r) {
     return encode_message<response, response_payload_encoder>(r);
+}
+
+std::size_t building_head_size(const runtime::building_report& report) noexcept {
+    // Header, correlation id, index, name, ok, error, seed, seconds.
+    return k_frame_header_size + 8 + 8 + (8 + report.name.size()) + 1 +
+           (8 + report.error.size()) + 8 + 8;
+}
+
+std::string encode_building_head(std::uint64_t correlation_id,
+                                 const runtime::building_report& report, std::size_t tail_size) {
+    std::string out;
+    out.reserve(building_head_size(report));
+    wire_writer w(out);
+    begin_frame(w, message_tag::building_result);
+    w.u64(correlation_id);
+    put_report_head(w, report);
+    seal_frame(out, out.size() - k_frame_header_size + tail_size);
+    return out;
+}
+
+std::string encode_result_tail(const core::fis_one_result& result) {
+    std::string out;
+    out.reserve(reserve_hint(result));
+    wire_writer w(out);
+    put_result(w, result);
+    return out;
 }
 
 decode_result<request> read_request(std::istream& in) {

@@ -55,6 +55,23 @@ inline constexpr std::size_t k_max_payload = 64u << 20;
 [[nodiscard]] std::string encode(const request& r);
 [[nodiscard]] std::string encode(const response& r);
 
+/// A `building_result` frame in two pieces, for answers whose result is
+/// already encoded (a result-cache entry). The report's encoding splits at
+/// `num_clusters`: the *head* is the frame header, the correlation id and
+/// the report's per-answer fields (index, name, ok, error, seed, seconds);
+/// the *tail* is the result. For every id and report,
+/// `encode_building_head(id, report, tail.size()) + encode_result_tail(report.result)`
+/// is exactly `encode(response{building_response{id, report}})`.
+/// \throws std::length_error as `encode` does, on the whole frame's payload.
+[[nodiscard]] std::string encode_building_head(std::uint64_t correlation_id,
+                                               const runtime::building_report& report,
+                                               std::size_t tail_size);
+[[nodiscard]] std::string encode_result_tail(const core::fis_one_result& result);
+
+/// Bytes of \p report's `building_result` frame before its tail: where a
+/// whole encoded frame of this report splits.
+[[nodiscard]] std::size_t building_head_size(const runtime::building_report& report) noexcept;
+
 /// A typed decode failure.
 struct decode_error {
     error_code code = error_code::none;

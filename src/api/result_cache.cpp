@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <system_error>
 
 #include "codec.hpp"
@@ -52,11 +54,13 @@ std::optional<cache_key> parse_spill_name(const std::string& name) {
     return key;
 }
 
-/// Durably write \p bytes to `dir/name` via a write-then-rename: the file
-/// either exists complete or not at all, never torn. Returns false on any
-/// I/O failure (the caller degrades to memory-only).
-bool atomic_spill_write(const fs::path& dir, const std::string& name, const std::string& bytes,
-                        std::size_t shard_index) {
+/// Write \p head then \p tail to `dir/name` via a write-then-rename: the
+/// file either exists complete or not at all, never torn. Nothing is
+/// fsynced, so the rename may not survive a power loss (the
+/// `util::durable_write` item in ROADMAP.md). Returns false on any I/O
+/// failure (the caller degrades to memory-only).
+bool atomic_spill_write(const fs::path& dir, const std::string& name, std::string_view head,
+                        std::string_view tail, std::size_t shard_index) {
     // The counter keeps concurrent writers within this process off each
     // other's temp files; the shard index separates fleet members sharing
     // the directory (each key is written only by its affinity owner, so
@@ -67,7 +71,8 @@ bool atomic_spill_write(const fs::path& dir, const std::string& name, const std:
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out) return false;
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        out.write(head.data(), static_cast<std::streamsize>(head.size()));
+        out.write(tail.data(), static_cast<std::streamsize>(tail.size()));
         out.flush();
         if (!out) {
             std::error_code ec;
@@ -127,18 +132,22 @@ void result_cache::warm_load() {
             fs::remove(entry.path(), ec);  // corrupt or truncated: drop it
             continue;
         }
-        entries_.emplace_front(*key, std::move(hit->report));
+        // The frame already holds the tail's bytes: slice, don't re-encode.
+        auto cached = std::make_shared<cached_report>();
+        cached->tail = bytes.substr(building_head_size(hit->report));
+        cached->report = std::move(hit->report);
+        entries_.emplace_front(*key, std::move(cached));
         index_.emplace(*key, entries_.begin());
         ++warm_loaded_;
     }
 }
 
-std::optional<runtime::building_report> result_cache::lookup(const cache_key& key) {
+std::shared_ptr<const cached_report> result_cache::lookup(const cache_key& key) {
     const std::lock_guard<std::mutex> lock(m_);
     const auto it = index_.find(key);
     if (it == index_.end()) {
         ++misses_;
-        return std::nullopt;
+        return nullptr;
     }
     ++hits_;
     entries_.splice(entries_.begin(), entries_, it->second);  // refresh recency
@@ -146,17 +155,21 @@ std::optional<runtime::building_report> result_cache::lookup(const cache_key& ke
 }
 
 void result_cache::insert(const cache_key& key, runtime::building_report report) {
+    auto entry = std::make_shared<cached_report>();
+    entry->tail = encode_result_tail(report.result);
+    entry->report = std::move(report);
     if (spill_.enabled()) {
-        // Durable before visible: the disk entry lands before the report
-        // can be served (and thus before any response is acknowledged).
-        // Serialized as the building_response frame a warm lookup replays.
+        // On disk before visible: the file lands (renamed whole, not
+        // fsynced) before the entry can be served. Serialized as the
+        // building_response frame a warm load replays.
         atomic_spill_write(fs::path(spill_.dir), spill_name(key),
-                           encode(response{building_response{0, report}}), spill_.shard_index);
+                           encode_building_head(0, entry->report, entry->tail.size()),
+                           entry->tail, spill_.shard_index);
     }
     const std::lock_guard<std::mutex> lock(m_);
     const auto it = index_.find(key);
     if (it != index_.end()) {
-        it->second->second = std::move(report);
+        it->second->second = std::move(entry);
         entries_.splice(entries_.begin(), entries_, it->second);
         return;
     }
@@ -165,7 +178,7 @@ void result_cache::insert(const cache_key& key, runtime::building_report report)
         entries_.pop_back();
         ++evictions_;
     }
-    entries_.emplace_front(key, std::move(report));
+    entries_.emplace_front(key, std::move(entry));
     index_.emplace(key, entries_.begin());
 }
 

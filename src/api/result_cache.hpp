@@ -19,26 +19,38 @@
 /// the cache itself stores whatever it is given. Thread-safe; eviction is
 /// strict LRU on lookup-or-insert recency.
 ///
+/// **Shared entries.** Each entry is immutable and shared: the report plus
+/// `tail`, the encoded bytes of its result (`encode_result_tail`), built
+/// once when the entry is made. `lookup` hands out the entry itself, so a
+/// hit copies no report and encodes only its per-answer head
+/// (`encode_building_head`); holders may keep an entry alive after it is
+/// evicted or replaced.
+///
 /// **Persistent spill.** With a `cache_spill_config`, every insert is also
 /// written to disk as one file per entry — named by the key
 /// (`<content_hash>-<config_fingerprint>.rc`, both as 16-hex-digit fields)
 /// and holding the entry as an encoded `building_response` frame. Writes
-/// go to a `.tmp` sibling first and land via `rename`, so a crash at any
-/// instant leaves either the complete old file, the complete new file, or
-/// a sweepable temp — never a torn entry. On construction the cache warm-
-/// loads from the directory, but each instance restores **only its
-/// affinity shard** (`content_hash % shard_count == shard_index`, the same
-/// arithmetic content-hash-affinity routing uses) — the "least data
+/// go to a `.tmp` sibling first and land via `rename`, so a crash of the
+/// process at any instant leaves either the complete old file, the
+/// complete new file, or a sweepable temp — never a torn entry. Nothing is
+/// fsynced, so a power loss may drop recent entries (the
+/// `util::durable_write` item in ROADMAP.md); a lost entry only costs a
+/// recompute. On construction the cache warm-loads from the directory,
+/// but each instance restores **only its affinity shard**
+/// (`content_hash % shard_count == shard_index`, the same arithmetic
+/// content-hash-affinity routing uses) — the "least data
 /// necessary" rule of distributed-checkpoint loading: a restarted fleet
 /// member never reads its peers' entries. The key is parsed from the
 /// filename, so shard filtering never opens out-of-shard files at all.
-/// Corrupt files are deleted on load; leftover `.tmp` files are swept.
+/// A warm-loaded entry's tail is sliced from its file's frame, not
+/// re-encoded. Corrupt files are deleted on load; leftover `.tmp` files
+/// are swept.
 
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -53,6 +65,15 @@ struct cache_key {
     std::uint64_t config_fingerprint = 0;  ///< `core::config_fingerprint` of the effective config
 
     friend bool operator==(const cache_key&, const cache_key&) noexcept = default;
+};
+
+/// One immutable cache entry, shared by the cache and every answer served
+/// from it.
+struct cached_report {
+    runtime::building_report report;
+    /// `encode_result_tail(report.result)`: the bytes every
+    /// `building_result` frame of this report ends with.
+    std::string tail;
 };
 
 /// Point-in-time cache counters.
@@ -81,13 +102,14 @@ public:
     /// creates the directory and warm-loads this instance's shard.
     explicit result_cache(std::size_t capacity, cache_spill_config spill = {});
 
-    /// The cached report for \p key, refreshed to most-recently-used; or
-    /// nullopt. Counts one hit or miss.
-    [[nodiscard]] std::optional<runtime::building_report> lookup(const cache_key& key);
+    /// The entry cached under \p key, refreshed to most-recently-used; or
+    /// null. Counts one hit or miss.
+    [[nodiscard]] std::shared_ptr<const cached_report> lookup(const cache_key& key);
 
-    /// Insert (or refresh) \p report under \p key, evicting the least
-    /// recently used entry when full. Does not count a hit or miss. With
-    /// spill enabled the entry is durable on disk (write-then-rename)
+    /// Insert (or replace) the entry for \p report under \p key, encoding
+    /// its tail once and evicting the least recently used entry when full.
+    /// Does not count a hit or miss. With spill enabled the entry is
+    /// written to disk (write-then-rename: never torn, not fsynced)
     /// *before* it becomes visible in memory; a spill I/O failure is
     /// swallowed — persistence degrades, serving never does. Disk entries
     /// are not evicted with their in-memory twins: the spill is the warm-
@@ -112,7 +134,7 @@ private:
         }
     };
 
-    using lru_list = std::list<std::pair<cache_key, runtime::building_report>>;
+    using lru_list = std::list<std::pair<cache_key, std::shared_ptr<const cached_report>>>;
 
     std::size_t capacity_;
     cache_spill_config spill_;

@@ -64,10 +64,26 @@ struct server::session::state {
     /// transport broken; later frames are dropped silently — the job
     /// machinery must never wedge on a dead connection.
     void emit(const response& resp) {
+        send([&resp] { return encode(resp); });
+    }
+
+    /// Emit a building's answer under \p corr; a cache hit's frame is its
+    /// fresh head joined to the entry's stored tail.
+    void emit(std::uint64_t corr, building_answer a) {
+        if (!a.cached) return emit(building_response{corr, std::move(a.report)});
+        send([&] {
+            std::string frame = encode_building_head(corr, a.report, a.cached->tail.size());
+            frame += a.cached->tail;
+            return frame;
+        });
+    }
+
+    template <class Encode>
+    void send(Encode encode_frame) {
         const std::lock_guard<std::mutex> lock(emit_m);
         if (broken) return;
         try {
-            const std::string frame = encode(resp);
+            const std::string frame = encode_frame();
             sink(frame);
         } catch (...) {
             broken = true;
@@ -88,9 +104,7 @@ void server::session::handle(const request& req) {
                                               : svc.allocate_corpus_index();
                 std::optional<service::floor_service::job> job = st->srv->identify(
                     m.b, data::content_hash(m.b), index, m.no_cache,
-                    [st, corr](runtime::building_report report) {
-                        st->emit(building_response{corr, std::move(report)});
-                    });
+                    [st, corr](building_answer a) { st->emit(corr, std::move(a)); });
                 if (job) st->jobs.remember(corr, std::move(*job));
             } else if constexpr (std::is_same_v<T, identify_shard_request>) {
                 obs::scoped_span span("api.identify");
@@ -219,13 +233,19 @@ std::optional<service::floor_service::job> server::identify(const data::building
         key = cache_key{content_hash,
                         core::config_fingerprint(runtime::effective_task_config(
                             scfg.pipeline, scfg.seed, index, svc_->num_workers() > 1))};
-        if (std::optional<runtime::building_report> hit = cache_->lookup(*key)) {
+        if (std::shared_ptr<const cached_report> hit = cache_->lookup(*key)) {
             // Keep index assignment identical to a cache-off run even
             // though the service never sees this one.
             svc_->advance_corpus_index(index + 1);
-            hit->index = index;
-            hit->seconds = std::chrono::duration<double>(clock::now() - start).count();
-            on_report(std::move(*hit));
+            building_answer a;
+            a.report.index = index;
+            a.report.name = hit->report.name;
+            a.report.ok = hit->report.ok;
+            a.report.error = hit->report.error;
+            a.report.seed = hit->report.seed;
+            a.report.seconds = std::chrono::duration<double>(clock::now() - start).count();
+            a.cached = std::move(hit);
+            on_report(std::move(a));
             return std::nullopt;
         }
     }
@@ -233,7 +253,7 @@ std::optional<service::floor_service::job> server::identify(const data::building
                         [cache = cache_.get(), key, on_report = std::move(on_report)](
                             const runtime::building_report& report) {
                             if (key && report.ok) cache->insert(*key, report);
-                            on_report(report);
+                            on_report(building_answer{report, nullptr});
                         });
 }
 

@@ -99,15 +99,25 @@ private:
     std::unordered_map<std::uint64_t, service::floor_service::job> jobs_;
 };
 
+/// A building's one answer from `server::identify`. A fresh run hands
+/// over its whole report and no entry. A cache hit hands over the shared
+/// entry instead of a copy: `report` then holds only the answer's head —
+/// its own index and probe `seconds`, the entry's name, ok, error and seed
+/// — with an empty result. The result is `cached->report.result`, and its
+/// encoded bytes are `cached->tail`.
+struct building_answer {
+    runtime::building_report report;
+    std::shared_ptr<const cached_report> cached;  ///< set on a cache hit
+};
+
 class server {
 public:
     /// Receives each encoded response frame. Calls are serialised by the
     /// session; the sink must not re-enter the session or block on it.
     using frame_sink = std::function<void(std::string_view)>;
 
-    /// Receives a building's one report from `identify`. By value, so a
-    /// cache hit hands over its copy instead of making another.
-    using report_sink = std::function<void(runtime::building_report)>;
+    /// Receives a building's one answer from `identify`.
+    using report_sink = std::function<void(building_answer)>;
 
     /// One client connection: a correlation-id namespace (for `cancel_job`)
     /// plus the response channel. Cheap handle; copies share state. Jobs
@@ -167,8 +177,9 @@ public:
     /// must be `data::content_hash(b)`, which the caller already holds (the
     /// fleet hashes a building once per request, a resident building once
     /// per load), so `identify` never walks the scans itself. \p on_report
-    /// gets the building's one report under the service's callback rules;
-    /// on a hit it runs inline, before `identify` returns no job. Spans
+    /// gets the building's one answer under the service's callback rules;
+    /// on a hit it runs inline, before `identify` returns no job, and
+    /// copies no report. Spans
     /// `api.identify` and `api.cache_probe`.
     /// \throws whatever `floor_service::submit` throws (an injected crash).
     std::optional<service::floor_service::job> identify(const data::building& b,

@@ -235,12 +235,23 @@ struct emitter {
     /// Encode one response and hand it, with its frame, to the sink. A
     /// sink that throws marks the transport broken; later responses are
     /// dropped silently.
-    void respond(const api::response& resp) {
-        const std::string frame = api::encode(resp);
+    void respond(const api::response& resp) { deliver(resp, api::encode(resp), nullptr); }
+
+    /// Answer a building under the client's id \p corr. A cache hit
+    /// encodes only its head; the sink gets the shared entry for the rest.
+    void answer(std::uint64_t corr, api::building_answer a) {
+        const api::response resp{api::building_response{corr, std::move(a.report)}};
+        if (!a.cached) return respond(resp);
+        const auto& head = std::get<api::building_response>(resp).report;
+        deliver(resp, api::encode_building_head(corr, head, a.cached->tail.size()), a.cached);
+    }
+
+    void deliver(const api::response& resp, const std::string& frame,
+                 const std::shared_ptr<const api::cached_report>& cached) {
         const std::lock_guard<std::mutex> lock(m);
         if (broken) return;
         try {
-            sink(resp, frame);
+            sink(resp, frame, cached);
         } catch (...) {
             broken = true;
         }
@@ -373,7 +384,7 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
     // died still resolve or fail the attempt.
     std::weak_ptr<session::state> w = st;
     auto on_report = [w, out = st->out, tracker = st->tracker, health = st->health,
-                      attempt_id](runtime::building_report report) {
+                      attempt_id](api::building_answer answer) {
         std::size_t backend = 0;
         std::uint64_t client = 0;
         bool transient = false;
@@ -387,14 +398,14 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
             if (it == tracker->attempts.end() || it->second.resolving) return;
             backend = it->second.backend;
             client = it->second.client_corr;
-            transient = !report.ok && service::is_transient_fault(report.error);
+            transient = !answer.report.ok && service::is_transient_fault(answer.report.error);
             if (!transient) it->second.resolving = true;  // claim: delivery is final
         }
         if (!transient) {
             // Success — or a genuine, deterministic failure the retry
             // layer must NOT rerun.
             health->on_success(backend);
-            out->respond(api::building_response{client, std::move(report)});
+            out->answer(client, std::move(answer));
             {
                 const std::lock_guard<std::mutex> lock(tracker->m);
                 tracker->erase(attempt_id);
@@ -810,15 +821,24 @@ federated_server::federated_server(federation_config cfg) : cfg_(std::move(cfg))
         // `ingest` pointer stays null — the manager must not own a session
         // that owns the manager. The bridge breaks the remaining knot: the
         // session's sink needs the manager, the manager needs the session.
+        // It is the fleet's one typed reader of results: a re-run answered
+        // from cache arrives as a head plus the shared entry, and the
+        // manager gets the whole report rebuilt from the two.
         auto bridge = std::make_shared<std::weak_ptr<ingest::ingest_manager>>();
-        const session internal = open([bridge](const api::response& resp, std::string_view) {
-            const std::shared_ptr<ingest::ingest_manager> mgr = bridge->lock();
-            if (!mgr) return;
-            if (const auto* br = std::get_if<api::building_response>(&resp))
-                mgr->on_reindex_result(br->correlation_id, &br->report);
-            else if (const auto* er = std::get_if<api::error_response>(&resp))
-                mgr->on_reindex_result(er->correlation_id, nullptr);
-        });
+        const session internal =
+            open([bridge](const api::response& resp, std::string_view,
+                          const std::shared_ptr<const api::cached_report>& cached) {
+                const std::shared_ptr<ingest::ingest_manager> mgr = bridge->lock();
+                if (!mgr) return;
+                if (const auto* br = std::get_if<api::building_response>(&resp)) {
+                    if (!cached) return mgr->on_reindex_result(br->correlation_id, &br->report);
+                    runtime::building_report whole = br->report;
+                    whole.result = cached->report.result;
+                    mgr->on_reindex_result(br->correlation_id, &whole);
+                } else if (const auto* er = std::get_if<api::error_response>(&resp)) {
+                    mgr->on_reindex_result(er->correlation_id, nullptr);
+                }
+            });
         std::shared_ptr<watch_registry> watches = watches_;
         ingest_ = std::make_shared<ingest::ingest_manager>(
             std::move(bindings),
@@ -851,8 +871,12 @@ federated_server::~federated_server() {
 }
 
 federated_server::session federated_server::open(frame_sink sink) {
-    return open([sink = std::move(sink)](const api::response&, std::string_view frame) {
-        sink(frame);
+    return open([sink = std::move(sink)](const api::response&, std::string_view frame,
+                                         const std::shared_ptr<const api::cached_report>& cached) {
+        if (!cached) return sink(frame);
+        std::string whole(frame);  // a cache hit: head, then the entry's tail
+        whole += cached->tail;
+        sink(whole);
     });
 }
 

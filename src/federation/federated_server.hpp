@@ -20,6 +20,9 @@
 ///    goes straight to its `floor_service::submit`. Each report is encoded
 ///    once, under the client's correlation id, as the job produces it, so
 ///    completion order interleaves across backends exactly as jobs finish.
+///    A cache hit encodes only its head (the per-answer fields) and hands
+///    the sink the backend cache's shared entry, whose result bytes were
+///    encoded once when the entry was made.
 ///  - `get_stats` — answered by the front-end: per-backend `service_stats`
 ///    are merged (counters summed; latency percentiles recomputed from the
 ///    merged `obs::latency_histogram`s — percentiles cannot be merged
@@ -113,6 +116,15 @@
 ///    transport. Callbacks hold the session state only weakly (the state
 ///    owns the jobs that own them); the emitter is shared, never the
 ///    session.
+///  - *What a sink may keep.* Every sink argument is borrowed for the call,
+///    except the cache entry of a hit: a sink may copy that `shared_ptr`
+///    and keep the entry alive after it returns. The entry is immutable,
+///    so any thread may read it while backend workers insert and evict.
+///    The TCP front door does so: it queues the entry's tail on the
+///    connection and holds it until the kernel has taken the bytes. The
+///    typed `building_response` of a hit carries only the answer's head;
+///    a typed reader that needs the result (the ingest bridge) takes it
+///    from the entry.
 ///  - *Who joins which thread.* The destructor destroys `ingest_` first
 ///    (it joins the ingest worker after its queued appends land and its
 ///    re-runs are answered, while the backends can still answer them),
@@ -184,10 +196,16 @@ struct federation_config {
 class federated_server {
 public:
     using frame_sink = api::server::frame_sink;
-    /// Receives each response both typed and encoded (the frame is
-    /// `api::encode(resp)`), so a transport forwards the bytes and reads
-    /// the id and kind off the message, never off the bytes.
-    using response_sink = std::function<void(const api::response& resp, std::string_view frame)>;
+    /// Receives each response both typed and encoded, so a transport
+    /// forwards the bytes and reads the id and kind off the message, never
+    /// off the bytes. Without \p cached, `frame` is `api::encode(resp)`. A
+    /// cache hit comes with its shared entry \p cached instead: `resp` is a
+    /// `building_response` holding the answer's head (result empty), and
+    /// `frame` is only the head's bytes — the whole frame is `frame`
+    /// followed by `cached->tail`, the whole result `cached->report.result`.
+    using response_sink =
+        std::function<void(const api::response& resp, std::string_view frame,
+                           const std::shared_ptr<const api::cached_report>& cached)>;
 
     /// One client connection over the fleet: a correlation-id namespace
     /// spanning every backend, plus the response channel. Cheap handle;
@@ -230,7 +248,8 @@ public:
 
     /// Open an in-process loopback session over the fleet.
     [[nodiscard]] session open(response_sink sink);
-    /// The same, for a sink that wants only the encoded frames.
+    /// The same, for a sink that wants only the encoded frames (a cache
+    /// hit's head and tail are joined into one).
     [[nodiscard]] session open(frame_sink sink);
 
     /// Serve one framed connection (same loop as `api::server::serve`):

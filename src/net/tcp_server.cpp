@@ -5,6 +5,7 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,9 +14,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <system_error>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -71,6 +74,10 @@ constexpr std::size_t k_win_shed_draining = 3;
 constexpr std::size_t k_win_connections = 0;  // gauge column
 constexpr std::size_t k_win_inflight = 1;     // gauge column
 
+/// Segments one gathered write hands the kernel (a cache hit queues two:
+/// its head and its shared tail).
+constexpr std::size_t k_max_iov = 16;
+
 }  // namespace
 
 /// Global state shared between the loop thread, the public thread-safe
@@ -88,6 +95,9 @@ struct tcp_server::core {
     std::atomic<bool> draining{false};
     std::atomic<bool> stopping{false};
     socket_fd wake_fd;
+    /// The thread running the event loop (default-constructed when none
+    /// is). Per server, not per process: tests run several servers.
+    std::atomic<std::thread::id> loop_thread{};
     const clock_type::time_point started = clock_type::now();  ///< uptime epoch
     /// Slow-request log settings, copied from the config at construction
     /// (immutable afterwards — sinks read them without the lock).
@@ -119,15 +129,21 @@ struct tcp_server::core {
     }
 
     /// Nudge the epoll loop (signal/thread-safe; errors ignored — a full
-    /// eventfd counter already guarantees a pending wakeup).
+    /// eventfd counter already guarantees a pending wakeup). A no-op on
+    /// the loop thread itself: the loop flushes and re-checks its flags at
+    /// the top of every pass, before it waits, so whatever that thread
+    /// just buffered is seen without a wakeup. (Relaxed is enough: only
+    /// the loop thread can ever find its own id stored here.)
     void wake() noexcept {
+        if (loop_thread.load(std::memory_order_relaxed) == std::this_thread::get_id()) return;
         const std::uint64_t one = 1;
         [[maybe_unused]] const ssize_t r = ::write(wake_fd.get(), &one, sizeof one);
     }
 
     static void on_response(const std::shared_ptr<core>& co, const std::shared_ptr<conn>& c,
                             std::size_t max_wbuf, const api::response& resp,
-                            std::string_view frame);
+                            std::string_view frame,
+                            const std::shared_ptr<const api::cached_report>& cached);
 
     /// Post-completion work that must run outside every lock: close the
     /// request's root span and emit the slow-request log line.
@@ -166,8 +182,21 @@ struct tcp_server::conn {
     std::mutex m;
     bool closed = false;      ///< torn down by the loop; sinks drop frames
     bool overflowed = false;  ///< slow-reader shed engaged: dropping frames
-    std::string wbuf;
-    std::size_t woff = 0;  ///< flushed prefix of wbuf
+    /// One run of queued response bytes: owned bytes, or a cache entry's
+    /// shared tail, held until the kernel has taken it.
+    struct segment {
+        std::string owned;
+        std::shared_ptr<const api::cached_report> shared;  ///< set: the bytes are its tail
+
+        [[nodiscard]] std::string_view bytes() const noexcept {
+            return shared ? std::string_view(shared->tail) : std::string_view(owned);
+        }
+    };
+    /// The write queue, in wire order. Consecutive owned bytes coalesce
+    /// into one segment; flushes gather up to `k_max_iov` segments.
+    std::deque<segment> wq;
+    std::size_t woff = 0;    ///< sent prefix of `wq.front()`
+    std::size_t queued = 0;  ///< unsent bytes in `wq`, shared tails included
 
     struct pending {
         std::size_t remaining = 0;  ///< building responses still expected
@@ -184,21 +213,38 @@ struct tcp_server::conn {
     };
     std::vector<flush_barrier> flushes;  ///< FIFO
 
-    /// Append one response frame to the write buffer. Returns false when
-    /// the frame was dropped: connection torn down, already shedding, or
-    /// this frame tripped the bound and engaged shedding.
-    bool append_locked(std::string_view frame, std::size_t max_wbuf) {
+    /// Queue one response frame: \p frame, then \p cached's tail when the
+    /// frame is a cache hit's head. Returns false when the frame was
+    /// dropped: connection torn down, already shedding, or this frame
+    /// tripped the bound and engaged shedding.
+    bool append_locked(std::string_view frame, std::size_t max_wbuf,
+                       const std::shared_ptr<const api::cached_report>& cached = nullptr) {
         if (closed || overflowed) return false;
-        if (wbuf.size() - woff + frame.size() > max_wbuf) {
+        const std::size_t n = frame.size() + (cached ? cached->tail.size() : 0);
+        if (queued + n > max_wbuf) {
             overflowed = true;
             return false;
         }
-        if (woff > (256u << 10)) {
-            wbuf.erase(0, woff);
+        if (wq.empty() || wq.back().shared) {
+            wq.emplace_back();
+        } else if (wq.size() == 1 && woff > (256u << 10)) {
+            wq.front().owned.erase(0, woff);  // compact the one owned segment
             woff = 0;
         }
-        wbuf.append(frame.data(), frame.size());
+        wq.back().owned.append(frame.data(), frame.size());
+        if (cached) wq.push_back(segment{{}, cached});
+        queued += n;
         return true;
+    }
+
+    /// The kernel took \p n more bytes: release every segment it finished.
+    void consume_locked(std::size_t n) {
+        queued -= n;
+        woff += n;
+        while (!wq.empty() && woff >= wq.front().bytes().size()) {
+            woff -= wq.front().bytes().size();
+            wq.pop_front();
+        }
     }
 
     /// Retire the in-flight entry of \p corr: update flush barriers
@@ -236,7 +282,8 @@ struct tcp_server::conn {
 /// carries the client's own correlation id.
 void tcp_server::core::on_response(const std::shared_ptr<core>& co,
                                    const std::shared_ptr<conn>& c, std::size_t max_wbuf,
-                                   const api::response& resp, std::string_view frame) {
+                                   const api::response& resp, std::string_view frame,
+                                   const std::shared_ptr<const api::cached_report>& cached) {
     // Runs under the worker's trace context (installed at job pickup), so
     // the respond span lands inside the request tree it answers.
     obs::scoped_span span("net.respond");
@@ -263,7 +310,7 @@ void tcp_server::core::on_response(const std::shared_ptr<core>& co,
                 if (!completes) --it->second.remaining;
             }
         }
-        (c->append_locked(frame, max_wbuf) ? sent : dropped) += 1;
+        (c->append_locked(frame, max_wbuf, cached) ? sent : dropped) += 1;
         if (completes) {
             fi = c->finish_locked(corr, max_wbuf, sent, dropped);
             have_sample = true;
@@ -338,6 +385,8 @@ struct tcp_server::loop {
     /// Next telemetry window boundary (meaningful only when
     /// `telemetry_window_ms > 0`; the epoll wait is bounded to it).
     clock_type::time_point next_tick;
+    /// `evaluate_all`'s snapshot of the open fds, reused across passes.
+    std::vector<int> eval_fds;
 
     explicit loop(tcp_server& s) : srv(s) {
         ep.reset(::epoll_create1(EPOLL_CLOEXEC));
@@ -345,7 +394,10 @@ struct tcp_server::loop {
         add(srv.core_->wake_fd.get(), EPOLLIN);
         add(srv.listener_.get(), EPOLLIN);
         next_tick = clock_type::now() + std::chrono::milliseconds(srv.cfg_.telemetry_window_ms);
+        srv.core_->loop_thread.store(std::this_thread::get_id(), std::memory_order_relaxed);
     }
+
+    ~loop() { srv.core_->loop_thread.store(std::thread::id{}, std::memory_order_relaxed); }
 
     void add(int fd, std::uint32_t events) {
         epoll_event ev{};
@@ -400,8 +452,9 @@ struct tcp_server::loop {
             const std::shared_ptr<core> core_sp = srv.core_;
             const std::size_t max_wbuf = srv.cfg_.max_write_buffer;
             federation::federated_server::session session = srv.fleet_.open(
-                [core_sp, c, max_wbuf](const api::response& resp, std::string_view frame) {
-                    core::on_response(core_sp, c, max_wbuf, resp, frame);
+                [core_sp, c, max_wbuf](const api::response& resp, std::string_view frame,
+                                       const std::shared_ptr<const api::cached_report>& cached) {
+                    core::on_response(core_sp, c, max_wbuf, resp, frame, cached);
                 });
             add(fd, EPOLLIN);
             c->events = EPOLLIN;
@@ -438,19 +491,31 @@ struct tcp_server::loop {
 
     // --- outbound ------------------------------------------------------------
 
-    /// Flush as much of the write buffer as the socket takes. Returns
-    /// false when the socket errored (the connection is dead).
+    /// Flush as much of the write queue as the socket takes, gathering up
+    /// to `k_max_iov` segments per `sendmsg` (a shared tail goes from the
+    /// cache entry straight to the kernel). Returns false when the socket
+    /// errored (the connection is dead).
     bool try_flush(conn& c) {
         const std::uint64_t flush_start = obs::tracing_enabled() ? obs::now_ns() : 0;
         std::size_t sent_bytes = 0;
         bool ok = true;
         {
             const std::lock_guard<std::mutex> lock(c.m);
-            while (c.woff < c.wbuf.size()) {
-                const ssize_t n = ::send(c.fd.get(), c.wbuf.data() + c.woff,
-                                         c.wbuf.size() - c.woff, MSG_NOSIGNAL);
+            while (!c.wq.empty()) {
+                iovec iov[k_max_iov];
+                msghdr msg{};
+                msg.msg_iov = iov;
+                std::size_t skip = c.woff;
+                for (auto it = c.wq.begin(); it != c.wq.end() && msg.msg_iovlen < k_max_iov;
+                     ++it, skip = 0) {
+                    const std::string_view b = it->bytes();
+                    iov[msg.msg_iovlen].iov_base = const_cast<char*>(b.data() + skip);
+                    iov[msg.msg_iovlen].iov_len = b.size() - skip;
+                    ++msg.msg_iovlen;
+                }
+                const ssize_t n = ::sendmsg(c.fd.get(), &msg, MSG_NOSIGNAL);
                 if (n > 0) {
-                    c.woff += static_cast<std::size_t>(n);
+                    c.consume_locked(static_cast<std::size_t>(n));
                     sent_bytes += static_cast<std::size_t>(n);
                     continue;
                 }
@@ -458,10 +523,6 @@ struct tcp_server::loop {
                 if (n < 0 && errno == EINTR) continue;
                 ok = false;
                 break;
-            }
-            if (c.woff == c.wbuf.size()) {
-                c.wbuf.clear();
-                c.woff = 0;
             }
         }
         if (sent_bytes > 0) {
@@ -790,6 +851,10 @@ struct tcp_server::loop {
                 }
                 on_bytes(oc, std::string_view(chunk, static_cast<std::size_t>(n)));
                 if (c.dead || c.read_closed) return;
+                // A short read drained the socket: epoll is level-triggered
+                // and reports it again when more bytes land, so the recv
+                // that would only say EAGAIN is skipped.
+                if (static_cast<std::size_t>(n) < sizeof chunk) return;
                 continue;
             }
             if (n == 0) {
@@ -820,7 +885,7 @@ struct tcp_server::loop {
         {
             const std::lock_guard<std::mutex> lock(c.m);
             overflowed = c.overflowed;
-            pending = c.woff < c.wbuf.size();
+            pending = !c.wq.empty();
             inflight_empty = c.inflight.empty();
         }
         if (overflowed || c.dead) {
@@ -835,7 +900,7 @@ struct tcp_server::loop {
                 return true;
             }
             const std::lock_guard<std::mutex> lock(c.m);
-            pending = c.woff < c.wbuf.size();
+            pending = !c.wq.empty();
             overflowed = c.overflowed;
             inflight_empty = c.inflight.empty();
         }
@@ -857,10 +922,9 @@ struct tcp_server::loop {
     }
 
     void evaluate_all() {
-        std::vector<int> fds;
-        fds.reserve(conns.size());
-        for (const auto& [fd, oc] : conns) fds.push_back(fd);
-        for (const int fd : fds) static_cast<void>(evaluate(fd));
+        eval_fds.clear();
+        for (const auto& [fd, oc] : conns) eval_fds.push_back(fd);
+        for (const int fd : eval_fds) static_cast<void>(evaluate(fd));
     }
 
     std::size_t global_inflight() {

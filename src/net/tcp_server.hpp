@@ -28,6 +28,18 @@
 /// Which thread runs the response sink, what it may own, and the teardown
 /// order are the fleet's lifetime rule (`federated_server.hpp`).
 ///
+/// **Writes move no cached bytes.** Each connection queues its responses
+/// as a FIFO of segments: owned bytes (coalesced) and, for a cache hit,
+/// the result-cache entry's shared tail, held by `shared_ptr` until the
+/// kernel has taken it. The loop flushes the queue with `sendmsg` over up
+/// to 16 segments, so a cached 40 KB answer is copied once, by the kernel;
+/// only its per-answer head is encoded. The loop never wakes itself: an
+/// answer buffered on the loop thread (a cache hit answered inline) is
+/// flushed at the top of the next pass, before the loop waits, so only
+/// other threads write the wakeup eventfd. A `recv` shorter than the read
+/// chunk ends the read, since the level-triggered epoll reports the
+/// socket again when more bytes arrive.
+///
 /// **Overload behavior is explicit.** A bounded global admission count
 /// (`max_inflight_requests`) caps job requests forwarded to the fleet;
 /// at the bound, new `identify_*` requests are answered immediately with
@@ -95,8 +107,9 @@ struct tcp_server_config {
     /// Keep <= the backing service's `max_pending_jobs` (default 64) so a
     /// forwarded submission can never block the event loop.
     std::size_t max_inflight_requests = 32;
-    /// Per-connection response-buffer bound in bytes. A connection that
-    /// fills it (a slow or stuck reader) is evicted.
+    /// Per-connection response-buffer bound in bytes, counting every
+    /// queued byte (shared cache tails included). A connection that fills
+    /// it (a slow or stuck reader) is evicted.
     std::size_t max_write_buffer = std::size_t{8} << 20;
     /// Bound on a plaintext (metrics-probe) request line.
     std::size_t max_text_line = 4096;

@@ -524,6 +524,48 @@ std::uint64_t frame_digest(const std::string& frame) {
     return h.digest();
 }
 
+/// \p report's `building_result` frame under \p corr, built the three ways
+/// a cache serves it: head plus a freshly encoded tail, a hit on an entry
+/// inserted in memory, and a hit on an entry warm-loaded from a spill. A
+/// hit's head carries the answer's own index and seconds, restored here to
+/// \p report's.
+std::vector<std::string> split_building_frames(std::uint64_t corr,
+                                               const runtime::building_report& report) {
+    namespace fs = std::filesystem;
+    const auto from_entry = [&](const api::cached_report& entry) {
+        runtime::building_report head = entry.report;
+        head.index = report.index;
+        head.seconds = report.seconds;
+        return api::encode_building_head(corr, head, entry.tail.size()) + entry.tail;
+    };
+    std::vector<std::string> frames;
+    const std::string tail = api::encode_result_tail(report.result);
+    frames.push_back(api::encode_building_head(corr, report, tail.size()) + tail);
+
+    runtime::building_report stored = report;
+    stored.index = 99;  // the entry's own answer; a hit restamps both
+    stored.seconds = 7.5;
+    const fs::path dir = fs::temp_directory_path() / "fisone_golden_split_spill";
+    fs::remove_all(dir);
+    {
+        api::result_cache cache(4, api::cache_spill_config{dir.string(), 1, 0});
+        cache.insert({5, 6}, stored);
+        const std::shared_ptr<const api::cached_report> hit = cache.lookup({5, 6});
+        EXPECT_NE(hit, nullptr);
+        if (hit) frames.push_back(from_entry(*hit));
+    }
+    {
+        api::result_cache warm(4, api::cache_spill_config{dir.string(), 1, 0});
+        EXPECT_EQ(warm.stats().warm_loaded, 1u);
+        const std::shared_ptr<const api::cached_report> hit = warm.lookup({5, 6});
+        EXPECT_NE(hit, nullptr);
+        if (hit) frames.push_back(from_entry(*hit));
+    }
+    fs::remove_all(dir);
+    EXPECT_EQ(frames.size(), 3u);
+    return frames;
+}
+
 TEST(codec, golden_frame_bytes) {
     // Round trips cannot see a byte-order slip made symmetrically by the
     // encoder and the decoder; these digests pin the exact wire bytes. The
@@ -554,6 +596,8 @@ TEST(codec, golden_frame_bytes) {
     ok.result.edit_distance = 0.96875;
     EXPECT_EQ(frame_digest(api::encode(api::response(api::building_response{21, ok}))),
               0x1198b0b4b01d5b99ULL);
+    for (const std::string& frame : split_building_frames(21, ok))
+        EXPECT_EQ(frame_digest(frame), 0x1198b0b4b01d5b99ULL);
 
     runtime::building_report failed;
     failed.index = 3;
@@ -564,6 +608,8 @@ TEST(codec, golden_frame_bytes) {
     failed.result.embeddings = linalg::matrix(12, 0);
     EXPECT_EQ(frame_digest(api::encode(api::response(api::building_response{22, failed}))),
               0x4078edf2f00fec3eULL);
+    for (const std::string& frame : split_building_frames(22, failed))
+        EXPECT_EQ(frame_digest(frame), 0x4078edf2f00fec3eULL);
 
     api::identify_building_request ib;
     ib.correlation_id = 0x1122334455667788ULL;
@@ -765,14 +811,14 @@ TEST(result_cache, lru_eviction_and_counters) {
     const api::cache_key b{2, 10};
     const api::cache_key c{3, 10};
 
-    EXPECT_FALSE(cache.lookup(a).has_value());  // miss
+    EXPECT_EQ(cache.lookup(a), nullptr);  // miss
     cache.insert(a, r);
     cache.insert(b, r);
-    EXPECT_TRUE(cache.lookup(a).has_value());  // hit; refreshes a
-    cache.insert(c, r);                        // evicts b (LRU)
-    EXPECT_TRUE(cache.lookup(a).has_value());
-    EXPECT_TRUE(cache.lookup(c).has_value());
-    EXPECT_FALSE(cache.lookup(b).has_value());
+    EXPECT_NE(cache.lookup(a), nullptr);  // hit; refreshes a
+    cache.insert(c, r);                   // evicts b (LRU)
+    EXPECT_NE(cache.lookup(a), nullptr);
+    EXPECT_NE(cache.lookup(c), nullptr);
+    EXPECT_EQ(cache.lookup(b), nullptr);
 
     const api::result_cache_stats stats = cache.stats();
     EXPECT_EQ(stats.hits, 3u);
@@ -1044,9 +1090,9 @@ TEST(result_cache, spill_persists_and_warm_loads_only_its_shard) {
         EXPECT_EQ(cache.stats().warm_loaded, 4u);
         EXPECT_EQ(cache.stats().entries, 4u);
         const auto hit = cache.lookup({2, 77});
-        ASSERT_TRUE(hit.has_value());
-        EXPECT_EQ(hit->name, "spilled");
-        EXPECT_FALSE(cache.lookup({2, 78}).has_value());  // fingerprint is part of the key
+        ASSERT_NE(hit, nullptr);
+        EXPECT_EQ(hit->report.name, "spilled");
+        EXPECT_EQ(cache.lookup({2, 78}), nullptr);  // fingerprint is part of the key
     }
     // Two fleet members sharing the directory each load only their own
     // affinity shard (content_hash mod shard_count) — least data necessary.
@@ -1055,9 +1101,9 @@ TEST(result_cache, spill_persists_and_warm_loads_only_its_shard) {
         api::result_cache shard1(8, api::cache_spill_config{dir.string(), 2, 1});
         EXPECT_EQ(shard0.stats().warm_loaded, 2u);  // hashes 2 and 4
         EXPECT_EQ(shard1.stats().warm_loaded, 2u);  // hashes 3 and 5
-        EXPECT_TRUE(shard0.lookup({4, 77}).has_value());
-        EXPECT_FALSE(shard0.lookup({3, 77}).has_value());
-        EXPECT_TRUE(shard1.lookup({3, 77}).has_value());
+        EXPECT_NE(shard0.lookup({4, 77}), nullptr);
+        EXPECT_EQ(shard0.lookup({3, 77}), nullptr);
+        EXPECT_NE(shard1.lookup({3, 77}), nullptr);
     }
     fs::remove_all(dir);
 }
@@ -1080,7 +1126,7 @@ TEST(result_cache, warm_load_sweeps_temps_and_deletes_corrupt_entries) {
 
     api::result_cache cache(4, api::cache_spill_config{dir.string(), 1, 0});
     EXPECT_EQ(cache.stats().warm_loaded, 1u);
-    EXPECT_TRUE(cache.lookup({1, 9}).has_value());
+    EXPECT_NE(cache.lookup({1, 9}), nullptr);
     EXPECT_FALSE(fs::exists(dir / "0000000000000003-0000000000000009.rc"));  // corrupt: gone
     EXPECT_TRUE(fs::exists(dir / "README.txt"));  // foreign files are left alone
     for (const auto& entry : fs::directory_iterator(dir))

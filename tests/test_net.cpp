@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -362,6 +366,86 @@ void expect_conserved(net::tcp_server& front) {
     const net::tcp_server_stats s = front.stats();
     EXPECT_EQ(s.requests_admitted, s.requests_completed);
     EXPECT_EQ(s.requests_in_flight, 0u);
+}
+
+TEST(TcpServer, PartialWritesOfCachedReadsStayWhole) {
+    test_front tf;
+    // Big enough answers (about 80 KB each) that the pipelined replies
+    // outgrow the server's socket send buffer, even autotuned on loopback.
+    sim::building_spec spec;
+    spec.name = "net-big";
+    spec.num_floors = 3;
+    spec.samples_per_floor = 200;
+    spec.aps_per_floor = 6;
+    spec.seed = 1499;
+    api::identify_building_request req;
+    req.has_index = true;
+    req.b = sim::generate_building(spec).building;
+    const auto read_frame = [&req](std::uint64_t corr) {
+        req.correlation_id = corr;
+        return api::encode(api::request(req));
+    };
+    // Fill the cache once, on its own connection.
+    std::string fill;
+    {
+        net::frame_conn conn("127.0.0.1", tf.port());
+        conn.send(read_frame(1));
+        const std::optional<std::string> reply = conn.read_frame();
+        ASSERT_TRUE(reply.has_value());
+        fill = *reply;
+    }
+    const api::response filled = decode_one(fill);
+    const auto* fb = std::get_if<api::building_response>(&filled);
+    ASSERT_NE(fb, nullptr);
+    ASSERT_TRUE(fb->report.ok) << fb->report.error;
+
+    // A client with a tiny receive window pipelines cached reads on one
+    // connection, then reads the replies back a few bytes at a time: the
+    // server's gathered writes stall and resume mid-segment, mid-frame.
+    net::socket_fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+    ASSERT_TRUE(fd.valid());
+    const int rcvbuf = 2048;
+    ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf), 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(tf.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+    constexpr std::uint64_t k_reads = 48;
+    std::string batch;
+    for (std::uint64_t j = 0; j < k_reads; ++j) batch += read_frame(100 + j);
+    net::send_all(fd.get(), batch);
+    ::shutdown(fd.get(), SHUT_WR);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let the queue back up
+
+    api::frame_splitter splitter;
+    std::vector<std::uint64_t> ids;
+    char chunk[4093];
+    const std::size_t steps[] = {7, 61, 509, 4093};  // odd sizes split frames anywhere
+    for (std::size_t r = 0;; ++r) {
+        const ssize_t n = ::recv(fd.get(), chunk, steps[r % 4], 0);
+        ASSERT_GE(n, 0) << std::strerror(errno);
+        if (n == 0) break;
+        splitter.append(std::string_view(chunk, static_cast<std::size_t>(n)));
+        while (const std::optional<std::string> frame = splitter.next()) {
+            const api::response resp = decode_one(*frame);
+            const auto* b = std::get_if<api::building_response>(&resp);
+            ASSERT_NE(b, nullptr);
+            ids.push_back(b->correlation_id);
+            // Bit for bit the fill's frame, once the per-answer id and
+            // probe time are set back to the fill's.
+            api::building_response same = *b;
+            same.correlation_id = fb->correlation_id;
+            same.report.seconds = fb->report.seconds;
+            EXPECT_EQ(api::encode(api::response(same)), fill) << "reply " << b->correlation_id;
+        }
+    }
+    EXPECT_TRUE(splitter.at_boundary());
+    ASSERT_EQ(ids.size(), k_reads);
+    std::sort(ids.begin(), ids.end());
+    for (std::uint64_t j = 0; j < k_reads; ++j) EXPECT_EQ(ids[j], 100 + j);
+    EXPECT_EQ(tf.fleet().backend(0).cache_stats().hits, k_reads);
+    expect_conserved(tf.front());
 }
 
 TEST(TcpServer, LiveCancelTargetsTheClientsOwnId) {
