@@ -448,6 +448,25 @@ TEST(TcpServer, PartialWritesOfCachedReadsStayWhole) {
     expect_conserved(tf.front());
 }
 
+TEST(TcpServer, CachedReadTailsCountAgainstTheWriteBound) {
+    net::tcp_server_config cfg;
+    cfg.max_write_buffer = 512;  // holds a cache hit's head, not its tail
+    test_front tf(cfg);
+    // The fill's fresh answer overflows the bound too, but the cache is
+    // filled before the answer is queued.
+    net::frame_conn fill("127.0.0.1", tf.port());
+    fill.send(identify_frame(1, 0, 0));
+    ASSERT_TRUE(eventually([&tf] { return tf.front().stats().connections_closed_slow == 1; }));
+    ASSERT_EQ(tf.fleet().backend(0).cache_stats().entries, 1u);
+
+    // A hit queues a small head plus the shared tail; the tail counts.
+    net::frame_conn read("127.0.0.1", tf.port());
+    read.send(identify_frame(2, 0, 0));
+    EXPECT_TRUE(eventually([&tf] { return tf.front().stats().connections_closed_slow == 2; }));
+    EXPECT_EQ(tf.fleet().backend(0).cache_stats().hits, 1u);
+    expect_conserved(tf.front());
+}
+
 TEST(TcpServer, LiveCancelTargetsTheClientsOwnId) {
     test_front tf(net::tcp_server_config{}, /*paused=*/true);  // the job stays queued
     net::frame_conn conn("127.0.0.1", tf.port());
