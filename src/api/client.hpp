@@ -67,8 +67,9 @@ public:
     std::uint64_t flush();
 
     /// Append a batch of scan records to the store serving \p corpus_name.
-    /// Answered with `append_response` once the delta shard is durable (a
-    /// bare `api::server` answers a typed bad_request: appends are a
+    /// Answered with `append_response` once the delta shard and manifest
+    /// are written then renamed into place, not fsynced (a bare
+    /// `api::server` answers a typed bad_request: appends are a
     /// federation verb).
     std::uint64_t append_scans(const std::string& corpus_name,
                                const std::vector<data::building>& records);

@@ -137,12 +137,14 @@ struct flush_request {
     std::uint64_t correlation_id = 0;
 };
 
-/// Durably append new crowdsourced scans to the mounted store whose corpus
-/// is named `corpus_name`. Each record is a building block carrying the
+/// Append new crowdsourced scans to the mounted store whose corpus is
+/// named `corpus_name`. Each record is a building block carrying the
 /// NEW scans for the building it names (`data::apply_delta_record`
 /// semantics); a name no base building holds introduces a new building at
 /// the store's tail. Answered with `append_response` only after the
-/// store's manifest has durably versioned forward; the re-run of the dirty
+/// store's advanced manifest was written then renamed into place (not
+/// fsynced: a process crash keeps the append, a power loss may not); the
+/// re-run of the dirty
 /// buildings follows asynchronously (barrier: `flush`). Served by the
 /// federated front-end — a bare `api::server` has no store to land deltas
 /// in and answers `bad_request`.
@@ -224,15 +226,17 @@ struct flush_response {
     std::uint64_t correlation_id = 0;
 };
 
-/// Answer to `append_scans_request`, emitted once the append is durable
-/// (manifest renamed into place — a crash after this frame never loses the
-/// delta). `version` is the store's manifest version after the append;
-/// `dirty` counts the buildings whose content hash changed (they re-run;
-/// everything else keeps serving from cache).
+/// Answer to `append_scans_request`, emitted once the append has landed:
+/// delta shard and manifest written then renamed into place, not fsynced.
+/// A process crash after this frame never loses the delta; a power loss
+/// may (the `util::durable_write` item in ROADMAP.md). `version` is the
+/// store's manifest version after the append; `dirty` counts the buildings
+/// whose content hash changed (they re-run; everything else keeps serving
+/// from cache).
 struct append_response {
     std::uint64_t correlation_id = 0;
     std::uint64_t version = 0;
-    std::uint64_t accepted = 0;  ///< delta records durably appended
+    std::uint64_t accepted = 0;  ///< delta records appended (written then renamed, not fsynced)
     std::uint64_t dirty = 0;
 };
 

@@ -154,7 +154,8 @@ std::shared_ptr<const cached_report> result_cache::lookup(const cache_key& key) 
     return it->second->second;
 }
 
-void result_cache::insert(const cache_key& key, runtime::building_report report) {
+std::shared_ptr<const cached_report> result_cache::insert(const cache_key& key,
+                                                          runtime::building_report report) {
     auto entry = std::make_shared<cached_report>();
     entry->tail = encode_result_tail(report.result);
     entry->report = std::move(report);
@@ -169,17 +170,18 @@ void result_cache::insert(const cache_key& key, runtime::building_report report)
     const std::lock_guard<std::mutex> lock(m_);
     const auto it = index_.find(key);
     if (it != index_.end()) {
-        it->second->second = std::move(entry);
+        it->second->second = entry;
         entries_.splice(entries_.begin(), entries_, it->second);
-        return;
+        return entry;
     }
     if (entries_.size() >= capacity_) {
         index_.erase(entries_.back().first);
         entries_.pop_back();
         ++evictions_;
     }
-    entries_.emplace_front(key, std::move(entry));
+    entries_.emplace_front(key, entry);
     index_.emplace(key, entries_.begin());
+    return entry;
 }
 
 result_cache_stats result_cache::stats() const {

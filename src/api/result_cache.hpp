@@ -114,7 +114,10 @@ public:
     /// swallowed — persistence degrades, serving never does. Disk entries
     /// are not evicted with their in-memory twins: the spill is the warm-
     /// restart superset, bounded by the corpus, not by `capacity`.
-    void insert(const cache_key& key, runtime::building_report report);
+    /// \returns the entry just made, so a caller can answer from it as a
+    ///          hit would.
+    std::shared_ptr<const cached_report> insert(const cache_key& key,
+                                                runtime::building_report report);
 
     [[nodiscard]] result_cache_stats stats() const;
     [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }

@@ -19,6 +19,25 @@ namespace {
 
 using clock = std::chrono::steady_clock;
 
+/// Slots of `server::task_fingerprint`'s memo: more than a working set of
+/// corpus indices, and a few tens of kilobytes.
+constexpr std::size_t k_fingerprint_slots = 1024;
+
+/// A building's answer from a cache entry: the head fields of \p entry's
+/// report under \p index and \p seconds, the entry itself for the rest.
+building_answer answer_from(std::shared_ptr<const cached_report> entry, std::size_t index,
+                            double seconds) {
+    building_answer a;
+    a.report.index = index;
+    a.report.name = entry->report.name;
+    a.report.ok = entry->report.ok;
+    a.report.error = entry->report.error;
+    a.report.seed = entry->report.seed;
+    a.report.seconds = seconds;
+    a.cached = std::move(entry);
+    return a;
+}
+
 }  // namespace
 
 void job_table::remember(std::uint64_t correlation_id, service::floor_service::job job) {
@@ -174,7 +193,7 @@ bool server::session::sink_broken() const {
     return state_->broken;
 }
 
-server::server(server_config cfg) : cfg_(std::move(cfg)) {
+server::server(server_config cfg) : cfg_(std::move(cfg)), fingerprints_(k_fingerprint_slots) {
     if (cfg_.enable_cache)
         cache_ = std::make_unique<result_cache>(cfg_.cache_capacity, cfg_.cache_spill);
     svc_ = std::make_unique<service::floor_service>(cfg_.service);
@@ -229,32 +248,41 @@ std::optional<service::floor_service::job> server::identify(const data::building
     if (cache_ && !no_cache) {
         const clock::time_point start = clock::now();
         obs::scoped_span probe_span("api.cache_probe");
-        const service::service_config& scfg = svc_->config();
-        key = cache_key{content_hash,
-                        core::config_fingerprint(runtime::effective_task_config(
-                            scfg.pipeline, scfg.seed, index, svc_->num_workers() > 1))};
+        key = cache_key{content_hash, task_fingerprint(index)};
         if (std::shared_ptr<const cached_report> hit = cache_->lookup(*key)) {
             // Keep index assignment identical to a cache-off run even
             // though the service never sees this one.
             svc_->advance_corpus_index(index + 1);
-            building_answer a;
-            a.report.index = index;
-            a.report.name = hit->report.name;
-            a.report.ok = hit->report.ok;
-            a.report.error = hit->report.error;
-            a.report.seed = hit->report.seed;
-            a.report.seconds = std::chrono::duration<double>(clock::now() - start).count();
-            a.cached = std::move(hit);
-            on_report(std::move(a));
+            on_report(answer_from(std::move(hit), index,
+                                  std::chrono::duration<double>(clock::now() - start).count()));
             return std::nullopt;
         }
     }
+    // A run that fills the cache answers from the entry it just made: its
+    // result is encoded once, for the entry, and not copied again.
     return svc_->submit(b, index,
                         [cache = cache_.get(), key, on_report = std::move(on_report)](
                             const runtime::building_report& report) {
-                            if (key && report.ok) cache->insert(*key, report);
-                            on_report(building_answer{report, nullptr});
+                            if (!key || !report.ok)
+                                return on_report(building_answer{report, nullptr});
+                            std::shared_ptr<const cached_report> entry =
+                                cache->insert(*key, report);
+                            on_report(answer_from(std::move(entry), report.index, report.seconds));
                         });
+}
+
+std::uint64_t server::task_fingerprint(std::size_t index) const {
+    fingerprint_slot& slot = fingerprints_[index % fingerprints_.size()];
+    {
+        const std::lock_guard<std::mutex> lock(fingerprint_m_);
+        if (slot.valid && slot.index == index) return slot.fingerprint;
+    }
+    const service::service_config& scfg = svc_->config();
+    const std::uint64_t fingerprint = core::config_fingerprint(runtime::effective_task_config(
+        scfg.pipeline, scfg.seed, index, svc_->num_workers() > 1));
+    const std::lock_guard<std::mutex> lock(fingerprint_m_);
+    slot = fingerprint_slot{index, fingerprint, true};
+    return fingerprint;
 }
 
 service::service_stats server::stats() const {

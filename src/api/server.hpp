@@ -44,6 +44,7 @@
 #include <optional>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "message.hpp"
 #include "result_cache.hpp"
@@ -99,12 +100,14 @@ private:
     std::unordered_map<std::uint64_t, service::floor_service::job> jobs_;
 };
 
-/// A building's one answer from `server::identify`. A fresh run hands
-/// over its whole report and no entry. A cache hit hands over the shared
-/// entry instead of a copy: `report` then holds only the answer's head —
-/// its own index and probe `seconds`, the entry's name, ok, error and seed
-/// — with an empty result. The result is `cached->report.result`, and its
-/// encoded bytes are `cached->tail`.
+/// A building's one answer from `server::identify`. A run that does not
+/// fill the cache (a failure, or caching off for it) hands over its whole
+/// report and no entry. A cache hit, and a run that fills the cache, hand
+/// over the shared entry instead of a copy: `report` then holds only the
+/// answer's head — its index and `seconds` (a hit's own index and probe
+/// time), the entry's name, ok, error and seed — with an empty result.
+/// The result is `cached->report.result`, and its encoded bytes are
+/// `cached->tail`.
 struct building_answer {
     runtime::building_report report;
     std::shared_ptr<const cached_report> cached;  ///< set on a cache hit
@@ -196,8 +199,25 @@ public:
     /// The backing service (pause/resume, direct submission, raw stats).
     [[nodiscard]] service::floor_service& backing_service() noexcept { return *svc_; }
 
+    /// The config half of corpus index \p index's cache key:
+    /// `core::config_fingerprint` of the task's effective config. It
+    /// depends only on the service config and \p index, so it is memoised
+    /// per index (thread-safe, bounded).
+    [[nodiscard]] std::uint64_t task_fingerprint(std::size_t index) const;
+
 private:
+    /// One `task_fingerprint` memo slot.
+    struct fingerprint_slot {
+        std::size_t index = 0;
+        std::uint64_t fingerprint = 0;
+        bool valid = false;
+    };
+
     server_config cfg_;
+    /// The `task_fingerprint` memo, direct-mapped by index so that it
+    /// stays bounded however many indices a long-lived server sees.
+    mutable std::mutex fingerprint_m_;
+    mutable std::vector<fingerprint_slot> fingerprints_;
     /// Declared before the service so teardown destroys the service first:
     /// its destructor waits for in-flight jobs, whose callbacks may still
     /// touch the cache.

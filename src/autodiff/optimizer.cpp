@@ -2,6 +2,10 @@
 
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace fisone::autodiff {
 
 namespace {
@@ -85,13 +89,45 @@ void adam::step(matrix& param, const matrix& grad) {
     const double b2 = cfg_.beta2;
     const double bc1 = 1.0 - std::pow(b1, static_cast<double>(t_));
     const double bc2 = 1.0 - std::pow(b2, static_cast<double>(t_));
-    for (std::size_t i = 0; i < param.size(); ++i) {
-        const double g = grad.flat()[i] * scale;
-        s.m.flat()[i] = b1 * s.m.flat()[i] + (1.0 - b1) * g;
-        s.v.flat()[i] = b2 * s.v.flat()[i] + (1.0 - b2) * g * g;
-        const double mhat = s.m.flat()[i] / bc1;
-        const double vhat = s.v.flat()[i] / bc2;
-        param.flat()[i] -= cfg_.learning_rate * mhat / (std::sqrt(vhat) + cfg_.epsilon);
+    const double lr = cfg_.learning_rate;
+    const double eps = cfg_.epsilon;
+    // Four distinct buffers, so the loops may keep values in registers.
+    double* __restrict p = param.data();
+    double* __restrict m = s.m.data();
+    double* __restrict v = s.v.data();
+    const double* __restrict gr = grad.data();
+    const std::size_t n = param.size();
+    std::size_t i = 0;
+#if defined(__SSE2__)
+    // Two elements per step, each lane doing the scalar loop's operations
+    // in its order. SSE2's mul, add, div and sqrt round exactly as their
+    // scalar forms do; `sqrtpd` just sets no errno, which is what keeps
+    // the compiler from vectorising the `std::sqrt` below on its own.
+    const __m128d vscale = _mm_set1_pd(scale);
+    const __m128d vb1 = _mm_set1_pd(b1), vc1 = _mm_set1_pd(1.0 - b1);
+    const __m128d vb2 = _mm_set1_pd(b2), vc2 = _mm_set1_pd(1.0 - b2);
+    const __m128d vbc1 = _mm_set1_pd(bc1), vbc2 = _mm_set1_pd(bc2);
+    const __m128d vlr = _mm_set1_pd(lr), veps = _mm_set1_pd(eps);
+    for (; i + 2 <= n; i += 2) {
+        const __m128d g = _mm_mul_pd(_mm_loadu_pd(gr + i), vscale);
+        const __m128d mi = _mm_add_pd(_mm_mul_pd(vb1, _mm_loadu_pd(m + i)), _mm_mul_pd(vc1, g));
+        const __m128d vi =
+            _mm_add_pd(_mm_mul_pd(vb2, _mm_loadu_pd(v + i)), _mm_mul_pd(_mm_mul_pd(vc2, g), g));
+        _mm_storeu_pd(m + i, mi);
+        _mm_storeu_pd(v + i, vi);
+        const __m128d mhat = _mm_div_pd(mi, vbc1);
+        const __m128d vhat = _mm_div_pd(vi, vbc2);
+        const __m128d step = _mm_div_pd(_mm_mul_pd(vlr, mhat), _mm_add_pd(_mm_sqrt_pd(vhat), veps));
+        _mm_storeu_pd(p + i, _mm_sub_pd(_mm_loadu_pd(p + i), step));
+    }
+#endif
+    for (; i < n; ++i) {
+        const double g = gr[i] * scale;
+        m[i] = b1 * m[i] + (1.0 - b1) * g;
+        v[i] = b2 * v[i] + (1.0 - b2) * g * g;
+        const double mhat = m[i] / bc1;
+        const double vhat = v[i] / bc2;
+        p[i] -= lr * mhat / (std::sqrt(vhat) + eps);
     }
 }
 

@@ -156,7 +156,8 @@ struct federated_server::resident_directory {
         return std::nullopt;
     }
 
-    /// A durable append to the store serving \p corpus_name carried
+    /// An append (written then renamed, not fsynced) to the store serving
+    /// \p corpus_name carried
     /// \p touched: only those buildings (and new names) changed.
     void on_append(const std::string& corpus_name, const std::vector<std::string>& touched) {
         const std::lock_guard<std::mutex> lock(m);
@@ -297,7 +298,7 @@ struct federated_server::session::state {
     }
 
     /// Drain barrier: the ingest manager idle (appends queued before the
-    /// barrier durable, their dirty re-runs answered), every backend
+    /// barrier landed, their dirty re-runs answered), every backend
     /// finished, AND every attempt resolved. Ingest first — its
     /// re-runs create the backend work the rest of the barrier waits on.
     /// Loops because a scheduled retry may submit new backend work after a
@@ -652,8 +653,9 @@ void federated_server::session::handle(const api::request& req) {
                         "mounted at construction)"});
                     return;
                 }
-                // Ack from the ingest worker, after the manifest durably
-                // versioned forward (or the batch was refused). The emitter
+                // Ack from the ingest worker, after the advanced manifest
+                // was written then renamed into place, not fsynced (or the
+                // batch was refused). The emitter
                 // is captured shared: the ack must deliver even if this
                 // session handle is dropped meanwhile.
                 // The resident directory learns of the append before the

@@ -31,14 +31,14 @@
 ///    target correlation id (finished handles are pruned as new ones are
 ///    tracked); unknown or finished targets answer `accepted = false`.
 ///  - `flush` — fans out: every backend drains — and the ingest manager
-///    goes idle (queued appends durable, dirty re-runs answered) — before
+///    goes idle (queued appends landed, dirty re-runs answered) — before
 ///    the one `flush_response` is emitted.
 ///  - `append_scans` — handed to the `ingest::ingest_manager` (created when
-///    stores are mounted at construction): the append becomes durable in
-///    the named store, the `append_response` fires, and the dirty buildings
-///    are resubmitted through an internal session — so the re-runs ride the
-///    same retry/failover/deadline path as client work and leave the
-///    backend caches warm. A fleet without stores answers `bad_request`.
+///    stores are mounted at construction): the append lands in the named
+///    store (written then renamed, not fsynced), the `append_response`
+///    fires, and the dirty buildings are resubmitted through an internal
+///    session — so the re-runs ride the same retry/failover/deadline path
+///    as client work and leave the backend caches warm. A fleet without stores answers `bad_request`.
 ///  - `watch` — registered in the server-wide `watch_registry`; every
 ///    append-triggered re-identification of the watched building is pushed
 ///    to the subscribed connection as a `push_update`.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -40,27 +39,131 @@ void apply_activation(activation act, matrix& m) noexcept {
     }
 }
 
-/// dst[j] += g · src[j], the row_dot backward term.
-void add_scaled(double* dst, double g, const double* src, std::size_t d) noexcept {
-    for (std::size_t j = 0; j < d; ++j) dst[j] += g * src[j];
+/// The row width of a pass: D when it is a compile-time constant (the
+/// profiles' 16 and 32), else the run-time \p d. Every row loop runs to
+/// `width<D>(d)`, so at D > 0 it is fully unrolled and its accumulators
+/// stay in registers. Each element's arithmetic, and each chain's order,
+/// is the same at every D.
+template <std::size_t D>
+constexpr std::size_t width(std::size_t d) noexcept {
+    return D ? D : d;
 }
 
+/// out = Σ w·x over the terms [begin, end), `term(t)` giving (w, x), each
+/// column summed from +0.0 in term order. When D > 0 the accumulator lives
+/// in registers, 16 columns at a time so that it fits the 16 SSE registers
+/// with room to spare; a column's chain is the same in any chunk.
+template <std::size_t D, class Term>
+void weighted_sum(double* __restrict out, std::size_t begin, std::size_t end, const Term& term,
+                  std::size_t d) noexcept {
+    if constexpr (D > 0) {
+        constexpr std::size_t chunk = D < 16 ? D : 16;
+        static_assert(D % chunk == 0);
+        for (std::size_t j0 = 0; j0 < D; j0 += chunk) {
+            double acc[chunk];
+            for (std::size_t j = 0; j < chunk; ++j) acc[j] = 0.0;
+            for (std::size_t t = begin; t < end; ++t) {
+                const auto [w, x] = term(t);
+                for (std::size_t j = 0; j < chunk; ++j) acc[j] += w * x[j0 + j];
+            }
+            for (std::size_t j = 0; j < chunk; ++j) out[j0 + j] = acc[j];
+        }
+    } else {
+        for (std::size_t j = 0; j < d; ++j) out[j] = 0.0;
+        for (std::size_t t = begin; t < end; ++t) {
+            const auto [w, x] = term(t);
+            for (std::size_t j = 0; j < d; ++j) out[j] += w * x[j];
+        }
+    }
+}
+
+/// out[i] = a(i)·b(i) for i in [0, n), each summed from 0.0 left to right
+/// as `kernels::dot` does. Four rows run at once: their chains are
+/// independent, so their adds overlap instead of waiting on each other.
+template <std::size_t D, class RowA, class RowB>
+void row_dots(std::size_t n, const RowA& a, const RowB& b, double* out, std::size_t d) noexcept {
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const double* a0 = a(i);
+        const double* a1 = a(i + 1);
+        const double* a2 = a(i + 2);
+        const double* a3 = a(i + 3);
+        const double* b0 = b(i);
+        const double* b1 = b(i + 1);
+        const double* b2 = b(i + 2);
+        const double* b3 = b(i + 3);
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (std::size_t j = 0; j < width<D>(d); ++j) {
+            s0 += a0[j] * b0[j];
+            s1 += a1[j] * b1[j];
+            s2 += a2[j] * b2[j];
+            s3 += a3[j] * b3[j];
+        }
+        out[i] = s0;
+        out[i + 1] = s1;
+        out[i + 2] = s2;
+        out[i + 3] = s3;
+    }
+    for (; i < n; ++i) out[i] = linalg::kernels::dot(width<D>(d), a(i), b(i));
+}
+
+/// Rows of a layer's representation by position: base rows through the
+/// layer-0 node ids (\p ids non-null), or the rows of a hop's output.
+struct row_source {
+    const double* data;
+    const std::uint32_t* ids;
+    std::size_t d;
+
+    const double* operator()(std::size_t pos) const noexcept {
+        return data + (ids ? ids[pos] : pos) * d;
+    }
+};
+
 }  // namespace
+
+void rf_gnn_step::row_gather::reset(std::size_t rows) { ends_.assign(rows + 1, 0); }
+
+void rf_gnn_step::row_gather::seal() {
+    for (std::size_t r = 1; r < ends_.size(); ++r) ends_[r] += ends_[r - 1];
+    terms_.resize(ends_.back());
+}
+
+template <std::size_t D, class Dst>
+void rf_gnn_step::row_gather::apply(const Dst& dst, std::size_t d) const {
+    std::size_t begin = 0;
+    for (std::size_t r = 0; r + 1 < ends_.size(); ++r) {
+        weighted_sum<D>(
+            dst(r), begin, ends_[r],
+            [this](std::size_t t) { return std::pair{terms_[t].weight, terms_[t].src}; }, d);
+        begin = ends_[r];
+    }
+}
 
 double rf_gnn_step::run(const rf_gnn_batch& batch, const matrix& base,
                         const std::vector<matrix>& weights, activation act, bool train_base,
                         bool with_loss, util::thread_pool* pool) {
+    switch (base.cols()) {
+        case 16: return run_at<16>(batch, base, weights, act, train_base, with_loss, pool);
+        case 32: return run_at<32>(batch, base, weights, act, train_base, with_loss, pool);
+        default: return run_at<0>(batch, base, weights, act, train_base, with_loss, pool);
+    }
+}
+
+template <std::size_t D>
+double rf_gnn_step::run_at(const rf_gnn_batch& batch, const matrix& base,
+                           const std::vector<matrix>& weights, activation act, bool train_base,
+                           bool with_loss, util::thread_pool* pool) {
     const std::size_t K = weights.size();
-    const std::size_t d = base.cols();
+    const std::size_t d = width<D>(base.cols());
     const std::size_t pairs = batch.left.size();
     const std::size_t tau = pairs == 0 ? 0 : batch.negatives.size() / pairs;
     hops_.resize(K);
     weight_grads_.resize(K);
 
-    // Row `pos` of layer k's representation: base rows for k = 0.
-    auto lower_row = [&](std::size_t k, std::size_t pos) -> const double* {
-        return k == 0 ? base.data() + static_cast<std::size_t>(batch.layers[0][pos]) * d
-                      : hops_[k - 1].h.data() + pos * d;
+    // Layer k's representation by position: base rows for k = 0.
+    auto lower_rows = [&](std::size_t k) {
+        return k == 0 ? row_source{base.data(), batch.layers[0].data(), d}
+                      : row_source{hops_[k - 1].h.data(), nullptr, d};
     };
 
     // --- forward, hop by hop ---
@@ -69,18 +172,22 @@ double rf_gnn_step::run(const rf_gnn_batch& batch, const matrix& base,
         const autodiff::row_csr& hood = batch.hoods[k];
         const std::vector<std::uint32_t>& self = batch.self[k];
         const std::size_t n = self.size();
+        const row_source lower = lower_rows(k - 1);
 
         // cat = [self row | Σ w·neighbour row], the sum from 0.0 in CSR
-        // order. Rows are independent, so pooled runs are bit-exact.
+        // order, accumulated in registers at a compile-time width. Rows
+        // are independent, so pooled runs are bit-exact.
         hb.cat.resize_uninit(n, 2 * d);
         const auto fill_row = [&](std::size_t i) {
             double* out = hb.cat.data() + i * 2 * d;
-            const double* own = lower_row(k - 1, self[i]);
+            const double* own = lower(self[i]);
             for (std::size_t j = 0; j < d; ++j) out[j] = own[j];
-            double* agg = out + d;
-            for (std::size_t j = 0; j < d; ++j) agg[j] = 0.0;
-            for (std::size_t t = hood.offsets[i]; t < hood.offsets[i + 1]; ++t)
-                add_scaled(agg, hood.terms[t].weight, lower_row(k - 1, hood.terms[t].row), d);
+            weighted_sum<D>(
+                out + d, hood.offsets[i], hood.offsets[i + 1],
+                [&](std::size_t t) {
+                    return std::pair{hood.terms[t].weight, lower(hood.terms[t].row)};
+                },
+                d);
         };
         const std::size_t flops_per_row =
             (hood.terms.size() / std::max<std::size_t>(n, 1) + 1) * d;
@@ -93,13 +200,19 @@ double rf_gnn_step::run(const rf_gnn_batch& batch, const matrix& base,
         linalg::matmul_into(hb.act, hb.cat, weights[k - 1], pool);
         apply_activation(act, hb.act);
 
+        // L2 row normalisation: the squared norms four rows at a time,
+        // then each row's clamped norm and unit row.
         hb.h.resize_uninit(n, d);
         hb.norm.resize(n);
+        const auto act_row = [&](std::size_t i) { return hb.act.data() + i * d; };
+        row_dots<D>(n, act_row, act_row, hb.norm.data(), d);
         for (std::size_t i = 0; i < n; ++i) {
-            double nrm = linalg::norm2(hb.act.row(i));
+            double nrm = std::sqrt(hb.norm[i]);
             if (nrm < 1e-12) nrm = 1e-12;
             hb.norm[i] = nrm;
-            for (std::size_t j = 0; j < d; ++j) hb.h(i, j) = hb.act(i, j) / nrm;
+            const double* a = act_row(i);
+            double* y = hb.h.data() + i * d;
+            for (std::size_t j = 0; j < d; ++j) y[j] = a[j] / nrm;
         }
     }
     const matrix& top = hops_[K - 1].h;
@@ -108,16 +221,19 @@ double rf_gnn_step::run(const rf_gnn_batch& batch, const matrix& base,
 
     // --- skip-gram scores and the scalar chain of
     //     loss = −mean(log σ(pos)) − τ·mean(log σ(−neg)).
-    //     Each `0.0 +` stands where the tape adds into a fresh zero
-    //     buffer, so even the sign of a zero matches. ---
+    //     The dot products come first (in the gradient buffers), then each
+    //     score's tail in order. Each `0.0 +` stands where the tape adds
+    //     into a fresh zero buffer, so even the sign of a zero matches. ---
     double loss = 0.0;  // stays 0.0 without with_loss
     pos_grad_.resize(pairs);
     {
         const double gmean = (-1.0 * 1.0) / static_cast<double>(pairs);
+        row_dots<D>(
+            pairs, [&](std::size_t i) { return top_row(batch.left[i]); },
+            [&](std::size_t i) { return top_row(batch.right[i]); }, pos_grad_.data(), d);
         double total = 0.0;
         for (std::size_t i = 0; i < pairs; ++i) {
-            const double x =
-                linalg::kernels::dot(d, top_row(batch.left[i]), top_row(batch.right[i]));
+            const double x = pos_grad_[i];
             const double e = std::exp(x >= 0.0 ? -x : x);
             pos_grad_[i] = 0.0 + gmean * sigmoid_neg(x, e);
             if (with_loss) total += log_sigmoid(x, e);
@@ -128,31 +244,40 @@ double rf_gnn_step::run(const rf_gnn_batch& batch, const matrix& base,
     if (tau > 0) {
         const double count = static_cast<double>(pairs * tau);
         const double gmean = (-static_cast<double>(tau) * 1.0) / count;
+        row_dots<D>(
+            pairs * tau, [&](std::size_t r) { return top_row(batch.left[r / tau]); },
+            [&](std::size_t r) { return top_row(batch.negatives[r]); }, neg_grad_.data(), d);
         double total = 0.0;
-        for (std::size_t i = 0; i < pairs; ++i)
-            for (std::size_t z = 0; z < tau; ++z) {
-                const std::size_t r = i * tau + z;
-                const double x =
-                    -linalg::kernels::dot(d, top_row(batch.left[i]), top_row(batch.negatives[r]));
-                const double e = std::exp(x >= 0.0 ? -x : x);
-                neg_grad_[r] = 0.0 + -1.0 * (0.0 + gmean * sigmoid_neg(x, e));
-                if (with_loss) total += log_sigmoid(x, e);
-            }
+        for (std::size_t r = 0; r < pairs * tau; ++r) {
+            const double x = -neg_grad_[r];
+            const double e = std::exp(x >= 0.0 ? -x : x);
+            neg_grad_[r] = 0.0 + -1.0 * (0.0 + gmean * sigmoid_neg(x, e));
+            if (with_loss) total += log_sigmoid(x, e);
+        }
         if (with_loss) loss += (total / count) * -static_cast<double>(tau);
     }
 
-    // --- backward into dh_K, in the tape's reverse insertion order:
-    //     the negatives' rows, their lefts, the positives' rights, lefts ---
+    // --- backward into dh_K, gathered in the tape's reverse insertion
+    //     order: the negatives' rows, their lefts, the positives' rights,
+    //     lefts ---
+    const auto each_dh_term = [&](const auto& emit) {
+        for (std::size_t i = 0; i < pairs; ++i)
+            for (std::size_t r = i * tau; r < i * tau + tau; ++r)
+                emit(batch.negatives[r], top_row(batch.left[i]), neg_grad_[r]);
+        for (std::size_t i = 0; i < pairs; ++i)
+            for (std::size_t r = i * tau; r < i * tau + tau; ++r)
+                emit(batch.left[i], top_row(batch.negatives[r]), neg_grad_[r]);
+        for (std::size_t i = 0; i < pairs; ++i)
+            emit(batch.right[i], top_row(batch.left[i]), pos_grad_[i]);
+        for (std::size_t i = 0; i < pairs; ++i)
+            emit(batch.left[i], top_row(batch.right[i]), pos_grad_[i]);
+    };
     dh_.resize_uninit(top.rows(), d);
-    dh_.fill(0.0);
-    for (std::size_t r = 0; r < pairs * tau; ++r)
-        add_scaled(dh_row(batch.negatives[r]), neg_grad_[r], top_row(batch.left[r / tau]), d);
-    for (std::size_t r = 0; r < pairs * tau; ++r)
-        add_scaled(dh_row(batch.left[r / tau]), neg_grad_[r], top_row(batch.negatives[r]), d);
-    for (std::size_t i = 0; i < pairs; ++i)
-        add_scaled(dh_row(batch.right[i]), pos_grad_[i], top_row(batch.left[i]), d);
-    for (std::size_t i = 0; i < pairs; ++i)
-        add_scaled(dh_row(batch.left[i]), pos_grad_[i], top_row(batch.right[i]), d);
+    gather_.reset(top.rows());
+    each_dh_term([&](std::size_t row, const double*, double) { gather_.count(row); });
+    gather_.seal();
+    each_dh_term([&](std::size_t row, const double* src, double w) { gather_.place(row, src, w); });
+    gather_.apply<D>(dh_row, d);
 
     // --- backward through the hops, top down ---
     if (train_base) {
@@ -163,13 +288,18 @@ double rf_gnn_step::run(const rf_gnn_batch& batch, const matrix& base,
         const hop_buffers& hb = hops_[k - 1];
         const std::size_t n = hb.h.rows();
 
-        // L2 normalisation, then σ, in place: dh becomes dz.
+        // L2 normalisation, then σ, in place: dh becomes dz. The g·y dot
+        // products run four rows at a time first.
+        const auto h_row = [&](std::size_t i) { return hb.h.data() + i * d; };
+        gy_.resize(n);
+        row_dots<D>(n, dh_row, h_row, gy_.data(), d);
         for (std::size_t i = 0; i < n; ++i) {
             double* g = dh_row(i);
-            const double* y = hb.h.data() + i * d;
+            const double* y = h_row(i);
             const double* a = hb.act.data() + i * d;
-            const double gy = linalg::kernels::dot(d, g, y);
-            for (std::size_t j = 0; j < d; ++j) g[j] = 0.0 + (g[j] - gy * y[j]) / hb.norm[i];
+            const double gy = gy_[i];
+            const double nrm = hb.norm[i];
+            for (std::size_t j = 0; j < d; ++j) g[j] = 0.0 + (g[j] - gy * y[j]) / nrm;
             switch (act) {
                 case activation::tanh:
                     for (std::size_t j = 0; j < d; ++j) g[j] = 0.0 + g[j] * (1.0 - a[j] * a[j]);
@@ -187,28 +317,29 @@ double rf_gnn_step::run(const rf_gnn_batch& batch, const matrix& base,
         if (k == 1 && !train_base) break;  // the frozen base needs no dcat
         linalg::matmul_nt_into(dcat_, dh_, weights[k - 1], pool, &ws_);
 
-        // Scatter dcat into the layer below: the weighted-sum half first,
-        // then the self half. Layer 0's rows are base rows.
-        matrix& lower = k == 1 ? base_grad_ : dh_lower_;
-        if (k > 1) {
-            dh_lower_.resize_uninit(batch.layers[k - 1].size(), d);
-            dh_lower_.fill(0.0);
-        }
-        auto lower_grad = [&](std::size_t pos) {
-            return lower.data() + (k == 1 ? batch.layers[0][pos] : pos) * d;
-        };
+        // dcat into the layer below, gathered: the weighted-sum half's
+        // terms first, then the self half's (a plain add, as 1.0 · g).
+        // Layer 0's rows are base rows.
+        const std::uint32_t* ids = k == 1 ? batch.layers[0].data() : nullptr;
+        if (k > 1) dh_lower_.resize_uninit(batch.layers[k - 1].size(), d);
         const autodiff::row_csr& hood = batch.hoods[k];
-        for (std::size_t i = 0; i < n; ++i) {
-            const double* g = dcat_.data() + i * 2 * d + d;
-            for (std::size_t t = hood.offsets[i]; t < hood.offsets[i + 1]; ++t)
-                add_scaled(lower_grad(hood.terms[t].row), hood.terms[t].weight, g, d);
-        }
         const std::vector<std::uint32_t>& self = batch.self[k];
-        for (std::size_t i = 0; i < n; ++i) {
-            double* dst = lower_grad(self[i]);
-            const double* g = dcat_.data() + i * 2 * d;
-            for (std::size_t j = 0; j < d; ++j) dst[j] += g[j];
-        }
+        const auto each_dcat_term = [&](const auto& emit) {
+            for (std::size_t i = 0; i < n; ++i)
+                for (std::size_t t = hood.offsets[i]; t < hood.offsets[i + 1]; ++t)
+                    emit(hood.terms[t].row, dcat_.data() + i * 2 * d + d, hood.terms[t].weight);
+            for (std::size_t i = 0; i < n; ++i) emit(self[i], dcat_.data() + i * 2 * d, 1.0);
+        };
+        gather_.reset(batch.layers[k - 1].size());
+        each_dcat_term([&](std::size_t row, const double*, double) { gather_.count(row); });
+        gather_.seal();
+        each_dcat_term(
+            [&](std::size_t row, const double* src, double w) { gather_.place(row, src, w); });
+        matrix& lower = k == 1 ? base_grad_ : dh_lower_;
+        const auto lower_grad = [&](std::size_t pos) {
+            return lower.data() + (ids ? ids[pos] : pos) * d;
+        };
+        gather_.apply<D>(lower_grad, d);
         if (k > 1) std::swap(dh_, dh_lower_);
     }
     return loss;
@@ -234,8 +365,7 @@ rf_gnn::rf_gnn(const graph::bipartite_graph& g, rf_gnn_config cfg, util::thread_
     if (cfg.walks.walks_per_node == 0)
         throw std::invalid_argument("rf_gnn: walks.walks_per_node must be > 0");
 
-    slot_stamp_.assign(g.num_nodes(), 0);
-    slot_pos_.resize(g.num_nodes());
+    slots_.assign(g.num_nodes(), node_slot{});
     batch_.layers.resize(cfg.num_hops + 1);
     batch_.self.resize(cfg.num_hops + 1);
     batch_.hoods.resize(cfg.num_hops + 1);
@@ -281,20 +411,31 @@ double rf_gnn::train_batch(const std::vector<graph::walk_pair>& pairs, std::size
     const std::size_t K = cfg_.num_hops;
     rf_gnn_batch& b = batch_;
 
+    // Sampling draws from a local copy of the model's generator, and the
+    // layer stamp is a local, so both stay in registers; both are written
+    // back below.
+    util::rng gen = rng_;
+    node_slot* const slots = slots_.data();
+    std::uint32_t stamp = slot_gen_;
+
     // `intern(layer, node)` returns the node's position in `layer`,
     // appending it on first sight. Positions never move once assigned, so
-    // the position returned for a node is final (see `slot_pos_`).
+    // the position returned for a node is final (see `slots_`).
     auto start_layer = [&](std::vector<std::uint32_t>& layer) {
         layer.clear();
-        ++slot_gen_;
+        if (++stamp == 0) {  // the stamp wrapped: forget every old one
+            for (node_slot& slot : slots_) slot.stamp = 0;
+            stamp = 1;
+        }
     };
     auto intern = [&](std::vector<std::uint32_t>& layer, std::uint32_t node) -> std::uint32_t {
-        if (slot_stamp_[node] != slot_gen_) {
-            slot_stamp_[node] = slot_gen_;
-            slot_pos_[node] = static_cast<std::uint32_t>(layer.size());
+        node_slot& slot = slots[node];
+        if (slot.stamp != stamp) {
+            slot.stamp = stamp;
+            slot.pos = static_cast<std::uint32_t>(layer.size());
             layer.push_back(node);
         }
-        return slot_pos_[node];
+        return slot.pos;
     };
 
     // --- the target layer, deduplicated: lefts and rights first, then
@@ -308,41 +449,43 @@ double rf_gnn::train_batch(const std::vector<graph::walk_pair>& pairs, std::size
         b.left[i] = intern(targets, pairs[begin + i].first);
         b.right[i] = intern(targets, pairs[begin + i].second);
     }
-    for (std::uint32_t& neg : b.negatives) neg = intern(targets, negatives_.sample(rng_));
+    for (std::uint32_t& neg : b.negatives) neg = intern(targets, negatives_.sample(gen));
 
     // --- build the layered computation from the top down:
     //     layers[k-1] = layers[k] ∪ sampled neighbours of layers[k],
     //     in first-seen order. hoods[k] row i holds the sampled
     //     (position in layer k-1, aggregation weight) terms of node i of
-    //     layer k, in sampling order. ---
+    //     layer k, in sampling order. Every row has exactly
+    //     `neighbor_samples` terms, so each CSR is sized up front and
+    //     written in place, and a row is normalised as it is drawn. ---
+    const std::size_t samples = cfg_.neighbor_samples;
+    const bool attention = cfg_.use_attention;
+    const double uniform_weight = 1.0 / static_cast<double>(samples);
     for (std::size_t k = K; k >= 1; --k) {
         const std::vector<std::uint32_t>& upper = b.layers[k];
         std::vector<std::uint32_t>& lower = b.layers[k - 1];
         autodiff::row_csr& hood = b.hoods[k];
+        const std::size_t n = upper.size();
         start_layer(lower);
-        hood.clear();
-        b.self[k].resize(upper.size());
-        for (std::size_t i = 0; i < upper.size(); ++i) {
+        hood.offsets.resize(n + 1);
+        hood.terms.resize(n * samples);
+        b.self[k].resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
             const std::uint32_t node = upper[i];
             b.self[k][i] = intern(lower, node);  // the node's own previous rep
-            const std::size_t row_begin = hood.terms.size();
-            for (std::size_t s = 0; s < cfg_.neighbor_samples; ++s) {
-                const graph::edge& e = sampler_.sample_edge(node, rng_);
-                hood.terms.push_back({intern(lower, e.neighbor), e.weight});
-            }
-            // Normalise in place: the total is summed in sampling order.
-            const std::span<autodiff::weighted_row> row(hood.terms.data() + row_begin,
-                                                        cfg_.neighbor_samples);
-            double total = 0.0;
-            if (cfg_.use_attention)
-                for (const autodiff::weighted_row& t : row) total += t.weight;
-            else
-                total = static_cast<double>(row.size());
-            for (autodiff::weighted_row& t : row)
-                t.weight = cfg_.use_attention ? t.weight / total : 1.0 / total;
-            hood.end_row();
+            autodiff::weighted_row* row = hood.terms.data() + i * samples;
+            double total = 0.0;  // summed in sampling order
+            sampler_.sample_edges(node, samples, gen, [&](std::size_t s, const graph::edge& e) {
+                row[s] = {intern(lower, e.neighbor), e.weight};
+                total += e.weight;
+            });
+            for (std::size_t s = 0; s < samples; ++s)
+                row[s].weight = attention ? row[s].weight / total : uniform_weight;
+            hood.offsets[i + 1] = (i + 1) * samples;
         }
     }
+    slot_gen_ = stamp;
+    rng_ = gen;
 
     const double loss = step_.run(b, base_, weights_, cfg_.act, cfg_.train_base_embeddings,
                                   with_loss, pool_);

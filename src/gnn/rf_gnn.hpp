@@ -19,9 +19,22 @@
 /// across batches (see the private members). RNG draws keep one order,
 /// which the golden digests pin: the batch's negatives, then
 /// `neighbor_samples` edges per row from hop K down to hop 1, rows in
-/// first-seen order. Each batch's loss and gradient come from
-/// `rf_gnn_step`, one hand-derived forward and backward pass per hop
-/// that reproduces the autodiff tape's arithmetic bit for bit.
+/// first-seen order. The draws come from flat tables:
+/// `graph::neighbor_sampler` keeps one alias column per CSR half-edge,
+/// each node's run beside a record of its edges and its degree as a
+/// prepared `util::rng::index_range` (rejection threshold and divisionless
+/// remainder), and `graph::negative_table` one column per node. Each draw
+/// consumes exactly the raw outputs a per-node `util::alias_sampler` (or
+/// `rng::uniform_index`) would and returns the same index, so the draw
+/// order above is the whole sampling contract. Each row's CSR terms are
+/// written in place and normalised as they are drawn.
+///
+/// Each batch's loss and gradient come from `rf_gnn_step`, one
+/// hand-derived forward and backward pass per hop that reproduces the
+/// autodiff tape's arithmetic bit for bit. At d = 16 and 32 its row loops
+/// run at a compile-time width, with register accumulators for the
+/// aggregation and the gradient sums, and the row-wise dot products of
+/// four rows at a time; every element keeps its own summation order.
 
 #include <cstdint>
 #include <vector>
@@ -119,6 +132,44 @@ public:
     }
 
 private:
+    /// `run` at row width \p D, or at the run-time width when D is 0.
+    template <std::size_t D>
+    double run_at(const rf_gnn_batch& batch, const linalg::matrix& base,
+                  const std::vector<linalg::matrix>& weights, activation act, bool train_base,
+                  bool with_loss, util::thread_pool* pool);
+
+    /// Weighted row sums gathered per destination row instead of scattered
+    /// into it. Terms are recorded in the order a scatter would add them
+    /// (a counting pass, then a placing pass over the same sequence), so
+    /// each destination's sum is the scatter's, from +0.0 term by term,
+    /// bit for bit; but it is accumulated in registers and stored once,
+    /// and rows nobody writes need no zero fill.
+    class row_gather {
+    public:
+        void reset(std::size_t rows);
+        void count(std::size_t row) { ++ends_[row + 1]; }
+        /// Between the passes: turn the counts into each row's start.
+        void seal();
+        void place(std::size_t row, const double* src, double weight) {
+            terms_[ends_[row]++] = {src, weight};
+        }
+        /// dst(row)[j] = Σ weight · src[j] over the row's terms, in order,
+        /// for every row; \p d is the row width (D when D > 0).
+        template <std::size_t D, class Dst>
+        void apply(const Dst& dst, std::size_t d) const;
+
+    private:
+        struct term {
+            const double* src;
+            double weight;
+        };
+        /// After `seal`, ends_[r] is row r's start; each `place` advances
+        /// it, so once placed it is row r's end and row r begins at
+        /// ends_[r - 1] (0 for row 0).
+        std::vector<std::size_t> ends_;
+        std::vector<term> terms_;
+    };
+
     /// Forward state of hop k (stored at k-1): cat = [self | aggregate]
     /// (n_k × 2d), act = σ(cat·W) (n_k × d), h = act with unit rows, and
     /// each row's clamped norm.
@@ -132,10 +183,14 @@ private:
     std::vector<hop_buffers> hops_;
     /// Per-score gradients of the loss: B positives, then B·τ negatives.
     std::vector<double> pos_grad_, neg_grad_;
+    /// Per row of the hop being unwound: dh · h, the normalisation's
+    /// backward projection.
+    std::vector<double> gy_;
     /// dh of the hop being unwound (its σ and normalisation backward run
     /// in place, turning it into dz) and of the layer below it.
     linalg::matrix dh_, dh_lower_;
     linalg::matrix dcat_;
+    row_gather gather_;  ///< the dh_K and dcat sums
     linalg::matrix base_grad_;
     std::vector<linalg::matrix> weight_grads_;
     linalg::workspace ws_;  ///< `matmul_nt_into`'s packing scratch
@@ -223,12 +278,16 @@ private:
     /// Minibatch assembly buffers, reused for every layer of every batch
     /// so that a batch hashes nothing and its allocations do not grow
     /// with the node count. Node ids are dense in [0, num_nodes): the
-    /// position of a node in the layer being built is `slot_pos_[node]`,
-    /// valid only while `slot_stamp_[node] == slot_gen_`; starting a layer
-    /// bumps `slot_gen_` instead of clearing the arrays.
-    std::vector<std::uint64_t> slot_stamp_;
-    std::vector<std::uint32_t> slot_pos_;
-    std::uint64_t slot_gen_ = 0;
+    /// position of a node in the layer being built is `slots_[node].pos`,
+    /// valid only while `slots_[node].stamp == slot_gen_`; starting a layer
+    /// bumps `slot_gen_` instead of clearing the array (all but on the
+    /// stamp's wrap, which clears it).
+    struct node_slot {
+        std::uint32_t stamp = 0;
+        std::uint32_t pos = 0;
+    };
+    std::vector<node_slot> slots_;
+    std::uint32_t slot_gen_ = 0;
     /// The batch being trained, rebuilt in place (see `rf_gnn_batch`).
     rf_gnn_batch batch_;
 

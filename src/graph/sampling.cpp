@@ -1,35 +1,31 @@
 #include "sampling.hpp"
 
 #include <cmath>
-#include <stdexcept>
+#include <span>
 
 namespace fisone::graph {
 
 neighbor_sampler::neighbor_sampler(const bipartite_graph& g, bool weighted)
-    : graph_(&g), weighted_(weighted) {
-    if (weighted_) {
-        tables_.reserve(g.num_nodes());
-        std::vector<double> weights;
-        for (std::uint32_t node = 0; node < g.num_nodes(); ++node) {
-            const auto nbrs = g.neighbors(node);
-            weights.clear();
-            weights.reserve(nbrs.size());
-            for (const edge& e : nbrs) weights.push_back(e.weight);
-            tables_.emplace_back(weights.empty() ? util::alias_sampler{}
-                                                 : util::alias_sampler{weights});
-        }
+    : weighted_(weighted), nodes_(g.num_nodes()) {
+    std::size_t column = 0;
+    for (std::uint32_t node = 0; node < g.num_nodes(); ++node) {
+        const auto nbrs = g.neighbors(node);
+        node_table& t = nodes_[node];
+        t.edges = nbrs.data();
+        if (!nbrs.empty()) t.degree = util::rng::index_range(nbrs.size());
+        t.first_column = column;
+        column += nbrs.size();
     }
-}
-
-std::uint32_t neighbor_sampler::sample(std::uint32_t node, util::rng& gen) const {
-    return sample_edge(node, gen).neighbor;
-}
-
-const edge& neighbor_sampler::sample_edge(std::uint32_t node, util::rng& gen) const {
-    const auto nbrs = graph_->neighbors(node);
-    if (nbrs.empty()) throw std::logic_error("neighbor_sampler: isolated node");
-    if (weighted_) return nbrs[tables_[node].sample(gen)];
-    return nbrs[gen.uniform_index(nbrs.size())];
+    if (!weighted_) return;
+    columns_.resize(column);
+    util::alias_builder builder;
+    std::vector<double> weights;
+    for (const node_table& t : nodes_) {
+        if (t.degree.size() == 0) continue;
+        weights.clear();
+        for (std::size_t i = 0; i < t.degree.size(); ++i) weights.push_back(t.edges[i].weight);
+        builder.build(weights, std::span(columns_).subspan(t.first_column, t.degree.size()));
+    }
 }
 
 std::vector<std::uint32_t> neighbor_sampler::sample_many(std::uint32_t node, std::size_t count,
@@ -40,15 +36,13 @@ std::vector<std::uint32_t> neighbor_sampler::sample_many(std::uint32_t node, std
     return out;
 }
 
-negative_table::negative_table(const bipartite_graph& g, double exponent) {
+negative_table::negative_table(const bipartite_graph& g, double exponent)
+    : columns_(g.num_nodes()) {
     std::vector<double> weights(g.num_nodes());
     for (std::uint32_t node = 0; node < g.num_nodes(); ++node)
         weights[node] = std::pow(static_cast<double>(g.degree(node)), exponent);
-    table_ = util::alias_sampler(weights);
-}
-
-std::uint32_t negative_table::sample(util::rng& gen) const {
-    return static_cast<std::uint32_t>(table_.sample(gen));
+    util::alias_builder().build(weights, columns_);
+    range_ = util::rng::index_range(columns_.size());
 }
 
 std::vector<walk_pair> generate_walk_pairs(const bipartite_graph& g,

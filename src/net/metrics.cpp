@@ -226,7 +226,8 @@ std::string render_metrics(const tcp_server_stats& net, const service::service_s
     p.counter("fisone_cache_misses_total", "result-cache misses", d(svc.cache_misses));
     p.counter("fisone_cache_evictions_total", "result-cache LRU evictions",
               d(svc.cache_evictions));
-    p.counter("fisone_ingest_appends_total", "durable scan-batch appends to mounted stores",
+    p.counter("fisone_ingest_appends_total",
+              "scan-batch appends to mounted stores (written then renamed, not fsynced)",
               d(svc.ingest_appends));
     p.counter("fisone_ingest_dirty_buildings_total",
               "buildings re-run because an append changed their content hash",

@@ -82,6 +82,58 @@ public:
         }
     }
 
+    /// A range [0, n) prepared once for many draws. `uniform_index(range)`
+    /// makes the raw draws and returns the result of `uniform_index(n)`
+    /// without a division: the rejection threshold is precomputed, and
+    /// `r % n` is Lemire's direct remainder (Lemire, Kaser & Kurz, "Faster
+    /// remainder by direct computation", 2019), exact for every 64-bit r
+    /// and n with a 128-bit multiplier.
+    class index_range {
+    public:
+        /// The empty range: size() 0, not to be drawn from.
+        index_range() = default;
+
+        /// \throws std::invalid_argument if \p n is 0.
+        explicit index_range(std::uint64_t n) : n_(n) {
+            if (n == 0) throw std::invalid_argument("rng::index_range: n must be > 0");
+            threshold_ = (0 - n) % n;
+#if defined(__SIZEOF_INT128__)
+            magic_ = ~u128{0} / n + 1;  // wraps to 0 at n = 1, where every r % 1 is 0
+#endif
+        }
+
+        [[nodiscard]] std::uint64_t size() const noexcept { return n_; }
+        [[nodiscard]] std::uint64_t threshold() const noexcept { return threshold_; }
+
+        /// r % size(), exactly.
+        [[nodiscard]] std::uint64_t reduce(std::uint64_t r) const noexcept {
+#if defined(__SIZEOF_INT128__)
+            const u128 low = magic_ * r;
+            const u128 bottom = (static_cast<u128>(static_cast<std::uint64_t>(low)) * n_) >> 64;
+            const u128 top = static_cast<u128>(static_cast<std::uint64_t>(low >> 64)) * n_;
+            return static_cast<std::uint64_t>((bottom + top) >> 64);
+#else
+            return r % n_;
+#endif
+        }
+
+    private:
+#if defined(__SIZEOF_INT128__)
+        __extension__ using u128 = unsigned __int128;
+        u128 magic_ = 0;
+#endif
+        std::uint64_t n_ = 0;
+        std::uint64_t threshold_ = 0;
+    };
+
+    /// `uniform_index(range.size())`: the same raw draws and the same result.
+    [[nodiscard]] std::uint64_t uniform_index(const index_range& range) noexcept {
+        for (;;) {
+            const std::uint64_t r = (*this)();
+            if (r >= range.threshold()) return range.reduce(r);
+        }
+    }
+
     /// Standard normal via Marsaglia polar method.
     [[nodiscard]] double normal() noexcept {
         if (has_spare_) {

@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/client.hpp"
@@ -1170,6 +1173,72 @@ TEST(api_server, warm_restart_reloads_spilled_cache_bit_identically) {
     EXPECT_EQ(srv.stats().buildings_done, 0u);
     EXPECT_EQ(ndjson_of(cli.reports()), cold);
     fs::remove_all(dir);
+}
+
+// The cache key's config half is memoised per corpus index: every answer
+// equals a freshly computed fingerprint, for indices that share a memo slot
+// (5 and 5 + 1024) and under concurrent callers, at one worker and at two.
+TEST(api_server, memoised_task_fingerprint_equals_a_fresh_one) {
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE(::testing::Message() << workers << " workers");
+        api::server_config cfg = fast_server_config(true);
+        cfg.service.num_threads = workers;
+        api::server srv(cfg);
+        ASSERT_EQ(srv.backing_service().num_workers() > 1, workers > 1);
+        const auto fresh = [&](std::size_t index) {
+            return core::config_fingerprint(runtime::effective_task_config(
+                cfg.service.pipeline, cfg.service.seed, index, workers > 1));
+        };
+        for (const std::size_t index : {0, 1, 5, 1029, 5, 1029, 1023, 4096, 0}) {
+            EXPECT_EQ(srv.task_fingerprint(index), fresh(index)) << "index " << index;
+            EXPECT_EQ(srv.task_fingerprint(index), fresh(index)) << "index " << index;
+        }
+        EXPECT_NE(srv.task_fingerprint(5), srv.task_fingerprint(1029));
+
+        std::vector<std::uint64_t> want;
+        for (std::size_t index = 0; index < 8; ++index) want.push_back(fresh(index * 1024 + 3));
+        std::vector<std::thread> callers;
+        std::atomic<int> wrong{0};
+        for (std::size_t t = 0; t < 4; ++t)
+            callers.emplace_back([&, t] {
+                for (std::size_t i = 0; i < 500; ++i) {
+                    const std::size_t k = (i + t) % want.size();
+                    if (srv.task_fingerprint(k * 1024 + 3) != want[k]) ++wrong;
+                }
+            });
+        for (std::thread& c : callers) c.join();
+        EXPECT_EQ(wrong.load(), 0);
+    }
+}
+
+// A run that fills the cache answers from the entry it just made, like a
+// hit: a head carrying the run's own index and seconds, the result left to
+// the shared entry. Head plus the entry's tail is the frame a whole-report
+// encode gives.
+TEST(api_server, cache_fill_answers_from_the_new_entry) {
+    api::server srv(fast_server_config(true));
+    const data::building b = tiny_building(0);
+    std::mutex m;
+    std::vector<api::building_answer> answers;
+    const auto sink = [&](api::building_answer a) {
+        const std::lock_guard<std::mutex> lock(m);
+        answers.push_back(std::move(a));
+    };
+    static_cast<void>(srv.identify(b, data::content_hash(b), 3, false, sink));
+    srv.backing_service().wait_all();
+    static_cast<void>(srv.identify(b, data::content_hash(b), 3, false, sink));  // a hit
+    ASSERT_EQ(answers.size(), 2u);
+    const api::building_answer& fill = answers[0];
+    ASSERT_TRUE(fill.cached);
+    ASSERT_TRUE(fill.report.ok);
+    EXPECT_TRUE(fill.report.result.assignment.empty());
+    EXPECT_EQ(fill.report.index, 3u);
+    EXPECT_EQ(fill.report.index, fill.cached->report.index);
+    EXPECT_EQ(fill.report.seconds, fill.cached->report.seconds);
+    EXPECT_EQ(answers[1].cached, fill.cached);
+    EXPECT_EQ(api::encode_building_head(7, fill.report, fill.cached->tail.size()) +
+                  fill.cached->tail,
+              api::encode(api::building_response{7, fill.cached->report}));
 }
 
 }  // namespace

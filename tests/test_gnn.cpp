@@ -504,8 +504,9 @@ bool same_bits(const linalg::matrix& a, const linalg::matrix& b) {
 /// step object (so stale reused buffers would show), each compared with
 /// the tape: the loss and every gradient, bit for bit.
 void expect_step_matches_tape(util::rng& gen, gnn::activation act, bool attention,
-                              std::size_t tau, bool train_base, std::size_t hops) {
-    constexpr std::size_t nodes = 50, d = 6, samples = 3;
+                              std::size_t tau, bool train_base, std::size_t hops,
+                              std::size_t d = 6) {
+    constexpr std::size_t nodes = 50, samples = 3;
     linalg::matrix base(nodes, d);
     for (double& x : base.flat()) x = gen.normal(0.0, 0.5);
     std::vector<linalg::matrix> weights;
@@ -519,7 +520,7 @@ void expect_step_matches_tape(util::rng& gen, gnn::activation act, bool attentio
         SCOPED_TRACE(::testing::Message()
                      << "act " << static_cast<int>(act) << " attention " << attention << " tau "
                      << tau << " train_base " << train_base << " hops " << hops << " pairs "
-                     << pairs);
+                     << pairs << " d " << d);
         const gnn::rf_gnn_batch b = random_batch(gen, nodes, pairs, tau, hops, samples, attention);
         const tape_step_result want = tape_step(b, base, weights, act, train_base);
         for (const bool with_loss : {true, false}) {
@@ -546,6 +547,19 @@ TEST(rf_gnn_step, matches_the_tape_bit_for_bit) {
                 for (const bool train_base : {true, false})
                     for (std::size_t hops = 1; hops <= 3; ++hops)
                         expect_step_matches_tape(gen, act, attention, tau, train_base, hops);
+}
+
+// The step runs its row loops at a compile-time width for d = 16 and 32
+// (the profiles' widths); those instantiations must match the tape too.
+TEST(rf_gnn_step, matches_the_tape_at_the_unrolled_widths) {
+    util::rng gen(2025);
+    for (const std::size_t d : {std::size_t{16}, std::size_t{32}})
+        for (const auto act : {gnn::activation::tanh, gnn::activation::relu})
+            for (const std::size_t tau : {std::size_t{0}, std::size_t{4}})
+                for (const bool train_base : {true, false})
+                    for (std::size_t hops = 1; hops <= 2; ++hops)
+                        expect_step_matches_tape(gen, act, /*attention=*/tau > 0, tau, train_base,
+                                                 hops, d);
 }
 
 // Heap allocations of one steady-state epoch that is a single batch: 3 at

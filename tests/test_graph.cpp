@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "graph/bipartite_graph.hpp"
 #include "graph/sampling.hpp"
+#include "sim/building_generator.hpp"
+#include "util/alias_sampler.hpp"
 
 namespace {
 
@@ -210,6 +215,90 @@ TEST(walks, pairs_connect_local_neighbourhoods) {
             found = true;
         }
     EXPECT_TRUE(found);
+}
+
+// ---- flat alias tables against per-node ones ----
+
+/// A simulated building: node degrees in the tens, many of them odd.
+data::building simulated_building() {
+    sim::building_spec spec;
+    spec.num_floors = 3;
+    spec.samples_per_floor = 25;
+    spec.seed = 29;
+    return sim::generate_building(spec).building;
+}
+
+/// The draws the flat sampler must reproduce: one `util::alias_sampler`
+/// per node over its edge weights (weighted), or `rng::uniform_index` over
+/// its degree (uniform).
+std::size_t reference_draw(const bipartite_graph& g, const std::vector<util::alias_sampler>& tables,
+                           bool weighted, std::uint32_t node, util::rng& gen) {
+    return weighted ? tables[node].sample(gen) : gen.uniform_index(g.degree(node));
+}
+
+TEST(neighbor_sampler, flat_tables_draw_what_per_node_tables_draw) {
+    bool degree_one = false, odd_degree = false;  // both buildings together
+    for (const data::building& b : {tiny_building(), simulated_building()}) {
+        const auto g = bipartite_graph::from_building(b);
+        std::vector<util::alias_sampler> tables;
+        for (std::uint32_t node = 0; node < g.num_nodes(); ++node) {
+            std::vector<double> weights;
+            for (const graph::edge& e : g.neighbors(node)) weights.push_back(e.weight);
+            tables.push_back(weights.empty() ? util::alias_sampler{}
+                                             : util::alias_sampler{weights});
+            degree_one = degree_one || weights.size() == 1;
+            odd_degree = odd_degree || (weights.size() > 2 && weights.size() % 2 == 1);
+        }
+        for (const bool weighted : {true, false}) {
+            SCOPED_TRACE(::testing::Message() << b.name << " weighted " << weighted);
+            const graph::neighbor_sampler sampler(g, weighted);
+            util::rng flat(17), ref(17);
+            for (int round = 0; round < 50; ++round)
+                for (std::uint32_t node = 0; node < g.num_nodes(); ++node) {
+                    const auto nbrs = g.neighbors(node);
+                    ASSERT_EQ(&sampler.sample_edge(node, flat),
+                              &nbrs[reference_draw(g, tables, weighted, node, ref)]);
+                    sampler.sample_edges(node, 3, flat,
+                                         [&](std::size_t, const graph::edge& e) {
+                                             EXPECT_EQ(&e, &nbrs[reference_draw(
+                                                               g, tables, weighted, node, ref)]);
+                                         });
+                }
+            for (int k = 0; k < 4; ++k) EXPECT_EQ(flat(), ref()) << "generator state";
+        }
+    }
+    EXPECT_TRUE(degree_one);
+    EXPECT_TRUE(odd_degree);
+}
+
+TEST(negative_table, flat_table_draws_what_an_alias_sampler_draws) {
+    for (const data::building& b : {tiny_building(), simulated_building()}) {
+        const auto g = bipartite_graph::from_building(b);
+        std::vector<double> weights;
+        for (std::uint32_t node = 0; node < g.num_nodes(); ++node)
+            weights.push_back(std::pow(static_cast<double>(g.degree(node)), 0.75));
+        const util::alias_sampler reference(weights);
+        const graph::negative_table table(g, 0.75);
+        util::rng flat(23), ref(23);
+        for (int i = 0; i < 5000; ++i) ASSERT_EQ(table.sample(flat), reference.sample(ref));
+        for (int k = 0; k < 4; ++k) EXPECT_EQ(flat(), ref()) << "generator state";
+    }
+}
+
+TEST(neighbor_sampler, rejects_isolated_and_unknown_nodes) {
+    auto b = tiny_building();
+    b.num_macs = 4;  // mac 3 never observed → isolated node
+    const auto g = bipartite_graph::from_building(b);
+    for (const bool weighted : {true, false}) {
+        const graph::neighbor_sampler sampler(g, weighted);
+        util::rng gen(3);
+        const auto none = [](std::size_t, const graph::edge&) {};
+        EXPECT_THROW((void)sampler.sample_edge(g.mac_node(3), gen), std::logic_error);
+        EXPECT_THROW(sampler.sample_edges(g.mac_node(3), 2, gen, none), std::logic_error);
+        const auto past_end = static_cast<std::uint32_t>(g.num_nodes());
+        EXPECT_THROW((void)sampler.sample(past_end, gen), std::out_of_range);
+        EXPECT_THROW(sampler.sample_edges(past_end, 2, gen, none), std::out_of_range);
+    }
 }
 
 }  // namespace

@@ -67,6 +67,33 @@ TEST(rng, uniform_index_zero_throws) {
     EXPECT_THROW((void)gen.uniform_index(0), std::invalid_argument);
 }
 
+// A prepared range's remainder is exactly r % n, at the edges of r and for
+// n from 1 to near 2^64, and its draws are uniform_index(n)'s.
+TEST(rng, index_range_matches_uniform_index) {
+    rng values(41);
+    std::vector<std::uint64_t> sizes{1, 2, 3, 5, 7, 12, 16, 37, 100, 1000003,
+                                     std::uint64_t{1} << 32, (std::uint64_t{1} << 32) + 1,
+                                     std::uint64_t{1} << 63, ~std::uint64_t{0} - 1,
+                                     ~std::uint64_t{0}};
+    for (int i = 0; i < 40; ++i) sizes.push_back(values() >> (values() % 64));
+    for (const std::uint64_t n : sizes) {
+        if (n == 0) continue;
+        const rng::index_range range(n);
+        EXPECT_EQ(range.size(), n);
+        for (const std::uint64_t r : {std::uint64_t{0}, std::uint64_t{1}, n - 1, n, n + 1, 2 * n,
+                                      ~std::uint64_t{0}, ~std::uint64_t{0} - n})
+            EXPECT_EQ(range.reduce(r), r % n) << "n " << n << " r " << r;
+        for (int i = 0; i < 200; ++i) {
+            const std::uint64_t r = values();
+            ASSERT_EQ(range.reduce(r), r % n) << "n " << n << " r " << r;
+        }
+        rng a(7), b(7);
+        for (int i = 0; i < 50; ++i) ASSERT_EQ(a.uniform_index(range), b.uniform_index(n));
+        EXPECT_EQ(a(), b());
+    }
+    EXPECT_THROW(rng::index_range(0), std::invalid_argument);
+}
+
 TEST(rng, normal_has_right_moments) {
     rng gen(11);
     running_stats s;
