@@ -110,7 +110,7 @@ private:
 /// `cached->tail`.
 struct building_answer {
     runtime::building_report report;
-    std::shared_ptr<const cached_report> cached;  ///< set on a cache hit
+    std::shared_ptr<const cached_report> cached;  ///< set on a cache hit or fill
 };
 
 class server {

@@ -119,7 +119,7 @@ public:
 
     private:
 #if defined(__SIZEOF_INT128__)
-        __extension__ using u128 = unsigned __int128;
+        using u128 = unsigned __int128;
         u128 magic_ = 0;
 #endif
         std::uint64_t n_ = 0;
