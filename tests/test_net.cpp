@@ -267,13 +267,21 @@ TEST(TcpServer, ShardPathOutsideEveryMountedStoreIsRefused) {
 TEST(TcpServer, SlowReaderIsShedNotBuffered) {
     net::tcp_server_config cfg;
     cfg.max_write_buffer = 512;  // far below one building_response frame
-    test_front tf(cfg);
+    // Paused until all four requests are admitted: otherwise the first
+    // answer can overflow and evict the connection before the loop has
+    // read the later frames, which are then never admitted.
+    test_front tf(cfg, /*paused=*/true);
     net::frame_conn slow("127.0.0.1", tf.port());
     for (std::size_t j = 0; j < 4; ++j) slow.send(identify_frame(j + 1, j, j % 2));
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (tf.front().stats().requests_admitted < 4 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(tf.front().stats().requests_admitted, 4u);
+    tf.fleet().resume();
     // Never read: the first response overflows the bound and the
     // connection is evicted (poll the counter; eviction happens on the
     // loop thread).
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
     while (tf.front().stats().connections_closed_slow == 0 &&
            std::chrono::steady_clock::now() < deadline)
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
