@@ -73,7 +73,6 @@
 #include "net/socket.hpp"
 #include "net/tcp_server.hpp"
 #include "service/profiles.hpp"
-#include "sim/building_generator.hpp"
 #include "util/cli.hpp"
 #include "util/table_printer.hpp"
 
@@ -295,23 +294,6 @@ void fold_window(rung& r, const api::stats_update_response& u) {
 
 // --- corpus / store plumbing -------------------------------------------------
 
-data::corpus make_fleet(std::size_t count, std::size_t samples_per_floor,
-                        std::uint64_t seed) {
-    data::corpus fleet;
-    fleet.name = "capacity-fleet";
-    fleet.buildings.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        sim::building_spec spec;
-        spec.name = "capacity-" + std::to_string(i);
-        spec.num_floors = 3 + i % 4;
-        spec.samples_per_floor = samples_per_floor;
-        spec.aps_per_floor = 12;
-        spec.seed = seed + i;
-        fleet.buildings.push_back(sim::generate_building(spec).building);
-    }
-    return fleet;
-}
-
 std::vector<std::string> store_building_names(const std::string& dir) {
     std::vector<std::string> names;
     const data::corpus_store store = data::corpus_store::open(dir);
@@ -363,7 +345,7 @@ int main(int argc, char** argv) try {
     if (connect.empty()) {
         std::cerr << "Synthesising " << buildings << " buildings (" << samples
                   << " scans/floor) into a temporary store...\n";
-        const data::corpus fleet = make_fleet(buildings, samples, seed);
+        const data::corpus fleet = bench::make_fleet(buildings, samples, seed);
         tmp_store = (std::filesystem::temp_directory_path() /
                      ("fisone_capacity_store_" + std::to_string(seed)))
                         .string();

@@ -1,9 +1,11 @@
 #pragma once
 
 /// \file bench_common.hpp
-/// Shared plumbing for the table/figure harnesses: corpus synthesis from
-/// CLI flags, mean/std aggregation of pipeline scores over buildings, and
-/// the number formatting shared by every BENCH_*.json emitter.
+/// Shared plumbing for the harnesses: corpus synthesis from CLI flags for
+/// the table/figure harnesses, the one fleet builder the trace, capacity
+/// and TCP load harnesses share, mean/std aggregation of pipeline scores
+/// over buildings, and the number formatting shared by every BENCH_*.json
+/// emitter.
 
 #include <charconv>
 #include <cmath>
@@ -49,6 +51,26 @@ inline corpora make_corpora(const util::cli_args& args) {
               << " scans/floor)...\n";
     return corpora{sim::make_microsoft_corpus(buildings, samples, seed),
                    sim::make_malls_corpus(samples, seed + 1)};
+}
+
+/// The synthetic fleet the serving harnesses drive: \p count office
+/// buildings named `bench-fleet-<i>`, 3 to 6 floors (`3 + i % 4`), 12 APs
+/// per floor, building i seeded `seed + i`.
+inline data::corpus make_fleet(std::size_t count, std::size_t samples_per_floor,
+                               std::uint64_t seed) {
+    data::corpus fleet;
+    fleet.name = "bench-fleet";
+    fleet.buildings.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        sim::building_spec spec;
+        spec.name = "bench-fleet-" + std::to_string(i);
+        spec.num_floors = 3 + i % 4;
+        spec.samples_per_floor = samples_per_floor;
+        spec.aps_per_floor = 12;
+        spec.seed = seed + i;
+        fleet.buildings.push_back(sim::generate_building(spec).building);
+    }
+    return fleet;
 }
 
 /// Aggregated ARI/NMI/edit-distance over a corpus.

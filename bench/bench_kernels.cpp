@@ -1,17 +1,15 @@
 /// \file bench_kernels.cpp
 /// Kernel-layer throughput harness with a machine-readable perf
 /// trajectory. For every shape it times the scalar reference kernels
-/// against the cache-blocked ones (GFLOP/s + speedup, serial and pooled),
-/// verifies the bit-identity contract (`memcmp`, not epsilon), and runs a
-/// small `batch_runner` fleet so the JSON also carries end-to-end
-/// buildings/sec deltas. Any bitwise divergence makes the process exit
-/// non-zero — CI runs this in quick mode, so a kernel that silently
-/// changes bits fails the build.
+/// against the cache-blocked ones (GFLOP/s + speedup, serial and pooled)
+/// and verifies the bit-identity contract (`memcmp`, not epsilon). Any
+/// bitwise divergence makes the process exit non-zero — CI runs this in
+/// quick mode, so a kernel that silently changes bits fails the build.
 ///
 /// Run:  ./bench_kernels [--quick] [--json] [--out BENCH_kernels.json]
 ///                       [--seed S] [--reps R]
 ///
-///  --quick   CI-sized shapes and fleet (a few seconds total)
+///  --quick   CI-sized shapes (a few seconds total)
 ///  --json    write the JSON report to --out (and echo the path)
 ///
 /// The JSON schema is documented in README.md § Performance.
@@ -32,8 +30,6 @@
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/parallel_policy.hpp"
-#include "runtime/batch_runner.hpp"
-#include "sim/building_generator.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table_printer.hpp"
@@ -86,16 +82,6 @@ struct kernel_record {
     std::size_t pool_threads = 1;
     double pooled_gflops = 0.0;
     double pooled_speedup = 0.0;
-    bool bit_identical = false;
-};
-
-struct pipeline_record {
-    std::size_t buildings = 0;
-    std::size_t samples_per_floor = 0;
-    double serial_buildings_per_sec = 0.0;
-    std::size_t pooled_threads = 0;
-    double pooled_buildings_per_sec = 0.0;
-    double speedup = 0.0;
     bool bit_identical = false;
 };
 
@@ -162,72 +148,9 @@ kernel_record bench_one(const op_spec& op, const shape& s, util::thread_pool& po
     return rec;
 }
 
-// --- end-to-end fleet deltas (the bench_batch_throughput path) --------------
-
-std::vector<data::building> make_fleet(std::size_t count, std::size_t samples_per_floor,
-                                       std::uint64_t seed) {
-    std::vector<data::building> fleet;
-    fleet.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        sim::building_spec spec;
-        spec.name = "kernel-fleet-" + std::to_string(i);
-        spec.num_floors = 3 + i % 4;
-        spec.samples_per_floor = samples_per_floor;
-        spec.aps_per_floor = 12;
-        spec.seed = seed + i;
-        fleet.push_back(sim::generate_building(spec).building);
-    }
-    return fleet;
-}
-
-bool reports_identical(const runtime::batch_result& a, const runtime::batch_result& b) {
-    if (a.reports.size() != b.reports.size()) return false;
-    for (std::size_t i = 0; i < a.reports.size(); ++i) {
-        const core::fis_one_result& ra = a.reports[i].result;
-        const core::fis_one_result& rb = b.reports[i].result;
-        if (a.reports[i].ok != b.reports[i].ok) return false;
-        if (ra.assignment != rb.assignment) return false;
-        if (ra.predicted_floor != rb.predicted_floor) return false;
-        if (!(ra.embeddings == rb.embeddings)) return false;
-    }
-    return true;
-}
-
-pipeline_record bench_pipeline(std::size_t buildings, std::size_t samples, std::uint64_t seed) {
-    const std::vector<data::building> fleet = make_fleet(buildings, samples, seed);
-
-    auto run_at = [&](std::size_t num_threads) {
-        runtime::batch_config cfg;
-        cfg.pipeline.gnn.embedding_dim = 16;
-        cfg.pipeline.gnn.epochs = 3;
-        cfg.pipeline.gnn.walks.walks_per_node = 3;
-        cfg.pipeline.num_threads = 1;  // building-level parallelism only
-        cfg.seed = seed;
-        cfg.num_threads = num_threads;
-        const runtime::batch_runner runner(cfg);
-        return runner.run(fleet);
-    };
-
-    pipeline_record rec;
-    rec.buildings = buildings;
-    rec.samples_per_floor = samples;
-    const runtime::batch_result serial = run_at(1);
-    rec.serial_buildings_per_sec = serial.buildings_per_second;
-    rec.pooled_threads = std::max<std::size_t>(2, util::resolve_num_threads(0));
-    const runtime::batch_result pooled = run_at(rec.pooled_threads);
-    rec.pooled_buildings_per_sec = pooled.buildings_per_second;
-    rec.speedup = rec.serial_buildings_per_sec > 0.0
-                      ? rec.pooled_buildings_per_sec / rec.serial_buildings_per_sec
-                      : 0.0;
-    rec.bit_identical = serial.num_failed == 0 && pooled.num_failed == 0 &&
-                        reports_identical(serial, pooled);
-    return rec;
-}
-
 // --- JSON emission ----------------------------------------------------------
 
-void write_json(std::ostream& out, bool quick, const std::vector<kernel_record>& kernels,
-                const pipeline_record& pipe) {
+void write_json(std::ostream& out, bool quick, const std::vector<kernel_record>& kernels) {
     out << "{\n";
     out << "  \"schema\": \"fisone-bench-kernels/v1\",\n";
     out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
@@ -246,14 +169,7 @@ void write_json(std::ostream& out, bool quick, const std::vector<kernel_record>&
             << ", \"bit_identical\": " << (r.bit_identical ? "true" : "false") << "}"
             << (i + 1 < kernels.size() ? "," : "") << "\n";
     }
-    out << "  ],\n";
-    out << "  \"pipeline\": {\"buildings\": " << pipe.buildings
-        << ", \"samples_per_floor\": " << pipe.samples_per_floor
-        << ", \"serial_buildings_per_sec\": " << bench::json_num(pipe.serial_buildings_per_sec)
-        << ", \"pooled_threads\": " << pipe.pooled_threads
-        << ", \"pooled_buildings_per_sec\": " << bench::json_num(pipe.pooled_buildings_per_sec)
-        << ", \"speedup\": " << bench::json_num(pipe.speedup)
-        << ", \"bit_identical\": " << (pipe.bit_identical ? "true" : "false") << "}\n";
+    out << "  ]\n";
     out << "}\n";
 }
 
@@ -290,11 +206,6 @@ int main(int argc, char** argv) try {
             std::cerr << rec.op << " " << s.m << "x" << s.k << "x" << s.n << " done\n";
         }
 
-    std::cerr << "pipeline fleet...\n";
-    const pipeline_record pipe = quick ? bench_pipeline(3, 20, seed)
-                                       : bench_pipeline(8, 40, seed);
-    all_identical = all_identical && pipe.bit_identical;
-
     util::table_printer table("Kernel throughput — scalar vs cache-blocked (best of " +
                               std::to_string(reps) + ")");
     table.header({"op", "shape", "scalar GF/s", "blocked GF/s", "speedup", "pooled GF/s",
@@ -309,12 +220,6 @@ int main(int argc, char** argv) try {
                    util::table_printer::num(r.pooled_gflops, 2),
                    r.bit_identical ? "yes" : "NO"});
     table.print(std::cout);
-    std::cout << "\nPipeline fleet (" << pipe.buildings << " buildings): serial "
-              << util::table_printer::num(pipe.serial_buildings_per_sec, 2) << " b/s, "
-              << pipe.pooled_threads << " threads "
-              << util::table_printer::num(pipe.pooled_buildings_per_sec, 2) << " b/s ("
-              << util::table_printer::num(pipe.speedup, 2) << "x, bit-identical: "
-              << (pipe.bit_identical ? "yes" : "NO") << ")\n";
 
     if (emit_json) {
         std::ofstream f(out_path);
@@ -322,7 +227,7 @@ int main(int argc, char** argv) try {
             std::cerr << "bench_kernels: cannot open " << out_path << " for writing\n";
             return EXIT_FAILURE;
         }
-        write_json(f, quick, records, pipe);
+        write_json(f, quick, records);
         std::cout << "JSON perf trajectory: " << out_path << "\n";
     }
 

@@ -49,7 +49,6 @@
 #include "obs/trace.hpp"
 #include "service/ndjson_export.hpp"
 #include "service/profiles.hpp"
-#include "sim/building_generator.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/table_printer.hpp"
@@ -58,23 +57,6 @@ namespace {
 
 using namespace fisone;
 using clock_type = std::chrono::steady_clock;
-
-data::corpus make_fleet(std::size_t count, std::size_t samples_per_floor,
-                        std::uint64_t seed) {
-    data::corpus fleet;
-    fleet.name = "net-fleet";
-    fleet.buildings.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        sim::building_spec spec;
-        spec.name = "net-fleet-" + std::to_string(i);
-        spec.num_floors = 3 + i % 5;
-        spec.samples_per_floor = samples_per_floor;
-        spec.aps_per_floor = 12;
-        spec.seed = seed + i;
-        fleet.buildings.push_back(sim::generate_building(spec).building);
-    }
-    return fleet;
-}
 
 /// The reference run: same corpus, same explicit indices, loopback
 /// transport. Returns (wall seconds, input-order NDJSON).
@@ -290,7 +272,7 @@ int main(int argc, char** argv) try {
 
     std::cerr << "Synthesising " << buildings << " buildings (" << samples
               << " scans/floor)...\n";
-    const data::corpus fleet = make_fleet(buildings, samples, seed);
+    const data::corpus fleet = bench::make_fleet(buildings, samples, seed);
 
     std::cerr << "Loopback reference run...\n";
     const auto [loop_s, loop_ndjson] = run_loopback(fleet, seed, threads);

@@ -53,7 +53,6 @@
 #include "net/tcp_server.hpp"
 #include "obs/trace.hpp"
 #include "service/ndjson_export.hpp"
-#include "sim/building_generator.hpp"
 #include "util/cli.hpp"
 #include "util/table_printer.hpp"
 
@@ -61,22 +60,6 @@ namespace {
 
 using namespace fisone;
 using clock_type = std::chrono::steady_clock;
-
-std::vector<data::building> make_fleet(std::size_t count, std::size_t samples_per_floor,
-                                       std::uint64_t seed) {
-    std::vector<data::building> fleet;
-    fleet.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        sim::building_spec spec;
-        spec.name = "trace-fleet-" + std::to_string(i);
-        spec.num_floors = 3 + i % 4;
-        spec.samples_per_floor = samples_per_floor;
-        spec.aps_per_floor = 12;
-        spec.seed = seed + i;
-        fleet.push_back(sim::generate_building(spec).building);
-    }
-    return fleet;
-}
 
 api::server_config make_server_config(std::uint64_t seed) {
     api::server_config cfg;
@@ -205,7 +188,8 @@ int main(int argc, char** argv) try {
 
     std::cerr << "Synthesising " << buildings << " buildings (" << samples
               << " scans/floor)...\n";
-    const std::vector<data::building> fleet = make_fleet(buildings, samples, seed);
+    const std::vector<data::building> fleet =
+        bench::make_fleet(buildings, samples, seed).buildings;
 
     // Interleave off/on reps (off,on,off,on,...) so slow machine drift
     // hits both sides; score each side by its best (min) wall time, the

@@ -4,8 +4,9 @@
 ///   1. builds the floor-identification model from a crowdsourced corpus
 ///      with a single bottom-floor label (the offline phase), through the
 ///      `core::floor_predictor` API;
-///   2. persists the dataset to disk and re-loads it (the data round-trip
-///      a deployment would use);
+///   2. persists the dataset to a per-process file under the system temp
+///      dir, re-loads it (the data round-trip a deployment would use) and
+///      removes the file;
 ///   3. streams *new* scans that were never part of the training graph
 ///      through RF-GNN's inductive embedding and reports per-scan floor
 ///      predictions with confidences (the online phase);
@@ -13,10 +14,14 @@
 ///
 /// Run:  ./streaming_inference [--new-scans N] [--seed S]
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <exception>
+#include <filesystem>
 #include <iostream>
+#include <string>
 
 #include "core/floor_predictor.hpp"
 #include "data/dataset_io.hpp"
@@ -37,12 +42,16 @@ int main(int argc, char** argv) try {
     spec.seed = seed;
     const data::building b = sim::generate_building(spec).building;
 
-    // Persist + reload (deployments exchange corpora as files).
-    const std::string path = "/tmp/fisone_deployment_site.csv";
-    data::save_building_file(b, path);
-    const data::building loaded = data::load_building_file(path);
+    // Persist + reload (deployments exchange corpora as files). The file is
+    // per process, so concurrent runs never read each other's corpus.
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("fisone_deployment_site_" + std::to_string(getpid()) + ".csv");
+    data::save_building_file(b, path.string());
+    const data::building loaded = data::load_building_file(path.string());
+    std::filesystem::remove(path);
     std::cout << "Corpus: " << loaded.samples.size() << " scans / " << loaded.num_macs
-              << " APs saved to " << path << " and reloaded.\n";
+              << " APs saved to " << path.string() << ", reloaded and removed.\n";
 
     core::fis_one_config cfg;
     cfg.gnn.seed = seed;

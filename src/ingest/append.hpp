@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file append.hpp
-/// `ingest::append_scans` — the durable append primitive of the live
-/// ingestion path. One call lands one batch of crowdsourced scan records in
+/// `ingest::append_scans` — the append primitive of the live ingestion
+/// path (written then renamed, not fsynced). One call lands one batch of crowdsourced scan records in
 /// an existing `data::corpus_store` directory and versions its manifest
 /// forward atomically:
 ///
@@ -18,8 +18,10 @@
 /// leaves `manifest.csv` untouched (the old version keeps serving, the
 /// orphan delta file and/or `.tmp` are swept on the next mount or append);
 /// a crash after it leaves the append fully visible. There is no state in
-/// between — the same write-then-rename, durable-before-visible discipline
-/// the result cache's disk spill uses.
+/// between — the same write-then-rename discipline the result cache's disk
+/// spill uses. Nothing is fsynced: "flush" hands the bytes to the OS, so a
+/// committed append survives a process crash (kill -9), not a power loss
+/// or a kernel crash.
 ///
 /// Crash drills hook the gap between the steps via `append_hooks::
 /// checkpoint`: the serving path arms it from `service::fault_plan::
@@ -36,18 +38,18 @@
 
 namespace fisone::ingest {
 
-/// Hooks into the append's durability sequence (tests and chaos drills
-/// only; default-constructed hooks are inert).
+/// Hooks into the append's write-then-rename sequence (tests and chaos
+/// drills only; default-constructed hooks are inert).
 struct append_hooks {
     /// Called twice per append when set: `checkpoint(1)` after the delta
-    /// shard is durable but before the manifest temp exists, and
+    /// shard is written and flushed but before the manifest temp exists, and
     /// `checkpoint(2)` after the temp is written but before the rename.
     /// Aborting (or throwing) at either point simulates a crash mid-append;
     /// the store must remount to the pre-append manifest either way.
     std::function<void(int step)> checkpoint;
 };
 
-/// Outcome of one durable append.
+/// Outcome of one append (written then renamed, not fsynced).
 struct append_outcome {
     std::uint64_t version = 0;         ///< manifest version after the append
     std::uint64_t accepted = 0;        ///< records written to the delta shard
@@ -55,9 +57,10 @@ struct append_outcome {
                                        ///< in first-appearance order
 };
 
-/// Durably append \p records (building blocks carrying new scans,
+/// Append \p records (building blocks carrying new scans,
 /// `data::apply_delta_record` semantics) to the store at \p store_dir.
-/// Returns only after the advanced manifest has been renamed into place.
+/// Returns only after the advanced manifest has been renamed into place;
+/// the files are written then renamed, not fsynced.
 /// Serialise calls per store yourself (the ingest manager runs one append
 /// worker); concurrent appends to one directory race on the version number.
 /// \throws std::invalid_argument when the batch is empty or a record has no

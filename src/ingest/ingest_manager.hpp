@@ -6,9 +6,9 @@
 /// appends to one store must never race on the manifest version), and for
 /// each batch:
 ///
-///   1. **Durable append** — `ingest::append_scans` lands the delta shard
-///      and versions the manifest forward atomically (`ingest.append`
-///      span). The store owner's `service::fault_plan::crash_on_append`
+///   1. **Append** — `ingest::append_scans` lands the delta shard and
+///      versions the manifest forward atomically, written then renamed,
+///      not fsynced (`ingest.append` span). The store owner's `service::fault_plan::crash_on_append`
 ///      is armed here: the process `std::abort()`s at the configured
 ///      checkpoint, exactly as kill -9 mid-append would.
 ///   2. **Dirty detection** — each building the batch names is read back
@@ -19,7 +19,8 @@
 ///      changes only the building it names. Every read honors the owner's
 ///      `slow_read_ms`.
 ///   3. **Ack** — the caller's `append_response` fires now: the append is
-///      durable and the dirty count known, while the re-runs follow
+///      committed (written then renamed, not fsynced) and the dirty count
+///      known, while the re-runs follow
 ///      asynchronously (barrier: `flush`).
 ///   4. **Re-serve** (`ingest.reindex` span) — each dirty building is
 ///      resubmitted, pinned at its unchanged global corpus index and with
@@ -73,7 +74,8 @@ struct store_binding {
 };
 
 /// What an append's ack callback receives. `error` empty = success (the
-/// append is durable); non-empty = nothing changed on disk.
+/// append is committed: written then renamed, not fsynced); non-empty =
+/// nothing changed on disk.
 struct append_ack {
     std::uint64_t version = 0;
     std::uint64_t accepted = 0;
@@ -104,7 +106,7 @@ public:
     ingest_manager(std::vector<store_binding> stores, reindex_submit submit,
                    publish_fn publish);
 
-    /// Drains the queue (enqueued appends still become durable), then
+    /// Drains the queue (enqueued appends still commit), then
     /// waits for every outstanding re-run's completion to arrive. The
     /// submit targets (the fleet) must outlive the manager.
     ~ingest_manager();
@@ -113,7 +115,7 @@ public:
     ingest_manager& operator=(const ingest_manager&) = delete;
 
     /// Queue one append batch. \p ack fires exactly once, on the worker
-    /// thread, after the append is durable (or refused); it must not block
+    /// thread, after the append commits (or is refused); it must not block
     /// or call back into the manager.
     void enqueue_append(std::string corpus_name, std::vector<data::building> records,
                         std::function<void(const append_ack&)> ack);

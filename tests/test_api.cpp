@@ -26,8 +26,10 @@
 #include "api/result_cache.hpp"
 #include "api/server.hpp"
 #include "core/fis_one.hpp"
+#include "data/corpus_store.hpp"
 #include "runtime/batch_runner.hpp"
 #include "runtime/task_executor.hpp"
+#include "service/floor_service.hpp"
 #include "service/ndjson_export.hpp"
 #include "sim/building_generator.hpp"
 #include "util/hash.hpp"
@@ -1009,13 +1011,36 @@ TEST(api_e2e, loopback_framed_and_direct_service_are_byte_identical) {
     static_cast<void>(framed.ingest(wire_out));
     EXPECT_TRUE(framed.errors().empty());
 
+    // Path 4: the same corpus sharded to a store and served as framed
+    // identify_shard requests, with a stats request on the same stream.
+    const auto store_dir = std::filesystem::temp_directory_path() / "fisone_api_e2e_store";
+    std::filesystem::remove_all(store_dir);
+    static_cast<void>(data::write_corpus_store(city, store_dir.string(), 8));
+    const data::corpus_store store = data::corpus_store::open(store_dir.string());
+    std::stringstream shard_in, shard_out;
+    api::client sharded(static_cast<std::ostream&>(shard_in));
+    for (std::size_t s = 0; s < store.num_shards(); ++s)
+        static_cast<void>(sharded.identify_shard(service::make_shard_ref(store, s)));
+    static_cast<void>(sharded.flush());
+    static_cast<void>(sharded.get_stats());
+    {
+        api::server shard_srv(fast_server_config(false));
+        shard_srv.serve(shard_in, shard_out);
+    }
+    static_cast<void>(sharded.ingest(shard_out));
+    EXPECT_TRUE(sharded.errors().empty());
+    ASSERT_TRUE(sharded.last_stats().has_value());
+    EXPECT_EQ(sharded.last_stats()->buildings_ok, city.buildings.size());
+
     const std::string loopback_cold = ndjson_of(loop_cold.reports());
     const std::string loopback_warm = ndjson_of(loop_warm.reports());
     const std::string framed_ndjson = ndjson_of(framed.reports());
+    const std::string sharded_ndjson = ndjson_of(sharded.reports());
 
     EXPECT_EQ(loopback_cold, direct) << "loopback diverged from direct service";
     EXPECT_EQ(loopback_warm, direct) << "cache-served rerun diverged";
     EXPECT_EQ(framed_ndjson, direct) << "framed transport diverged";
+    EXPECT_EQ(sharded_ndjson, direct) << "framed shard requests diverged";
 }
 
 // --- typed fault-tolerance error codes ---------------------------------------

@@ -7,6 +7,7 @@
 // (stores × backends × threads) combination.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -88,11 +89,23 @@ service::service_config fast_service_config(std::size_t num_threads) {
     return cfg;
 }
 
-/// Fresh scratch directory under the system temp dir.
+/// Fresh scratch directory under the system temp dir, removed at process
+/// exit. The process id keeps two concurrent runs of this binary from
+/// sharing or removing each other's stores.
 std::string scratch_dir(const std::string& tag) {
-    const auto dir = std::filesystem::temp_directory_path() / ("fisone_fed_" + tag);
+    struct remove_at_exit {
+        std::vector<std::filesystem::path> dirs;
+        ~remove_at_exit() {
+            std::error_code ec;
+            for (const auto& d : dirs) std::filesystem::remove_all(d, ec);
+        }
+    };
+    static remove_at_exit made;
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("fisone_fed_" + tag + "_" + std::to_string(getpid()));
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
+    made.dirs.push_back(dir);
     return dir.string();
 }
 

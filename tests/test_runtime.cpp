@@ -152,7 +152,16 @@ runtime::batch_config fast_batch_config(std::size_t num_threads) {
 }
 
 TEST(batch_runner, output_is_bit_identical_across_thread_counts) {
-    const std::vector<data::building> fleet = make_fleet(4);
+    std::vector<data::building> fleet = make_fleet(4);
+    // A mall-like campus building rides along: open atrium, eight floors.
+    sim::building_spec mall;
+    mall.name = "mall";
+    mall.num_floors = 8;
+    mall.samples_per_floor = 40;
+    mall.aps_per_floor = 8;
+    mall.atrium = true;
+    mall.seed = 104;
+    fleet.push_back(sim::generate_building(mall).building);
     const runtime::batch_result serial = runtime::batch_runner(fast_batch_config(1)).run(fleet);
     const runtime::batch_result pooled = runtime::batch_runner(fast_batch_config(4)).run(fleet);
 

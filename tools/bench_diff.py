@@ -11,7 +11,8 @@ without downloading artifacts. Noise-level deltas never gate (CI runners
 are too jittery for hard perf thresholds), but *disappearance* does: a
 bench file or a measured field that existed in the previous run and is
 gone from the current one exits 1 — a family silently dropping out of the
-reports is how perf coverage rots, and it is cheap to catch here.
+reports is how perf coverage rots, and it is cheap to catch here. Only the
+reports and fields named in RETIRED may disappear without failing.
 
 Fields whose name suggests wall time or latency are marked so a reader can
 tell "higher is worse" rows from throughput rows; nothing is auto-judged,
@@ -31,8 +32,34 @@ import json
 import sys
 from pathlib import Path
 
+# Reports retired on purpose: (file, field prefix), where a prefix of None
+# retires the whole file. Only these may vanish without tripping the
+# disappearance gate; everything else that disappears still exits 1.
+#  - BENCH_batch/service/federation/api.json came from
+#    bench_batch_throughput, bench_service_throughput, bench_federation and
+#    bench_api_cache, deleted once perfbench's ladder rungs and its
+#    cold_campaign/warm_cache workloads measured the same paths and the
+#    ctests carried their determinism checks.
+#  - BENCH_kernels.json's pipeline.* fields were bench_kernels' batch_runner
+#    fleet section, deleted for the same reason (perfbench's
+#    runtime.buildings_per_s rung).
+RETIRED = (
+    ("BENCH_batch.json", None),
+    ("BENCH_service.json", None),
+    ("BENCH_federation.json", None),
+    ("BENCH_api.json", None),
+    ("BENCH_kernels.json", "pipeline."),
+)
+
 LOWER_IS_BETTER = ("seconds", "_ms", "latency", "wall")
 HIGHER_IS_BETTER = ("per_sec", "speedup", "throughput", "rate")
+
+
+def retired(name, field):
+    """True when RETIRED lets `field` of bench report `name` (or the whole
+    report, for field None) disappear."""
+    return any(file == name and (prefix is None or (field or "").startswith(prefix))
+               for file, prefix in RETIRED)
 
 
 def flatten(obj, prefix=""):
@@ -127,7 +154,8 @@ def diff_file(name, prev, curr, threshold):
             print(f"| {field} | — | {fmt(c)} | new | |")
             continue
         if c is None:
-            print(f"| {field} | {fmt(p)} | — | gone | |")
+            status = "retired" if retired(name, field) else "gone"
+            print(f"| {field} | {fmt(p)} | — | {status} | |")
             continue
         if delta is None:
             print(f"| {field} | {fmt(p)} | {fmt(c)} | n/a (was 0) | |")
@@ -173,8 +201,9 @@ def main():
     if not curr_files:
         print(f"bench_diff: no BENCH_*.json under {args.curr_dir}", file=sys.stderr)
         print("_bench_diff: nothing to compare (no current bench reports)._")
-        if prev_files:
-            print(f"bench_diff: MISSING: all {len(prev_files)} previous bench report(s) "
+        gone = [name for name in prev_files if not retired(name, None)]
+        if gone:
+            print(f"bench_diff: MISSING: all {len(gone)} previous bench report(s) "
                   "disappeared from the current run", file=sys.stderr)
             sys.exit(1)
         return
@@ -200,9 +229,13 @@ def main():
             continue
         missing.extend((name, field) for field in diff_file(name, prev, curr, args.threshold))
     for name in sorted(set(prev_files) - set(curr_files)):
+        if retired(name, None):
+            print(f"### {name}\n\n_retired: present in the previous run only._\n")
+            continue
         print(f"### {name}\n\n**MISSING: present in the previous run only.**\n")
         missing.append((name, None))
 
+    missing = [(name, field) for name, field in missing if not retired(name, field)]
     if missing:
         for name, field in missing:
             what = f"field {field!r} of {name}" if field else f"bench report {name}"
