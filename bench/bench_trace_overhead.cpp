@@ -1,8 +1,9 @@
 /// \file bench_trace_overhead.cpp
 /// The observability cost contracts, measured. Two phases, same method:
-/// interleave repetitions so thermal/frequency drift lands on both sides
-/// equally, score each side by min-of-reps, exit non-zero when a
-/// contract fails.
+/// each rep runs one back-to-back off/on pair so machine drift lands on
+/// both sides equally, the instrument is scored by the median over reps
+/// of each pair's overhead (1 - off wall / on wall), and the run exits
+/// non-zero when a contract fails.
 ///
 /// **Tracing phase** (loopback transport, cache off so every pass does
 /// real pipeline work): tracing off vs tracing on.
@@ -24,7 +25,9 @@
 ///                              [--buildings N] [--samples-per-floor M]
 ///                              [--reps R] [--max-overhead PCT] [--seed S]
 ///
-///  --quick   CI-sized corpus (a few seconds total)
+///  --quick   CI-sized fleet: 24 buildings, 40 scans/floor, so each TCP
+///            pass spans two or three 50 ms telemetry windows (about 13 s
+///            on a 4-vCPU host)
 ///  --json    write the JSON report (schema `fisone-bench-trace/v1`) to --out
 ///
 /// The JSON schema is documented in README.md § Observability.
@@ -36,7 +39,6 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -70,6 +72,37 @@ api::server_config make_server_config(std::uint64_t seed) {
     cfg.service.seed = seed;
     cfg.enable_cache = false;  // every pass does the full pipeline
     return cfg;
+}
+
+/// One rep's off/on pair, in ABBA order across reps (off,on, on,off,
+/// ...) so neither side always runs second.
+template <class Off, class On>
+void run_pair(std::size_t rep, const Off& off, const On& on) {
+    if (rep % 2 == 0) {
+        off();
+        on();
+    } else {
+        on();
+        off();
+    }
+}
+
+double median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
+/// Median over reps of the instrumented run's throughput loss against its
+/// own rep's uninstrumented run, in percent. Pairing cancels the drift
+/// between reps that min-of-reps leaves in; the median drops the odd rep
+/// a neighbour's burst lands on. Negative (the instrumented pass measured
+/// faster: noise) reports as 0.
+double paired_overhead_pct(const std::vector<double>& off, const std::vector<double>& on) {
+    std::vector<double> pct;
+    for (std::size_t i = 0; i < off.size(); ++i)
+        if (on[i] > 0.0) pct.push_back((1.0 - off[i] / on[i]) * 100.0);
+    return pct.empty() ? 0.0 : std::max(0.0, median(pct));
 }
 
 /// One full pass: fresh server, submit the fleet, flush, re-export.
@@ -178,10 +211,10 @@ int main(int argc, char** argv) try {
     const bool emit_json = args.has("json");
     const std::string out_path = args.get("out", "BENCH_trace.json");
     const auto buildings =
-        static_cast<std::size_t>(args.get_int("buildings", quick ? 6 : 24));
+        static_cast<std::size_t>(args.get_int("buildings", quick ? 24 : 32));
     const auto samples =
-        static_cast<std::size_t>(args.get_int("samples-per-floor", quick ? 20 : 40));
-    const auto reps = static_cast<std::size_t>(args.get_int("reps", quick ? 3 : 5));
+        static_cast<std::size_t>(args.get_int("samples-per-floor", quick ? 40 : 60));
+    const auto reps = static_cast<std::size_t>(args.get_int("reps", 21));
     const double max_overhead = static_cast<double>(args.get_int("max-overhead", 5));
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
     if (reps < 1) throw std::invalid_argument("--reps must be >= 1");
@@ -191,106 +224,115 @@ int main(int argc, char** argv) try {
     const std::vector<data::building> fleet =
         bench::make_fleet(buildings, samples, seed).buildings;
 
-    // Interleave off/on reps (off,on,off,on,...) so slow machine drift
-    // hits both sides; score each side by its best (min) wall time, the
-    // standard low-noise estimator for a deterministic workload.
-    double off_best = std::numeric_limits<double>::infinity();
-    double on_best = std::numeric_limits<double>::infinity();
+    // Each rep runs one back-to-back off/on pair, so slow machine drift
+    // lands on both sides of it alike, and gives one paired overhead
+    // sample.
+    std::vector<double> off_walls, on_walls;
     std::string off_ndjson, on_ndjson;
     std::uint64_t spans_recorded = 0;
     for (std::size_t rep = 0; rep < reps; ++rep) {
-        obs::set_tracing_enabled(false);
-        const auto [nd_off, s_off] = run_pass(fleet, seed);
-        off_best = std::min(off_best, s_off);
-        if (rep == 0)
-            off_ndjson = nd_off;
-        else if (nd_off != off_ndjson)
-            throw std::runtime_error("untraced reps diverged from each other");
-
-        obs::reset();  // fresh tape per traced rep: bounded memory, honest count
-        obs::set_tracing_enabled(true);
-        const auto [nd_on, s_on] = run_pass(fleet, seed);
-        obs::set_tracing_enabled(false);
-        on_best = std::min(on_best, s_on);
-        spans_recorded = obs::stats().recorded;
-        if (rep == 0)
-            on_ndjson = nd_on;
-        else if (nd_on != on_ndjson)
-            throw std::runtime_error("traced reps diverged from each other");
-        std::cerr << "rep " << (rep + 1) << '/' << reps << ": off " << s_off << "s, on "
-                  << s_on << "s\n";
+        const auto off_pass = [&] {
+            obs::set_tracing_enabled(false);
+            const auto [nd_off, s_off] = run_pass(fleet, seed);
+            off_walls.push_back(s_off);
+            if (off_ndjson.empty())
+                off_ndjson = nd_off;
+            else if (nd_off != off_ndjson)
+                throw std::runtime_error("untraced reps diverged from each other");
+        };
+        const auto on_pass = [&] {
+            obs::reset();  // fresh tape per traced rep: bounded memory, honest count
+            obs::set_tracing_enabled(true);
+            const auto [nd_on, s_on] = run_pass(fleet, seed);
+            obs::set_tracing_enabled(false);
+            on_walls.push_back(s_on);
+            spans_recorded = obs::stats().recorded;
+            if (on_ndjson.empty())
+                on_ndjson = nd_on;
+            else if (nd_on != on_ndjson)
+                throw std::runtime_error("traced reps diverged from each other");
+        };
+        run_pair(rep, off_pass, on_pass);
+        std::cerr << "rep " << (rep + 1) << '/' << reps << ": off " << off_walls.back()
+                  << "s, on " << on_walls.back() << "s\n";
     }
 
     const bool identical = off_ndjson == on_ndjson;
-    const double off_rate = off_best > 0.0 ? static_cast<double>(buildings) / off_best : 0.0;
-    const double on_rate = on_best > 0.0 ? static_cast<double>(buildings) / on_best : 0.0;
-    // Throughput overhead in percent; negative = traced run measured faster
-    // (noise floor), clamp the report at 0 so thresholds read sanely.
-    const double overhead_pct =
-        off_rate > 0.0 ? std::max(0.0, (off_rate - on_rate) / off_rate * 100.0) : 0.0;
+    const double off_wall = median(off_walls);
+    const double on_wall = median(on_walls);
+    const double off_rate = off_wall > 0.0 ? static_cast<double>(buildings) / off_wall : 0.0;
+    const double on_rate = on_wall > 0.0 ? static_cast<double>(buildings) / on_wall : 0.0;
+    const double overhead_pct = paired_overhead_pct(off_walls, on_walls);
 
     // Telemetry phase: same fleet through the TCP front door, telemetry
     // ticking off vs a fast window plus a live subscribe_stats stream.
     const std::uint32_t tel_window_ms = 50;
     std::cerr << "Telemetry phase: TCP passes, window off vs " << tel_window_ms
               << "ms + subscriber...\n";
-    double tel_off_best = std::numeric_limits<double>::infinity();
-    double tel_on_best = std::numeric_limits<double>::infinity();
+    std::vector<double> tel_off_walls, tel_on_walls;
     std::string tel_off_ndjson, tel_on_ndjson;
     std::uint64_t stats_updates = 0;
     for (std::size_t rep = 0; rep < reps; ++rep) {
-        const tcp_pass off = run_tcp_pass(fleet, seed, 0, false);
-        tel_off_best = std::min(tel_off_best, off.wall);
-        if (rep == 0)
-            tel_off_ndjson = off.ndjson;
-        else if (off.ndjson != tel_off_ndjson)
-            throw std::runtime_error("telemetry-off reps diverged from each other");
-
-        const tcp_pass on = run_tcp_pass(fleet, seed, tel_window_ms, true);
-        tel_on_best = std::min(tel_on_best, on.wall);
-        stats_updates = std::max(stats_updates, on.stats_updates);
-        if (rep == 0)
-            tel_on_ndjson = on.ndjson;
-        else if (on.ndjson != tel_on_ndjson)
-            throw std::runtime_error("telemetry-on reps diverged from each other");
-        std::cerr << "rep " << (rep + 1) << '/' << reps << ": off " << off.wall << "s, on "
-                  << on.wall << "s (" << on.stats_updates << " stats_update frames)\n";
+        std::uint64_t rep_updates = 0;
+        const auto off_pass = [&] {
+            const tcp_pass off = run_tcp_pass(fleet, seed, 0, false);
+            tel_off_walls.push_back(off.wall);
+            if (tel_off_ndjson.empty())
+                tel_off_ndjson = off.ndjson;
+            else if (off.ndjson != tel_off_ndjson)
+                throw std::runtime_error("telemetry-off reps diverged from each other");
+        };
+        const auto on_pass = [&] {
+            const tcp_pass on = run_tcp_pass(fleet, seed, tel_window_ms, true);
+            tel_on_walls.push_back(on.wall);
+            rep_updates = on.stats_updates;
+            stats_updates = std::max(stats_updates, on.stats_updates);
+            if (tel_on_ndjson.empty())
+                tel_on_ndjson = on.ndjson;
+            else if (on.ndjson != tel_on_ndjson)
+                throw std::runtime_error("telemetry-on reps diverged from each other");
+        };
+        run_pair(rep, off_pass, on_pass);
+        std::cerr << "rep " << (rep + 1) << '/' << reps << ": off " << tel_off_walls.back()
+                  << "s, on " << tel_on_walls.back() << "s (" << rep_updates
+                  << " stats_update frames)\n";
     }
     const bool tel_identical = tel_off_ndjson == tel_on_ndjson;
+    const double tel_off_wall = median(tel_off_walls);
+    const double tel_on_wall = median(tel_on_walls);
     const double tel_off_rate =
-        tel_off_best > 0.0 ? static_cast<double>(buildings) / tel_off_best : 0.0;
+        tel_off_wall > 0.0 ? static_cast<double>(buildings) / tel_off_wall : 0.0;
     const double tel_on_rate =
-        tel_on_best > 0.0 ? static_cast<double>(buildings) / tel_on_best : 0.0;
-    const double tel_overhead_pct =
-        tel_off_rate > 0.0 ? std::max(0.0, (tel_off_rate - tel_on_rate) / tel_off_rate * 100.0)
-                           : 0.0;
+        tel_on_wall > 0.0 ? static_cast<double>(buildings) / tel_on_wall : 0.0;
+    const double tel_overhead_pct = paired_overhead_pct(tel_off_walls, tel_on_walls);
 
     util::table_printer table("Tracing overhead — " + std::to_string(buildings) +
-                              " buildings, best of " + std::to_string(reps) +
+                              " buildings, median of " + std::to_string(reps) +
                               " interleaved reps");
     table.header({"tracing", "wall s", "buildings/s", "spans"});
-    table.row({"off", util::table_printer::num(off_best, 3),
+    table.row({"off", util::table_printer::num(off_wall, 3),
                util::table_printer::num(off_rate, 2), "0"});
-    table.row({"on", util::table_printer::num(on_best, 3),
+    table.row({"on", util::table_printer::num(on_wall, 3),
                util::table_printer::num(on_rate, 2), std::to_string(spans_recorded)});
     table.print(std::cout);
     std::cout << "\nOverhead: " << util::table_printer::num(overhead_pct, 2)
-              << "% of untraced throughput (contract: <= "
+              << "% of untraced throughput, median paired (contract: <= "
               << util::table_printer::num(max_overhead, 1)
               << "%).  NDJSON byte-identical tracing on/off: " << (identical ? "yes" : "NO")
               << "\n\n";
 
-    util::table_printer tel_table("Telemetry overhead — TCP front door, best of " +
+    util::table_printer tel_table("Telemetry overhead — TCP front door, median of " +
                                   std::to_string(reps) + " interleaved reps");
     tel_table.header({"telemetry", "wall s", "buildings/s", "stats_updates"});
-    tel_table.row({"off", util::table_printer::num(tel_off_best, 3),
+    tel_table.row({"off", util::table_printer::num(tel_off_wall, 3),
                    util::table_printer::num(tel_off_rate, 2), "0"});
     tel_table.row({std::to_string(tel_window_ms) + "ms + sub",
-                   util::table_printer::num(tel_on_best, 3),
+                   util::table_printer::num(tel_on_wall, 3),
                    util::table_printer::num(tel_on_rate, 2), std::to_string(stats_updates)});
     tel_table.print(std::cout);
     std::cout << "\nTelemetry overhead: " << util::table_printer::num(tel_overhead_pct, 2)
-              << "% of throughput (contract: <= " << util::table_printer::num(max_overhead, 1)
+              << "% of throughput, median paired (contract: <= "
+              << util::table_printer::num(max_overhead, 1)
               << "%).  NDJSON byte-identical telemetry on/off: "
               << (tel_identical ? "yes" : "NO") << "\n";
 
@@ -306,16 +348,16 @@ int main(int argc, char** argv) try {
         f << "  \"buildings\": " << buildings << ",\n";
         f << "  \"samples_per_floor\": " << samples << ",\n";
         f << "  \"reps\": " << reps << ",\n";
-        f << "  \"untraced_seconds\": " << bench::json_num(off_best) << ",\n";
-        f << "  \"traced_seconds\": " << bench::json_num(on_best) << ",\n";
+        f << "  \"untraced_seconds\": " << bench::json_num(off_wall) << ",\n";
+        f << "  \"traced_seconds\": " << bench::json_num(on_wall) << ",\n";
         f << "  \"untraced_buildings_per_sec\": " << bench::json_num(off_rate) << ",\n";
         f << "  \"traced_buildings_per_sec\": " << bench::json_num(on_rate) << ",\n";
         f << "  \"overhead_pct\": " << bench::json_num(overhead_pct) << ",\n";
         f << "  \"spans_per_traced_run\": " << spans_recorded << ",\n";
         f << "  \"ndjson_identical\": " << (identical ? "true" : "false") << ",\n";
         f << "  \"telemetry_window_ms\": " << tel_window_ms << ",\n";
-        f << "  \"telemetry_off_seconds\": " << bench::json_num(tel_off_best) << ",\n";
-        f << "  \"telemetry_on_seconds\": " << bench::json_num(tel_on_best) << ",\n";
+        f << "  \"telemetry_off_seconds\": " << bench::json_num(tel_off_wall) << ",\n";
+        f << "  \"telemetry_on_seconds\": " << bench::json_num(tel_on_wall) << ",\n";
         f << "  \"telemetry_overhead_pct\": " << bench::json_num(tel_overhead_pct) << ",\n";
         f << "  \"stats_updates_per_run\": " << stats_updates << ",\n";
         f << "  \"telemetry_ndjson_identical\": " << (tel_identical ? "true" : "false")

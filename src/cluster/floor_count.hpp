@@ -10,7 +10,7 @@
 /// so the best cluster count sits just before the largest relative jump in
 /// merge height.
 ///
-/// Honest caveat, measured in this repo (see EXPERIMENTS.md): the gap is
+/// Honest caveat, measured in this repo on synthetic buildings: the gap is
 /// decisive when clusters are separated (synthetic blob tests recover the
 /// count exactly up to k = 9) but RF-GNN embeddings of real-ish buildings
 /// blend adjacent floors, leaving near-flat gap profiles; there the

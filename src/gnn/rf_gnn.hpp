@@ -64,7 +64,7 @@ struct rf_gnn_config {
     std::size_t num_hops = 2;          ///< K
     std::size_t neighbor_samples = 8;  ///< |N'(v)| sampled per hop during training
     bool use_attention = true;         ///< false → uniform sampling + mean aggregation
-    bool train_base_embeddings = true; ///< r⁰ trainable (see DESIGN.md)
+    bool train_base_embeddings = true; ///< train r⁰ (the paper: a random vector)
     activation act = activation::tanh;
 
     graph::walk_config walks{};        ///< 5-step walks by default

@@ -3,7 +3,8 @@
 /// \file building_generator.hpp
 /// Synthetic multi-floor buildings with crowdsourced RF scans — the data
 /// substitution for the paper's Microsoft open dataset and the three
-/// shopping malls (see DESIGN.md §1). Every building draws AP positions,
+/// shopping malls (README § Paper claims lists what the reproduction
+/// checks on them). Every building draws AP positions,
 /// contributor devices and scan positions from a seeded RNG, runs every
 /// AP–scan link through the propagation model, and packages the detected
 /// readings as `data::building` with the one-label protocol applied.

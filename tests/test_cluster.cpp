@@ -181,7 +181,7 @@ TEST(clustering, upgma_separates_anisotropic_strips) {
     // Two moderately elongated strips whose within-strip average distance is
     // clearly below the across-strip distance: average linkage must recover
     // them exactly. (The pipeline-level hierarchical-vs-k-means comparison
-    // of paper Fig. 8(c,d) lives in bench_fig8_ablation.)
+    // of paper Fig. 8(c,d) is bench_paper_claims' F8-upgma-* claims.)
     util::rng gen(13);
     const std::size_t per = 60;
     matrix pts(2 * per, 2);
