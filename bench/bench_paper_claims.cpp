@@ -138,48 +138,46 @@ struct variant {
     method run;
 };
 
+using sdcn = baselines::sdcn_config;
+using daegc = baselines::daegc_config;
+
 /// Every method a claim reads, in report order. "FIS-ONE", "SDCN", "DAEGC"
 /// and "MDS" are at the default d = 32. "FIS-ONE served quick" is read by
 /// no claim: it reports the served quick profile beside the full one.
-const std::vector<variant>& variants() {
-    using sdcn = baselines::sdcn_config;
-    using daegc = baselines::daegc_config;
-    static const std::vector<variant> k_variants{
-        {"FIS-ONE", fis([](core::fis_one_config&) {})},
-        {"SDCN", deep<sdcn, baselines::sdcn_cluster>(32)},
-        {"DAEGC", deep<daegc, baselines::daegc_cluster>(32)},
-        {"METIS", baseline([](const data::building& b, std::uint64_t seed) {
-             baselines::metis_config c;
-             c.seed = seed;
-             return baselines::metis_cluster(b, c);
-         })},
-        {"MDS", mds(32)},
-        {"FIS-ONE w/o attention",
-         fis([](core::fis_one_config& c) { c.gnn.use_attention = false; })},
-        {"FIS-ONE k-means",
-         fis([](core::fis_one_config& c) { c.clustering = core::clustering_algorithm::kmeans; })},
-        {"FIS-ONE Jaccard",
-         fis([](core::fis_one_config& c) { c.similarity = indexing::similarity_kind::jaccard; })},
-        {"FIS-ONE 2-opt",
-         fis([](core::fis_one_config& c) { c.solver = indexing::tsp_solver::two_opt; })},
-        {"FIS-ONE random floor", random_floor},
-        {"FIS-ONE d=8", fis([](core::fis_one_config& c) { c.gnn.embedding_dim = 8; })},
-        {"FIS-ONE d=16", fis([](core::fis_one_config& c) { c.gnn.embedding_dim = 16; })},
-        {"FIS-ONE d=64", fis([](core::fis_one_config& c) { c.gnn.embedding_dim = 64; })},
-        {"SDCN d=8", deep<sdcn, baselines::sdcn_cluster>(8)},
-        {"SDCN d=16", deep<sdcn, baselines::sdcn_cluster>(16)},
-        {"SDCN d=64", deep<sdcn, baselines::sdcn_cluster>(64)},
-        {"DAEGC d=8", deep<daegc, baselines::daegc_cluster>(8)},
-        {"DAEGC d=16", deep<daegc, baselines::daegc_cluster>(16)},
-        {"DAEGC d=64", deep<daegc, baselines::daegc_cluster>(64)},
-        {"MDS d=8", mds(8)},
-        {"MDS d=16", mds(16)},
-        {"MDS d=64", mds(64)},
-        {"FIS-ONE served quick",
-         fis([](core::fis_one_config& c) { c = service::quick_profile(0, 1).pipeline; })},
-    };
-    return k_variants;
-}
+const std::vector<variant> k_variants{
+    {"FIS-ONE", fis([](core::fis_one_config&) {})},
+    {"SDCN", deep<sdcn, baselines::sdcn_cluster>(32)},
+    {"DAEGC", deep<daegc, baselines::daegc_cluster>(32)},
+    {"METIS", baseline([](const data::building& b, std::uint64_t seed) {
+         baselines::metis_config c;
+         c.seed = seed;
+         return baselines::metis_cluster(b, c);
+     })},
+    {"MDS", mds(32)},
+    {"FIS-ONE w/o attention",
+     fis([](core::fis_one_config& c) { c.gnn.use_attention = false; })},
+    {"FIS-ONE k-means",
+     fis([](core::fis_one_config& c) { c.clustering = core::clustering_algorithm::kmeans; })},
+    {"FIS-ONE Jaccard",
+     fis([](core::fis_one_config& c) { c.similarity = indexing::similarity_kind::jaccard; })},
+    {"FIS-ONE 2-opt",
+     fis([](core::fis_one_config& c) { c.solver = indexing::tsp_solver::two_opt; })},
+    {"FIS-ONE random floor", random_floor},
+    {"FIS-ONE d=8", fis([](core::fis_one_config& c) { c.gnn.embedding_dim = 8; })},
+    {"FIS-ONE d=16", fis([](core::fis_one_config& c) { c.gnn.embedding_dim = 16; })},
+    {"FIS-ONE d=64", fis([](core::fis_one_config& c) { c.gnn.embedding_dim = 64; })},
+    {"SDCN d=8", deep<sdcn, baselines::sdcn_cluster>(8)},
+    {"SDCN d=16", deep<sdcn, baselines::sdcn_cluster>(16)},
+    {"SDCN d=64", deep<sdcn, baselines::sdcn_cluster>(64)},
+    {"DAEGC d=8", deep<daegc, baselines::daegc_cluster>(8)},
+    {"DAEGC d=16", deep<daegc, baselines::daegc_cluster>(16)},
+    {"DAEGC d=64", deep<daegc, baselines::daegc_cluster>(64)},
+    {"MDS d=8", mds(8)},
+    {"MDS d=16", mds(16)},
+    {"MDS d=64", mds(64)},
+    {"FIS-ONE served quick",
+     fis([](core::fis_one_config& c) { c = service::quick_profile(0, 1).pipeline; })},
+};
 
 // ------------------------------------------------------------------ claims
 
@@ -415,14 +413,14 @@ int main(int argc, char** argv) try {
     // claims read.
     std::vector<std::pair<const variant*, std::string>> needed;
     const auto need = [&](const std::string& v, const std::string& corpus) {
-        const auto it = std::find_if(variants().begin(), variants().end(),
+        const auto it = std::find_if(k_variants.begin(), k_variants.end(),
                                      [&](const variant& x) { return v == x.name; });
-        if (it == variants().end()) throw std::logic_error("claim reads unknown variant " + v);
+        if (it == k_variants.end()) throw std::logic_error("claim reads unknown variant " + v);
         if (std::find(needed.begin(), needed.end(), std::pair{&*it, corpus}) == needed.end())
             needed.emplace_back(&*it, corpus);
     };
     for (const char* corpus : {"microsoft", "malls"})
-        for (const variant& v : variants()) need(v.name, corpus);
+        for (const variant& v : k_variants) need(v.name, corpus);
     for (const claim& c : k_claims)
         for (const std::string& corpus : variant_corpora(c))
             for (const auto& side : {c.left, c.right})
