@@ -40,6 +40,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <semaphore>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -128,7 +129,8 @@ struct tcp_pass {
 /// One full pass over the TCP front door: fresh 1-backend fleet + fresh
 /// `tcp_server` with the given telemetry window, optionally an active
 /// `subscribe_stats` stream drinking every window while the fleet is
-/// identified over a single framed connection. The wall clock covers the
+/// identified over a single framed connection, at most
+/// `max_inflight_requests` requests in flight. The wall clock covers the
 /// identify workload only (send of first frame to last response), so the
 /// off/on comparison isolates what ticking + pushing costs the serve path.
 tcp_pass run_tcp_pass(const std::vector<data::building>& fleet, std::uint64_t seed,
@@ -167,8 +169,12 @@ tcp_pass run_tcp_pass(const std::vector<data::building>& fleet, std::uint64_t se
     const clock_type::time_point start = clock_type::now();
     {
         net::frame_conn conn("127.0.0.1", front.port());
+        // At most the front door's admission bound in flight: beyond it a
+        // request is shed, not queued. Each answer frees a slot.
+        std::counting_semaphore<> window(static_cast<std::ptrdiff_t>(ncfg.max_inflight_requests));
         std::thread writer([&] {
             for (std::size_t i = 0; i < fleet.size(); ++i) {
+                window.acquire();
                 api::identify_building_request req;
                 req.correlation_id = i + 1;
                 req.has_index = true;
@@ -179,6 +185,7 @@ tcp_pass run_tcp_pass(const std::vector<data::building>& fleet, std::uint64_t se
             conn.shutdown_write();
         });
         while (std::optional<std::string> frame = conn.read_frame()) {
+            window.release();
             const api::decode_result<api::response> r = api::decode_response(*frame);
             if (!r.ok()) throw std::runtime_error("tcp pass: undecodable frame");
             if (const auto* b = std::get_if<api::building_response>(&*r.value))

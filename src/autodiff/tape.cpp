@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "linalg/numerics.hpp"
+
 namespace fisone::autodiff {
 
 namespace {
@@ -221,7 +223,7 @@ var tape::concat_cols(var a, var b) {
 
 var tape::sigmoid(var a) {
     matrix out = ws_.take_copy(at(a).value);
-    for (double& x : out.flat()) x = 1.0 / (1.0 + std::exp(-x));
+    for (double& x : out.flat()) x = 1.0 / (1.0 + linalg::numerics::exp(-x));
     const bool rg = at(a).requires_grad;
     var v = push(std::move(out), rg, {});
     if (rg) {
@@ -240,7 +242,7 @@ var tape::sigmoid(var a) {
 
 var tape::tanh_act(var a) {
     matrix out = ws_.take_copy(at(a).value);
-    for (double& x : out.flat()) x = std::tanh(x);
+    linalg::numerics::tanh_each(out.flat());
     const bool rg = at(a).requires_grad;
     var v = push(std::move(out), rg, {});
     if (rg) {
@@ -315,7 +317,8 @@ var tape::log_sigmoid(var a) {
     matrix out = ws_.take_copy(at(a).value);
     for (double& x : out.flat()) {
         // log σ(x) = -log(1+e^{-x}) = x - log(1+e^{x}); branch for stability.
-        x = x >= 0.0 ? -std::log1p(std::exp(-x)) : x - std::log1p(std::exp(x));
+        x = x >= 0.0 ? -std::log1p(linalg::numerics::exp(-x))
+                     : x - std::log1p(linalg::numerics::exp(x));
     }
     const bool rg = at(a).requires_grad;
     var v = push(std::move(out), rg, {});
@@ -327,8 +330,9 @@ var tape::log_sigmoid(var a) {
             for (std::size_t i = 0; i < g.size(); ++i) {
                 // d/dx log σ(x) = σ(-x)
                 const double xi = x.flat()[i];
-                const double sneg = xi >= 0.0 ? std::exp(-xi) / (1.0 + std::exp(-xi))
-                                              : 1.0 / (1.0 + std::exp(xi));
+                const double sneg =
+                    xi >= 0.0 ? linalg::numerics::exp(-xi) / (1.0 + linalg::numerics::exp(-xi))
+                              : 1.0 / (1.0 + linalg::numerics::exp(xi));
                 ga.flat()[i] += g.flat()[i] * sneg;
             }
         };

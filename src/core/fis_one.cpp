@@ -16,10 +16,12 @@ namespace fisone::core {
 
 std::uint64_t config_fingerprint(const fis_one_config& cfg) noexcept {
     util::fnv1a64 h;
-    // Domain separator + layout version: bump whenever a field is added,
-    // removed, or re-ordered below — a stale fingerprint must never alias
-    // a config with different result semantics.
-    h.str("fisone-config-fingerprint/v1");
+    // Domain separator + version: bump whenever a field is added, removed
+    // or re-ordered below, or the numerics move result bits (v2: in-tree
+    // tanh and exp, linalg/numerics.hpp) — a stale fingerprint must never
+    // alias a config with different result semantics, and a result_cache
+    // spill written under the old version must miss.
+    h.str("fisone-config-fingerprint/v2");
     // RF-GNN knobs.
     h.size(cfg.gnn.embedding_dim);
     h.size(cfg.gnn.num_hops);

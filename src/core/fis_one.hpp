@@ -46,9 +46,9 @@ struct fis_one_config {
     std::uint64_t seed = 7;  ///< drives clustering restarts and TSP restarts
     /// Worker threads for the hot kernels (RF-GNN products, k-means
     /// assignment, UPGMA distance initialisation, profile similarity).
-    /// 0 = hardware_concurrency; 1 runs fully serial. Every parallel kernel
-    /// is bit-identical to its serial form, so this knob never changes
-    /// results — only wall clock.
+    /// 0 = the CPUs this thread may run on (`util::resolve_num_threads`);
+    /// 1 runs fully serial. Every parallel kernel is bit-identical to its
+    /// serial form, so this knob never changes results — only wall clock.
     std::size_t num_threads = 0;
 };
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
+#include "linalg/numerics.hpp"
 #include "linalg/parallel_policy.hpp"
 #include "util/thread_pool.hpp"
 
@@ -24,17 +26,26 @@ double log_sigmoid(double x, double e) noexcept {
     return x >= 0.0 ? -std::log1p(e) : x - std::log1p(e);
 }
 
-/// Apply σ in place.
+/// e[i] = exp(−|x[i]|) for every i of \p e, in one array call: the one
+/// `exp` a score costs, for σ(x) and σ(−x) alike.
+void exp_neg_abs(const double* x, std::span<double> e) noexcept {
+    for (std::size_t i = 0; i < e.size(); ++i) e[i] = -std::fabs(x[i]);
+    linalg::numerics::exp_each(e);
+}
+
+/// Apply σ in place, with the in-tree tanh and exp (two lanes at a time).
 void apply_activation(activation act, matrix& m) noexcept {
     switch (act) {
         case activation::tanh:
-            for (double& x : m.flat()) x = std::tanh(x);
+            linalg::numerics::tanh_each(m.flat());
             break;
         case activation::relu:
             for (double& x : m.flat()) x = x > 0.0 ? x : 0.0;
             break;
         case activation::sigmoid:
-            for (double& x : m.flat()) x = 1.0 / (1.0 + std::exp(-x));
+            for (double& x : m.flat()) x = -x;
+            linalg::numerics::exp_each(m.flat());
+            for (double& x : m.flat()) x = 1.0 / (1.0 + x);
             break;
     }
 }
@@ -221,20 +232,23 @@ double rf_gnn_step::run_at(const rf_gnn_batch& batch, const matrix& base,
 
     // --- skip-gram scores and the scalar chain of
     //     loss = −mean(log σ(pos)) − τ·mean(log σ(−neg)).
-    //     The dot products come first (in the gradient buffers), then each
-    //     score's tail in order. Each `0.0 +` stands where the tape adds
-    //     into a fresh zero buffer, so even the sign of a zero matches. ---
+    //     The dot products come first (in the gradient buffers), then all
+    //     the scores' exp(−|x|) in one array call, then each score's tail
+    //     in order. Each `0.0 +` stands where the tape adds into a fresh
+    //     zero buffer, so even the sign of a zero matches. ---
     double loss = 0.0;  // stays 0.0 without with_loss
     pos_grad_.resize(pairs);
+    exps_.resize(std::max(pairs, pairs * tau));
     {
         const double gmean = (-1.0 * 1.0) / static_cast<double>(pairs);
         row_dots<D>(
             pairs, [&](std::size_t i) { return top_row(batch.left[i]); },
             [&](std::size_t i) { return top_row(batch.right[i]); }, pos_grad_.data(), d);
+        exp_neg_abs(pos_grad_.data(), {exps_.data(), pairs});
         double total = 0.0;
         for (std::size_t i = 0; i < pairs; ++i) {
             const double x = pos_grad_[i];
-            const double e = std::exp(x >= 0.0 ? -x : x);
+            const double e = exps_[i];
             pos_grad_[i] = 0.0 + gmean * sigmoid_neg(x, e);
             if (with_loss) total += log_sigmoid(x, e);
         }
@@ -247,10 +261,11 @@ double rf_gnn_step::run_at(const rf_gnn_batch& batch, const matrix& base,
         row_dots<D>(
             pairs * tau, [&](std::size_t r) { return top_row(batch.left[r / tau]); },
             [&](std::size_t r) { return top_row(batch.negatives[r]); }, neg_grad_.data(), d);
+        exp_neg_abs(neg_grad_.data(), {exps_.data(), pairs * tau});
         double total = 0.0;
         for (std::size_t r = 0; r < pairs * tau; ++r) {
             const double x = -neg_grad_[r];
-            const double e = std::exp(x >= 0.0 ? -x : x);
+            const double e = exps_[r];
             neg_grad_[r] = 0.0 + -1.0 * (0.0 + gmean * sigmoid_neg(x, e));
             if (with_loss) total += log_sigmoid(x, e);
         }

@@ -183,6 +183,8 @@ private:
     std::vector<hop_buffers> hops_;
     /// Per-score gradients of the loss: B positives, then B·τ negatives.
     std::vector<double> pos_grad_, neg_grad_;
+    /// exp(−|x|) of the scores being finished (positives, then negatives).
+    std::vector<double> exps_;
     /// Per row of the hop being unwound: dh · h, the normalisation's
     /// backward projection.
     std::vector<double> gy_;

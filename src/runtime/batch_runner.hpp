@@ -79,7 +79,7 @@ struct batch_config {
     /// honoured as given.
     core::fis_one_config pipeline{};
     std::uint64_t seed = 7;      ///< campaign seed, root of all task seeds
-    std::size_t num_threads = 0; ///< workers over buildings; 0 = hardware
+    std::size_t num_threads = 0; ///< workers over buildings; 0 = allowed CPUs
     /// Invoked after every finished building. Calls are serialised (a
     /// mutex) but arrive in completion order, not input order.
     std::function<void(const batch_progress&)> on_progress;

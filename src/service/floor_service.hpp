@@ -67,7 +67,8 @@ struct service_config {
     /// seeds, exactly as in `runtime::batch_config`.
     core::fis_one_config pipeline{};
     std::uint64_t seed = 7;  ///< campaign seed, root of all building seeds
-    /// Concurrent jobs (dedicated pool workers). 0 = hardware concurrency.
+    /// Concurrent jobs (dedicated pool workers). 0 = the CPUs this thread
+    /// may run on (`util::resolve_num_threads`).
     std::size_t num_threads = 0;
     /// Backpressure bound: maximum jobs submitted but not yet finished.
     /// `submit` blocks while the bound is reached. Must be ≥ 1.

@@ -6,10 +6,21 @@
 #include <stdexcept>
 #include <string>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace fisone::util {
 
 std::size_t resolve_num_threads(std::size_t requested) noexcept {
     if (requested != 0) return requested;
+#if defined(__linux__)
+    cpu_set_t allowed;
+    if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+        const int n = CPU_COUNT(&allowed);
+        if (n > 0) return static_cast<std::size_t>(n);
+    }
+#endif
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }

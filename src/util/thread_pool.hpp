@@ -31,8 +31,10 @@
 
 namespace fisone::util {
 
-/// Resolve a user-facing `num_threads` knob: 0 means "ask the hardware",
-/// with a floor of 1 when `hardware_concurrency` is unknown.
+/// Resolve a user-facing `num_threads` knob: 0 means the number of CPUs
+/// the calling thread may run on (its affinity mask, so `taskset` and
+/// cgroup cpusets are honoured), else `hardware_concurrency`, with a floor
+/// of 1 when neither is known.
 [[nodiscard]] std::size_t resolve_num_threads(std::size_t requested) noexcept;
 
 // Graining heuristics for row-partitioned kernels live in

@@ -91,10 +91,9 @@ TEST(fis_one, deterministic_given_seed) {
 }
 
 // Golden bits: one fixed quick-profile building, hashed over everything
-// the pipeline derives from the embedding. The constant was computed
-// before the blocked kernels gained wide tiles and the one-chunk serial
-// split; a kernel, tiling or work-split change that moves a single bit
-// fails here, at every thread count. 6 floors × 80 scans is large enough
+// the pipeline derives from the embedding. A kernel, tiling, work-split
+// or numerics (linalg/numerics.hpp) change that moves a single bit fails
+// here, at every thread count. 6 floors × 80 scans is large enough
 // that the 4-thread run puts the tape's forward products on the pool.
 TEST(fis_one, quick_profile_golden_digest_at_every_thread_count) {
     const auto b = make_building(6, 77, 80);
@@ -108,8 +107,16 @@ TEST(fis_one, quick_profile_golden_digest_at_every_thread_count) {
         for (const double x : r.embeddings.flat()) h.f64(x);
         for (const int c : r.assignment) h.i32(c);
         for (const int f : r.cluster_to_floor) h.i32(f);
-        EXPECT_EQ(h.digest(), 0xc0531d2c22ec1eecULL) << "num_threads " << threads;
+        EXPECT_EQ(h.digest(), 0x23f5a427b7832ea6ULL) << "num_threads " << threads;
     }
+}
+
+// The quick profile's fingerprint under "fisone-config-fingerprint/v1",
+// before tanh and exp moved in-tree. A result_cache spill keyed by it holds
+// results of the old numerics and must miss now.
+TEST(fis_one, numerics_version_retires_v1_fingerprints) {
+    const core::fis_one_config cfg = service::quick_profile(1, 1).pipeline;
+    EXPECT_NE(core::config_fingerprint(cfg), 0x4d6a37c01f0bf7c9ULL);
 }
 
 TEST(fis_one, kmeans_variant_runs) {

@@ -7,7 +7,12 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "runtime/batch_runner.hpp"
 #include "sim/building_generator.hpp"
@@ -23,6 +28,30 @@ TEST(thread_pool, resolves_zero_to_hardware) {
     EXPECT_GE(util::resolve_num_threads(0), 1u);
     EXPECT_EQ(util::resolve_num_threads(3), 3u);
 }
+
+#if defined(__linux__)
+// `num_threads = 0` sizes pools from the CPUs the caller may run on, not
+// from the host's count: pin one thread of this process to one CPU it is
+// allowed and resolve from inside it.
+TEST(thread_pool, resolves_zero_to_the_affinity_mask) {
+    cpu_set_t allowed;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &allowed)) ++cpu;
+    std::size_t resolved = 0;
+    bool pinned = false;
+    std::thread([&] {
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        pinned = sched_setaffinity(0, sizeof(one), &one) == 0;
+        resolved = util::resolve_num_threads(0);
+    }).join();
+    ASSERT_TRUE(pinned);
+    EXPECT_EQ(resolved, 1u);
+    EXPECT_EQ(util::resolve_num_threads(0), static_cast<std::size_t>(CPU_COUNT(&allowed)));
+}
+#endif
 
 TEST(thread_pool, rejects_absurd_thread_counts) {
     // e.g. -1 funneled through a size_t CLI knob
