@@ -635,22 +635,32 @@ TEST(codec, golden_frame_bytes) {
     }
     EXPECT_EQ(frame_digest(api::encode(api::request(ib))), 0x1c0fa3eb87d5819bULL);
 
+    // Every field distinct and non-zero, so a swap between any two moves
+    // the digest.
     service::service_stats stats;
     stats.jobs_submitted = 11;
+    stats.jobs_queued = 13;
+    stats.jobs_running = 17;
     stats.jobs_done = 10;
+    stats.jobs_cancelled = 19;
+    stats.buildings_done = 23;
     stats.buildings_ok = 9;
     stats.buildings_failed = 1;
+    stats.buildings_cancelled = 29;
     stats.latency_p50 = 0.0625;
     stats.latency_p90 = 0.25;
     stats.latency_p99 = 1.5;
-    stats.latency_count = 10;
+    stats.latency_count = 31;
     stats.latency_sum = 3.375;
-    stats.latency_le = {1, 4, 9, 10};
+    stats.latency_le = {3, 5, 7, 30};
     stats.cache_hits = 6;
     stats.cache_misses = 4;
+    stats.cache_evictions = 37;
+    stats.ingest_appends = 41;
+    stats.ingest_dirty_buildings = 43;
     stats.watch_subscribers = 2;
     EXPECT_EQ(frame_digest(api::encode(api::response(api::stats_response{23, stats}))),
-              0xd6c4effa2aa74677ULL);
+              0x9bd3b2358a82d6a9ULL);
 }
 
 // --- codec: adversarial decode ----------------------------------------------

@@ -28,6 +28,7 @@
 #include "net/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "util/hash.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -348,10 +349,14 @@ std::string full_metrics_page() {
 
     service::service_stats svc;
     svc.jobs_submitted = 20;
+    svc.jobs_queued = 3;
+    svc.jobs_running = 2;
     svc.jobs_done = 18;
+    svc.jobs_cancelled = 4;
     svc.buildings_done = 25;
     svc.buildings_ok = 24;
     svc.buildings_failed = 1;
+    svc.buildings_cancelled = 5;
     svc.latency_p50 = lat.percentile(50.0);
     svc.latency_p90 = lat.percentile(90.0);
     svc.latency_p99 = lat.percentile(99.0);
@@ -360,6 +365,10 @@ std::string full_metrics_page() {
     svc.latency_le = lat.le_counts();
     svc.cache_hits = 7;
     svc.cache_misses = 13;
+    svc.cache_evictions = 6;
+    svc.ingest_appends = 8;
+    svc.ingest_dirty_buildings = 11;
+    svc.watch_subscribers = 9;
 
     net::metrics_extras extras;
     api::result_cache_stats cache;
@@ -497,6 +506,25 @@ TEST(MetricsLint, FullPagePassesPrometheusTextFormatLint) {
     EXPECT_TRUE(declared_type.count("fisone_net_request_seconds"));
     EXPECT_TRUE(declared_type.count("fisone_service_building_seconds"));
     EXPECT_TRUE(declared_type.count("fisone_stage_duration_seconds"));
+}
+
+// The full page's bytes, pinned: a refactor of the renderer or of the stats
+// structs must keep every family, help text, label and value where it is.
+// The build-info sample is left out: its labels carry the compiler version
+// and build type.
+TEST(MetricsLint, FullPageBytesArePinned) {
+    std::istringstream in(full_metrics_page());
+    util::fnv1a64 h;
+    std::string line;
+    std::size_t lines = 0;
+    while (std::getline(in, line)) {
+        if (line.rfind("fisone_build_info{", 0) == 0) continue;
+        for (const char c : line) h.byte(static_cast<std::uint8_t>(c));
+        h.byte('\n');
+        ++lines;
+    }
+    EXPECT_EQ(lines, 216u);
+    EXPECT_EQ(h.digest(), 0x5e3c17d3f83cc23aULL);
 }
 
 }  // namespace
