@@ -149,7 +149,7 @@ int main(int argc, char** argv) try {
     std::cerr << "Fleet stats (merged over " << srv.num_backends()
               << " backends): " << (stats ? stats->buildings_done : 0) << " done, "
               << (stats ? stats->buildings_ok : 0) << " ok, p50 "
-              << (stats ? stats->latency_p50 : 0.0) << "s\n";
+              << (stats ? stats->latency.p50 : 0.0) << "s\n";
     std::cerr << "Federated NDJSON byte-identical to a single-service run: "
               << (identical ? "yes" : "NO") << "\n";
     if (!identical) {

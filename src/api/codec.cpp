@@ -271,59 +271,43 @@ runtime::building_report get_report(wire_reader& r) {
 }
 
 void put_stats(wire_writer& w, const service::service_stats& s) {
-    w.u64(s.jobs_submitted);
-    w.u64(s.jobs_queued);
-    w.u64(s.jobs_running);
-    w.u64(s.jobs_done);
-    w.u64(s.jobs_cancelled);
-    w.u64(s.buildings_done);
-    w.u64(s.buildings_ok);
-    w.u64(s.buildings_failed);
-    w.u64(s.buildings_cancelled);
-    w.f64(s.latency_p50);
-    w.f64(s.latency_p90);
-    w.f64(s.latency_p99);
-    w.u64(s.latency_count);
-    w.f64(s.latency_sum);
-    w.u32(static_cast<std::uint32_t>(s.latency_le.size()));
-    for (const std::uint64_t c : s.latency_le) w.u64(c);
-    w.u64(s.cache_hits);
-    w.u64(s.cache_misses);
-    w.u64(s.cache_evictions);
-    w.u64(s.ingest_appends);
-    w.u64(s.ingest_dirty_buildings);
-    w.u64(s.watch_subscribers);
+    for (const service::stat_field& f : service::k_service_stat_fields) {
+        if (f.kind != service::stat_kind::latency) {
+            w.u64(s.*f.count);
+            continue;
+        }
+        const obs::latency_summary& l = s.*f.latency;
+        w.f64(l.p50);
+        w.f64(l.p90);
+        w.f64(l.p99);
+        w.u64(l.count);
+        w.f64(l.sum);
+        w.u32(static_cast<std::uint32_t>(l.le.size()));
+        for (const std::uint64_t c : l.le) w.u64(c);
+    }
 }
 
 service::service_stats get_stats_body(wire_reader& r) {
     service::service_stats s;
-    s.jobs_submitted = static_cast<std::size_t>(r.u64());
-    s.jobs_queued = static_cast<std::size_t>(r.u64());
-    s.jobs_running = static_cast<std::size_t>(r.u64());
-    s.jobs_done = static_cast<std::size_t>(r.u64());
-    s.jobs_cancelled = static_cast<std::size_t>(r.u64());
-    s.buildings_done = static_cast<std::size_t>(r.u64());
-    s.buildings_ok = static_cast<std::size_t>(r.u64());
-    s.buildings_failed = static_cast<std::size_t>(r.u64());
-    s.buildings_cancelled = static_cast<std::size_t>(r.u64());
-    s.latency_p50 = r.f64();
-    s.latency_p90 = r.f64();
-    s.latency_p99 = r.f64();
-    s.latency_count = r.u64();
-    s.latency_sum = r.f64();
-    // Hostile-count guard: every bucket count is a u64 still to come.
-    const std::uint32_t n_le = r.u32();
-    if (n_le > r.remaining() / 8) r.fail();
-    if (!r.failed()) {
-        s.latency_le.reserve(n_le);
-        for (std::uint32_t i = 0; i < n_le; ++i) s.latency_le.push_back(r.u64());
+    for (const service::stat_field& f : service::k_service_stat_fields) {
+        if (f.kind != service::stat_kind::latency) {
+            s.*f.count = static_cast<std::size_t>(r.u64());
+            continue;
+        }
+        obs::latency_summary& l = s.*f.latency;
+        l.p50 = r.f64();
+        l.p90 = r.f64();
+        l.p99 = r.f64();
+        l.count = r.u64();
+        l.sum = r.f64();
+        // Hostile-count guard: every bucket count is a u64 still to come.
+        const std::uint32_t n_le = r.u32();
+        if (n_le > r.remaining() / 8) r.fail();
+        if (!r.failed()) {
+            l.le.reserve(n_le);
+            for (std::uint32_t i = 0; i < n_le; ++i) l.le.push_back(r.u64());
+        }
     }
-    s.cache_hits = static_cast<std::size_t>(r.u64());
-    s.cache_misses = static_cast<std::size_t>(r.u64());
-    s.cache_evictions = static_cast<std::size_t>(r.u64());
-    s.ingest_appends = static_cast<std::size_t>(r.u64());
-    s.ingest_dirty_buildings = static_cast<std::size_t>(r.u64());
-    s.watch_subscribers = static_cast<std::size_t>(r.u64());
     return s;
 }
 

@@ -286,14 +286,20 @@ std::uint64_t server::task_fingerprint(std::size_t index) const {
 }
 
 service::service_stats server::stats() const {
-    service::service_stats s = svc_->stats();
+    service::service_snapshot snap = snapshot();
+    snap.stats.latency = obs::summarize(snap.latencies);
+    return std::move(snap.stats);
+}
+
+service::service_snapshot server::snapshot() const {
+    service::service_snapshot snap = svc_->snapshot();
     if (cache_) {
         const result_cache_stats cs = cache_->stats();
-        s.cache_hits = cs.hits;
-        s.cache_misses = cs.misses;
-        s.cache_evictions = cs.evictions;
+        snap.stats.cache_hits = cs.hits;
+        snap.stats.cache_misses = cs.misses;
+        snap.stats.cache_evictions = cs.evictions;
     }
-    return s;
+    return snap;
 }
 
 result_cache_stats server::cache_stats() const {

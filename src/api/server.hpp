@@ -193,6 +193,9 @@ public:
     /// Service stats with the cache counters folded in — exactly what a
     /// `get_stats` request returns.
     [[nodiscard]] service::service_stats stats() const;
+    /// The service's snapshot with the cache counters folded in: what a
+    /// fleet merge pools.
+    [[nodiscard]] service::service_snapshot snapshot() const;
 
     [[nodiscard]] result_cache_stats cache_stats() const;
 

@@ -32,41 +32,17 @@ std::uint64_t shard_affinity(const service::shard_ref& ref) noexcept {
 }  // namespace
 
 service::service_stats merge_backend_stats(
-    const std::vector<service::service_stats>& stats,
-    const std::vector<obs::latency_histogram>& latencies) {
-    if (stats.size() != latencies.size())
-        throw std::invalid_argument("merge_backend_stats: " + std::to_string(stats.size()) +
-                                    " stats snapshots, " + std::to_string(latencies.size()) +
-                                    " latency histograms");
+    const std::vector<service::service_snapshot>& backends) {
     service::service_stats merged;
     obs::latency_histogram pooled;
-    for (std::size_t k = 0; k < stats.size(); ++k) {
-        const service::service_stats& s = stats[k];
-        merged.jobs_submitted += s.jobs_submitted;
-        merged.jobs_queued += s.jobs_queued;
-        merged.jobs_running += s.jobs_running;
-        merged.jobs_done += s.jobs_done;
-        merged.jobs_cancelled += s.jobs_cancelled;
-        merged.buildings_done += s.buildings_done;
-        merged.buildings_ok += s.buildings_ok;
-        merged.buildings_failed += s.buildings_failed;
-        merged.buildings_cancelled += s.buildings_cancelled;
-        merged.cache_hits += s.cache_hits;
-        merged.cache_misses += s.cache_misses;
-        merged.cache_evictions += s.cache_evictions;
-        merged.ingest_appends += s.ingest_appends;
-        merged.ingest_dirty_buildings += s.ingest_dirty_buildings;
-        merged.watch_subscribers += s.watch_subscribers;
-        pooled.merge(latencies[k]);
+    for (const service::service_snapshot& b : backends) {
+        for (const service::stat_field& f : service::k_service_stat_fields)
+            if (f.kind != service::stat_kind::latency) merged.*f.count += b.stats.*f.count;
+        pooled.merge(b.latencies);
     }
     // Percentiles come from the pooled observations, never from averaging
     // the per-backend percentiles (which answers a different question).
-    merged.latency_p50 = pooled.percentile_or_zero(50.0);
-    merged.latency_p90 = pooled.percentile_or_zero(90.0);
-    merged.latency_p99 = pooled.percentile_or_zero(99.0);
-    merged.latency_count = pooled.count();
-    merged.latency_sum = pooled.sum();
-    merged.latency_le = pooled.le_counts();
+    merged.latency = obs::summarize(pooled);
     return merged;
 }
 
@@ -927,15 +903,10 @@ void federated_server::serve(std::istream& in, std::ostream& out) {
 }
 
 service::service_stats federated_server::stats() const {
-    std::vector<service::service_stats> stats;
-    std::vector<obs::latency_histogram> latencies;
-    stats.reserve(backends_.size());
-    latencies.reserve(backends_.size());
-    for (const std::unique_ptr<api::server>& b : backends_) {
-        stats.push_back(b->stats());
-        latencies.push_back(b->backing_service().latencies());
-    }
-    service::service_stats s = merge_backend_stats(stats, latencies);
+    std::vector<service::service_snapshot> snapshots;
+    snapshots.reserve(backends_.size());
+    for (const std::unique_ptr<api::server>& b : backends_) snapshots.push_back(b->snapshot());
+    service::service_stats s = merge_backend_stats(snapshots);
     if (ingest_) {
         s.ingest_appends = static_cast<std::size_t>(ingest_->appends_total());
         s.ingest_dirty_buildings = static_cast<std::size_t>(ingest_->dirty_total());

@@ -23,10 +23,10 @@
 ///    A cache hit encodes only its head (the per-answer fields) and hands
 ///    the sink the backend cache's shared entry, whose result bytes were
 ///    encoded once when the entry was made.
-///  - `get_stats` — answered by the front-end: per-backend `service_stats`
-///    are merged (counters summed; latency percentiles recomputed from the
-///    merged `obs::latency_histogram`s — percentiles cannot be merged
-///    from percentiles).
+///  - `get_stats` — answered by the front-end: per-backend
+///    `service_snapshot`s are merged (counters summed; latency percentiles
+///    recomputed from the merged `obs::latency_histogram`s — percentiles
+///    cannot be merged from percentiles).
 ///  - `cancel_job` — cancels the job handle the connection tracks under the
 ///    target correlation id (finished handles are pruned as new ones are
 ///    tracked); unknown or finished targets answer `accepted = false`.
@@ -145,7 +145,6 @@
 
 #include "api/server.hpp"
 #include "fault_tolerance.hpp"
-#include "obs/telemetry.hpp"
 #include "router.hpp"
 #include "store_registry.hpp"
 
@@ -184,14 +183,12 @@ struct federation_config {
     std::vector<service::fault_plan> fault_plans;
 };
 
-/// Merge per-backend stats snapshots into fleet-wide stats: every counter
-/// sums; latency percentiles are recomputed from the merged histograms
-/// (bucket-wise, so any merge order yields identical fleet percentiles).
-/// \p stats and \p latencies run parallel (entry k = backend k).
-/// \throws std::invalid_argument on a size mismatch.
+/// Merge per-backend snapshots into fleet-wide stats: every counter and
+/// gauge of `service::k_service_stat_fields` sums; the latency summary is
+/// taken over the pooled histograms (bucket-wise, so any merge order
+/// yields identical fleet percentiles).
 [[nodiscard]] service::service_stats merge_backend_stats(
-    const std::vector<service::service_stats>& stats,
-    const std::vector<obs::latency_histogram>& latencies);
+    const std::vector<service::service_snapshot>& backends);
 
 class federated_server {
 public:

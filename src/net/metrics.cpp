@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <system_error>
+#include <utility>
 
 // Stamped by the build system; fall back to something honest when a TU is
 // compiled outside CMake (e.g. a quick manual compile).
@@ -40,6 +41,10 @@ std::string num(double v) {
     return ec == std::errc{} ? std::string(buf, p) : std::string("0");
 }
 
+/// Label scopes of one latency distribution: a label set such as
+/// `stage="x"` (or empty) and that scope's summary.
+using latency_scopes = std::vector<std::pair<std::string, const obs::latency_summary*>>;
+
 class page {
 public:
     void family(const char* name, const char* type, const char* help) {
@@ -76,45 +81,52 @@ public:
         sample(name, value);
     }
 
-    void quantiles(const char* name, const char* help, double p50, double p90, double p99) {
-        family(name, "summary", help);
-        sample(name, p50, "quantile=\"0.5\"");
-        sample(name, p90, "quantile=\"0.9\"");
-        sample(name, p99, "quantile=\"0.99\"");
-    }
-
-    /// One histogram family's children for a single label scope: the
-    /// `_bucket` ladder over `obs::k_metrics_le_bounds` (plus the implied
-    /// `le="+Inf"` = count), `_sum`, `_count`. Emit `family(name,
-    /// "histogram", ...)` once before the first call; \p extra is a
-    /// prefix label set (e.g. `stage="..."`) or empty.
-    void histogram_children(const char* name, const std::vector<std::uint64_t>& le,
-                            std::uint64_t count, double sum, const std::string& extra) {
-        const std::string bucket = std::string(name) + "_bucket";
-        const std::string prefix = extra.empty() ? std::string() : extra + ",";
-        for (std::size_t i = 0; i < le.size() && i < obs::k_metrics_le_bounds.size(); ++i) {
-            const std::string l = prefix + "le=\"" + num(obs::k_metrics_le_bounds[i]) + "\"";
-            sample(bucket.c_str(), static_cast<double>(le[i]), l.c_str());
+    /// One latency distribution per label scope, published twice under one help text: the
+    /// summary family \p summary (p50/p90/p99, plus `_sum` and `_count`
+    /// when \p summary_totals) and the histogram family \p histogram
+    /// (`_bucket` over `obs::k_metrics_le_bounds`, the implied
+    /// `le="+Inf"` = count, `_sum`, `_count`). A scope whose summary has no
+    /// `le` ladder (nothing was summarised) gets no histogram children.
+    void latency(const char* summary, const char* histogram, const char* help,
+                 const latency_scopes& scopes, bool summary_totals) {
+        family(summary, "summary", help);
+        for (const auto& [labels, s] : scopes) {
+            const std::string prefix = labels.empty() ? labels : labels + ",";
+            sample(summary, s->p50, (prefix + "quantile=\"0.5\"").c_str());
+            sample(summary, s->p90, (prefix + "quantile=\"0.9\"").c_str());
+            sample(summary, s->p99, (prefix + "quantile=\"0.99\"").c_str());
+            if (summary_totals) totals(summary, *s, labels);
         }
-        const std::string inf = prefix + "le=\"+Inf\"";
-        sample(bucket.c_str(), static_cast<double>(count), inf.c_str());
-        sample((std::string(name) + "_sum").c_str(), sum,
-               extra.empty() ? nullptr : extra.c_str());
-        sample((std::string(name) + "_count").c_str(), static_cast<double>(count),
-               extra.empty() ? nullptr : extra.c_str());
+        const std::string bucket = std::string(histogram) + "_bucket";
+        bool declared = false;
+        for (const auto& [labels, s] : scopes) {
+            if (s->le.empty()) continue;
+            if (!declared) family(histogram, "histogram", help);
+            declared = true;
+            const std::string prefix = labels.empty() ? labels : labels + ",";
+            for (std::size_t i = 0; i < s->le.size() && i < obs::k_metrics_le_bounds.size(); ++i) {
+                const std::string l = prefix + "le=\"" + num(obs::k_metrics_le_bounds[i]) + "\"";
+                sample(bucket.c_str(), static_cast<double>(s->le[i]), l.c_str());
+            }
+            const std::string inf = prefix + "le=\"+Inf\"";
+            sample(bucket.c_str(), static_cast<double>(s->count), inf.c_str());
+            totals(histogram, *s, labels);
+        }
     }
 
     [[nodiscard]] std::string take() && { return std::move(out_); }
 
 private:
+    void totals(const char* name, const obs::latency_summary& s, const std::string& labels) {
+        const char* l = labels.empty() ? nullptr : labels.c_str();
+        sample((std::string(name) + "_sum").c_str(), s.sum, l);
+        sample((std::string(name) + "_count").c_str(), static_cast<double>(s.count), l);
+    }
+
     std::string out_;
 };
 
 }  // namespace
-
-std::string render_metrics(const tcp_server_stats& net, const service::service_stats& svc) {
-    return render_metrics(net, svc, metrics_extras{});
-}
 
 std::string render_metrics(const tcp_server_stats& net, const service::service_stats& svc,
                            const metrics_extras& extras) {
@@ -185,55 +197,22 @@ std::string render_metrics(const tcp_server_stats& net, const service::service_s
              "reason=\"draining\"");
     p.gauge("fisone_net_draining", "1 while the server is draining for shutdown",
             net.draining ? 1.0 : 0.0);
-    p.quantiles("fisone_net_request_latency_seconds",
-                "request wall latency, admission to last response frame",
-                net.request_latency_p50, net.request_latency_p90, net.request_latency_p99);
-    // The same distribution as a real histogram (aggregable across
-    // instances with histogram_quantile(), unlike summary quantiles).
-    p.family("fisone_net_request_seconds", "histogram",
-             "request wall latency, admission to last response frame");
-    p.histogram_children("fisone_net_request_seconds", net.request_latency_le,
-                         net.request_latency_count, net.request_latency_sum, "");
+    // Summary quantiles plus the same distribution as a real histogram
+    // (aggregable across instances with histogram_quantile()).
+    p.latency("fisone_net_request_latency_seconds", "fisone_net_request_seconds",
+              "request wall latency, admission to last response frame",
+              {{"", &net.request_latency}}, false);
 
     // Backing service (the get_stats view).
-    p.counter("fisone_service_jobs_submitted_total", "jobs submitted to the floor service",
-              d(svc.jobs_submitted));
-    p.gauge("fisone_service_jobs_queued", "jobs submitted but not yet picked up",
-            d(svc.jobs_queued));
-    p.gauge("fisone_service_jobs_running", "jobs currently executing", d(svc.jobs_running));
-    p.counter("fisone_service_jobs_done_total", "jobs finished without cancellation",
-              d(svc.jobs_done));
-    p.counter("fisone_service_jobs_cancelled_total", "jobs with at least one skipped building",
-              d(svc.jobs_cancelled));
-    p.counter("fisone_service_buildings_done_total", "buildings finished (ok+failed+cancelled)",
-              d(svc.buildings_done));
-    p.counter("fisone_service_buildings_ok_total", "buildings finished successfully",
-              d(svc.buildings_ok));
-    p.counter("fisone_service_buildings_failed_total", "buildings whose pipeline threw",
-              d(svc.buildings_failed));
-    p.counter("fisone_service_buildings_cancelled_total", "buildings skipped by cancellation",
-              d(svc.buildings_cancelled));
-    p.quantiles("fisone_service_building_latency_seconds",
-                "per-building pipeline wall time", svc.latency_p50, svc.latency_p90,
-                svc.latency_p99);
-    if (!svc.latency_le.empty()) {
-        p.family("fisone_service_building_seconds", "histogram",
-                 "per-building pipeline wall time");
-        p.histogram_children("fisone_service_building_seconds", svc.latency_le,
-                             svc.latency_count, svc.latency_sum, "");
+    for (const service::stat_field& f : service::k_service_stat_fields) {
+        switch (f.kind) {
+            case service::stat_kind::counter: p.counter(f.metric, f.help, d(svc.*f.count)); break;
+            case service::stat_kind::gauge: p.gauge(f.metric, f.help, d(svc.*f.count)); break;
+            case service::stat_kind::latency:
+                p.latency(f.metric, f.histogram, f.help, {{"", &(svc.*f.latency)}}, false);
+                break;
+        }
     }
-    p.counter("fisone_cache_hits_total", "result-cache hits", d(svc.cache_hits));
-    p.counter("fisone_cache_misses_total", "result-cache misses", d(svc.cache_misses));
-    p.counter("fisone_cache_evictions_total", "result-cache LRU evictions",
-              d(svc.cache_evictions));
-    p.counter("fisone_ingest_appends_total",
-              "scan-batch appends to mounted stores (written then renamed, not fsynced)",
-              d(svc.ingest_appends));
-    p.counter("fisone_ingest_dirty_buildings_total",
-              "buildings re-run because an append changed their content hash",
-              d(svc.ingest_dirty_buildings));
-    p.gauge("fisone_watch_subscribers", "live watch subscriptions across all connections",
-            d(svc.watch_subscribers));
 
     // Per-backend result caches: the sums above say whether caching works
     // at all; these say whether affinity routing keeps each backend warm.
@@ -302,23 +281,12 @@ std::string render_metrics(const tcp_server_stats& net, const service::service_s
     // Absent until tracing has been enabled — a scraper sees the families
     // appear the moment spans start flowing.
     if (!extras.stages.empty()) {
-        p.family("fisone_stage_seconds", "summary",
-                 "span wall time by pipeline/request stage (requires tracing enabled)");
-        for (const obs::stage_snapshot& st : extras.stages) {
-            const std::string stage = "stage=\"" + escape_label(st.stage.c_str()) + "\"";
-            p.sample("fisone_stage_seconds", st.p50, (stage + ",quantile=\"0.5\"").c_str());
-            p.sample("fisone_stage_seconds", st.p90, (stage + ",quantile=\"0.9\"").c_str());
-            p.sample("fisone_stage_seconds", st.p99, (stage + ",quantile=\"0.99\"").c_str());
-            p.sample("fisone_stage_seconds_sum", st.total_seconds, stage.c_str());
-            p.sample("fisone_stage_seconds_count", d(st.count), stage.c_str());
-        }
-        p.family("fisone_stage_duration_seconds", "histogram",
-                 "span wall time by pipeline/request stage (requires tracing enabled)");
-        for (const obs::stage_snapshot& st : extras.stages) {
-            const std::string stage = "stage=\"" + escape_label(st.stage.c_str()) + "\"";
-            p.histogram_children("fisone_stage_duration_seconds", st.le_counts, st.count,
-                                 st.total_seconds, stage);
-        }
+        latency_scopes scopes;
+        for (const obs::stage_snapshot& st : extras.stages)
+            scopes.emplace_back("stage=\"" + escape_label(st.stage.c_str()) + "\"", &st.latency);
+        p.latency("fisone_stage_seconds", "fisone_stage_duration_seconds",
+                  "span wall time by pipeline/request stage (requires tracing enabled)", scopes,
+                  true);
     }
 
     return std::move(p).take();

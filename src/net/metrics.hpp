@@ -60,18 +60,8 @@ struct tcp_server_stats {
     std::size_t bytes_sent = 0;
     bool draining = false;  ///< between `drain()` and loop exit
     /// Net-level request wall latency (admission → last response frame
-    /// buffered), nearest-rank percentiles within
-    /// `obs::latency_histogram::k_max_relative_error`; 0 until a request
-    /// completes.
-    double request_latency_p50 = 0.0;
-    double request_latency_p90 = 0.0;
-    double request_latency_p99 = 0.0;
-    /// Histogram exposition of the same latencies: exact count and sum,
-    /// plus cumulative counts over `obs::k_metrics_le_bounds` (the
-    /// Prometheus `_bucket` ladder).
-    std::uint64_t request_latency_count = 0;
-    double request_latency_sum = 0.0;
-    std::vector<std::uint64_t> request_latency_le;
+    /// buffered).
+    obs::latency_summary request_latency;
     /// Telemetry windows closed so far (`telemetry_registry::ticks()`);
     /// stays 0 when `telemetry_window_ms` is 0.
     std::uint64_t telemetry_ticks = 0;
@@ -95,15 +85,11 @@ struct metrics_extras {
     std::optional<federation::health_snapshot> federation;
 };
 
-/// Render \p net + \p svc as one Prometheus text-format page. \p svc is
-/// the backend's `get_stats` view (service counters, per-building latency
-/// percentiles, result-cache hits/misses), so one scrape covers the whole
-/// stack: transport, admission, service, cache.
-[[nodiscard]] std::string render_metrics(const tcp_server_stats& net,
-                                         const service::service_stats& svc);
-
-/// The full page: core families plus build info, per-backend cache
-/// families, and `fisone_stage_seconds` summaries from \p extras.
+/// Render \p net + \p svc + \p extras as one Prometheus text-format page.
+/// \p svc is the backend's `get_stats` view (every row of
+/// `service::k_service_stat_fields`), so one scrape covers the whole
+/// stack: build info, transport, admission, service, cache, per-backend
+/// caches, fleet health and per-stage latency.
 [[nodiscard]] std::string render_metrics(const tcp_server_stats& net,
                                          const service::service_stats& svc,
                                          const metrics_extras& extras);

@@ -1101,12 +1101,7 @@ tcp_server_stats tcp_server::stats() const {
         const std::lock_guard<std::mutex> lock(core_->m);
         s = core_->counters;
         s.draining = core_->draining.load();
-        s.request_latency_p50 = core_->latency.percentile_or_zero(50.0);
-        s.request_latency_p90 = core_->latency.percentile_or_zero(90.0);
-        s.request_latency_p99 = core_->latency.percentile_or_zero(99.0);
-        s.request_latency_count = core_->latency.count();
-        s.request_latency_sum = core_->latency.sum();
-        s.request_latency_le = core_->latency.le_counts();
+        s.request_latency = obs::summarize(core_->latency);
         s.uptime_seconds =
             std::chrono::duration<double>(clock_type::now() - core_->started).count();
     }

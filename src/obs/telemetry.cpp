@@ -129,6 +129,11 @@ std::vector<std::uint64_t> latency_histogram::le_counts() const {
     return out;
 }
 
+latency_summary summarize(const latency_histogram& h) {
+    return {h.percentile_or_zero(50.0), h.percentile_or_zero(90.0),
+            h.percentile_or_zero(99.0), h.count(), h.sum(), h.le_counts()};
+}
+
 // --- telemetry_registry ------------------------------------------------------
 
 telemetry_registry::telemetry_registry(std::size_t ring_windows, double epoch_seconds)

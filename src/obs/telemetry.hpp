@@ -127,6 +127,24 @@ private:
     std::array<std::uint64_t, k_num_buckets> buckets_{};
 };
 
+/// What every served latency distribution publishes: nearest-rank
+/// p50/p90/p99 (0 when empty; within
+/// `latency_histogram::k_max_relative_error`), the exact count and sum, and
+/// the cumulative counts over `k_metrics_le_bounds` (the Prometheus
+/// `_bucket` ladder). Field order is the `get_stats` wire order. An empty
+/// `le` means nothing was summarised.
+struct latency_summary {
+    double p50 = 0.0;
+    double p90 = 0.0;
+    double p99 = 0.0;
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    std::vector<std::uint64_t> le;
+};
+
+/// \p h as a `latency_summary` (its `le` always holds one count per bound).
+[[nodiscard]] latency_summary summarize(const latency_histogram& h);
+
 /// Windowed time-series registry: registered instruments are sampled at
 /// every `tick()` into a fixed ring of per-window snapshots. Register
 /// everything before the first tick (late registrations join from the

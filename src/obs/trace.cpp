@@ -349,17 +349,7 @@ std::vector<stage_snapshot> stage_stats() {
     std::lock_guard<std::mutex> lock(r.stage_m);
     std::vector<stage_snapshot> out;
     out.reserve(r.stages.size());
-    for (const auto& [name, hist] : r.stages) {
-        stage_snapshot s;
-        s.stage = name;
-        s.count = static_cast<std::size_t>(hist.count());
-        s.total_seconds = hist.sum();
-        s.p50 = hist.percentile_or_zero(50.0);
-        s.p90 = hist.percentile_or_zero(90.0);
-        s.p99 = hist.percentile_or_zero(99.0);
-        s.le_counts = hist.le_counts();
-        out.push_back(std::move(s));
-    }
+    for (const auto& [name, hist] : r.stages) out.push_back({name, summarize(hist)});
     return out;
 }
 

@@ -71,18 +71,10 @@ struct trace_stats {
 };
 
 /// Per-stage latency summary, one per distinct span name observed while
-/// tracing was enabled. Count and total are exact; percentiles carry
-/// `latency_histogram::k_max_relative_error`; `le_counts` is the stage's
-/// histogram evaluated over `k_metrics_le_bounds` (Prometheus `_bucket`
-/// exposition).
+/// tracing was enabled.
 struct stage_snapshot {
     std::string stage;
-    std::size_t count = 0;
-    double total_seconds = 0.0;
-    double p50 = 0.0;
-    double p90 = 0.0;
-    double p99 = 0.0;
-    std::vector<std::uint64_t> le_counts;
+    latency_summary latency;
 };
 
 namespace detail {

@@ -384,35 +384,28 @@ std::size_t floor_service::pending_jobs() const {
 }
 
 service_stats floor_service::stats() const {
-    service_stats out;
-    obs::latency_histogram latencies;
-    {
-        const std::lock_guard<std::mutex> lock(state_->m);
-        out.jobs_submitted = state_->jobs_submitted;
-        out.jobs_running = state_->jobs_running;
-        out.jobs_done = state_->jobs_done;
-        out.jobs_cancelled = state_->jobs_cancelled;
-        out.jobs_queued = state_->jobs_submitted - state_->jobs_running - state_->jobs_done -
-                          state_->jobs_cancelled;
-        out.buildings_ok = state_->buildings_ok;
-        out.buildings_failed = state_->buildings_failed;
-        out.buildings_cancelled = state_->buildings_cancelled;
-        out.buildings_done =
-            state_->buildings_ok + state_->buildings_failed + state_->buildings_cancelled;
-        latencies = state_->latencies;
-    }
-    out.latency_p50 = latencies.percentile_or_zero(50.0);
-    out.latency_p90 = latencies.percentile_or_zero(90.0);
-    out.latency_p99 = latencies.percentile_or_zero(99.0);
-    out.latency_count = latencies.count();
-    out.latency_sum = latencies.sum();
-    out.latency_le = latencies.le_counts();
-    return out;
+    service_snapshot snap = snapshot();
+    snap.stats.latency = obs::summarize(snap.latencies);
+    return std::move(snap.stats);
 }
 
-obs::latency_histogram floor_service::latencies() const {
+service_snapshot floor_service::snapshot() const {
+    service_snapshot out;
+    service_stats& s = out.stats;
     const std::lock_guard<std::mutex> lock(state_->m);
-    return state_->latencies;
+    s.jobs_submitted = state_->jobs_submitted;
+    s.jobs_running = state_->jobs_running;
+    s.jobs_done = state_->jobs_done;
+    s.jobs_cancelled = state_->jobs_cancelled;
+    s.jobs_queued = state_->jobs_submitted - state_->jobs_running - state_->jobs_done -
+                    state_->jobs_cancelled;
+    s.buildings_ok = state_->buildings_ok;
+    s.buildings_failed = state_->buildings_failed;
+    s.buildings_cancelled = state_->buildings_cancelled;
+    s.buildings_done =
+        state_->buildings_ok + state_->buildings_failed + state_->buildings_cancelled;
+    out.latencies = state_->latencies;
+    return out;
 }
 
 }  // namespace fisone::service

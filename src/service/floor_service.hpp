@@ -87,9 +87,8 @@ struct service_config {
     fault_plan faults{};
 };
 
-/// Point-in-time service counters. Latency percentiles are over the
-/// per-building pipeline wall times of every finished building so far
-/// (0 when nothing finished yet).
+/// Point-in-time service counters, plus the per-building pipeline wall
+/// times of every finished building so far.
 struct service_stats {
     std::size_t jobs_submitted = 0;
     std::size_t jobs_queued = 0;     ///< submitted, not yet picked up by a worker
@@ -100,16 +99,7 @@ struct service_stats {
     std::size_t buildings_ok = 0;
     std::size_t buildings_failed = 0;     ///< pipeline threw (excludes cancelled)
     std::size_t buildings_cancelled = 0;  ///< skipped by job cancellation
-    double latency_p50 = 0.0;  ///< seconds per building, nearest-rank
-    double latency_p90 = 0.0;
-    double latency_p99 = 0.0;
-    /// Histogram exposition of the same per-building latencies: exact
-    /// observation count and sum, plus cumulative counts over
-    /// `obs::k_metrics_le_bounds` (what a Prometheus `_bucket` ladder
-    /// renders). Empty `latency_le` means no building has finished.
-    std::uint64_t latency_count = 0;
-    double latency_sum = 0.0;
-    std::vector<std::uint64_t> latency_le;
+    obs::latency_summary latency;  ///< seconds per building
     /// Result-cache counters. The bare service runs every submission and
     /// leaves these 0; `api::server` serves repeat submissions from its
     /// `api::result_cache` and fills them in its `get_stats` response.
@@ -122,6 +112,70 @@ struct service_stats {
     std::size_t ingest_appends = 0;          ///< durable append batches
     std::size_t ingest_dirty_buildings = 0;  ///< buildings re-run after appends
     std::size_t watch_subscribers = 0;       ///< live watch subscriptions (gauge)
+};
+
+/// How a `service_stats` entry is exposed on `/metrics`.
+enum class stat_kind { counter, gauge, latency };
+
+/// One `service_stats` entry: where it lives and how `/metrics` names it.
+struct stat_field {
+    stat_kind kind;
+    /// Counter or gauge family; the summary family on the latency row.
+    const char* metric;
+    const char* help;
+    std::size_t service_stats::* count = nullptr;             ///< counter and gauge rows
+    obs::latency_summary service_stats::* latency = nullptr;  ///< the latency row
+    const char* histogram = nullptr;  ///< the latency row's histogram family
+};
+
+/// Every `service_stats` entry once, in `get_stats` wire order, which is
+/// also `/metrics` page order. The codec, the fleet merge and the renderer
+/// all iterate this table: a new counter is a struct field plus one row
+/// here (and a `k_schema_version` bump, since it changes the wire).
+inline constexpr stat_field k_service_stat_fields[] = {
+    {stat_kind::counter, "fisone_service_jobs_submitted_total",
+     "jobs submitted to the floor service", &service_stats::jobs_submitted},
+    {stat_kind::gauge, "fisone_service_jobs_queued", "jobs submitted but not yet picked up",
+     &service_stats::jobs_queued},
+    {stat_kind::gauge, "fisone_service_jobs_running", "jobs currently executing",
+     &service_stats::jobs_running},
+    {stat_kind::counter, "fisone_service_jobs_done_total", "jobs finished without cancellation",
+     &service_stats::jobs_done},
+    {stat_kind::counter, "fisone_service_jobs_cancelled_total",
+     "jobs with at least one skipped building", &service_stats::jobs_cancelled},
+    {stat_kind::counter, "fisone_service_buildings_done_total",
+     "buildings finished (ok+failed+cancelled)", &service_stats::buildings_done},
+    {stat_kind::counter, "fisone_service_buildings_ok_total", "buildings finished successfully",
+     &service_stats::buildings_ok},
+    {stat_kind::counter, "fisone_service_buildings_failed_total",
+     "buildings whose pipeline threw", &service_stats::buildings_failed},
+    {stat_kind::counter, "fisone_service_buildings_cancelled_total",
+     "buildings skipped by cancellation", &service_stats::buildings_cancelled},
+    {stat_kind::latency, "fisone_service_building_latency_seconds",
+     "per-building pipeline wall time", nullptr, &service_stats::latency,
+     "fisone_service_building_seconds"},
+    {stat_kind::counter, "fisone_cache_hits_total", "result-cache hits",
+     &service_stats::cache_hits},
+    {stat_kind::counter, "fisone_cache_misses_total", "result-cache misses",
+     &service_stats::cache_misses},
+    {stat_kind::counter, "fisone_cache_evictions_total", "result-cache LRU evictions",
+     &service_stats::cache_evictions},
+    {stat_kind::counter, "fisone_ingest_appends_total",
+     "scan-batch appends to mounted stores (written then renamed, not fsynced)",
+     &service_stats::ingest_appends},
+    {stat_kind::counter, "fisone_ingest_dirty_buildings_total",
+     "buildings re-run because an append changed their content hash",
+     &service_stats::ingest_dirty_buildings},
+    {stat_kind::gauge, "fisone_watch_subscribers",
+     "live watch subscriptions across all connections", &service_stats::watch_subscribers},
+};
+
+/// A service's counters together with the histogram behind their latency
+/// summary (left empty in `stats`): what a fleet merge pools, since
+/// percentiles themselves cannot be combined.
+struct service_snapshot {
+    service_stats stats;
+    obs::latency_histogram latencies;
 };
 
 class floor_service {
@@ -231,16 +285,15 @@ public:
     /// no percentile work (unlike a full `stats()` snapshot).
     [[nodiscard]] std::size_t pending_jobs() const;
 
+    /// `snapshot()` with its latency histogram summarised.
     [[nodiscard]] service_stats stats() const;
 
-    /// Snapshot of the per-building pipeline latencies behind the
-    /// percentiles in `stats()`, as a mergeable bounded histogram. A
-    /// federated front-end merges these across backends before taking
-    /// fleet percentiles — percentiles themselves cannot be combined.
-    /// Bounded on purpose: a long-running serve loop feeds this once per
-    /// building forever, so hoarding exact samples would grow without limit;
-    /// percentiles carry `obs::latency_histogram::k_max_relative_error`.
-    [[nodiscard]] obs::latency_histogram latencies() const;
+    /// The counters and the per-building latency histogram, taken under
+    /// one lock. Bounded on purpose: a long-running serve loop feeds the
+    /// histogram once per building forever, so hoarding exact samples
+    /// would grow without limit; percentiles carry
+    /// `obs::latency_histogram::k_max_relative_error`.
+    [[nodiscard]] service_snapshot snapshot() const;
     [[nodiscard]] const service_config& config() const noexcept { return cfg_; }
 
     /// Concurrent jobs the pool can run (resolved `num_threads`).

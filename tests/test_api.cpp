@@ -264,14 +264,19 @@ TEST(codec, response_round_trips_every_type) {
     report.result.ambiguous = true;
     report.result.ari = 0.875;
 
+    // Every row of the stats table gets its own value, so a row the codec
+    // drops or two rows it swaps show.
     service::service_stats stats;
-    stats.jobs_submitted = 4;
-    stats.jobs_done = 3;
-    stats.jobs_cancelled = 1;
-    stats.buildings_ok = 9;
-    stats.latency_p90 = 0.125;
-    stats.cache_hits = 6;
-    stats.cache_misses = 2;
+    std::size_t next = 100;
+    for (const service::stat_field& f : service::k_service_stat_fields) {
+        if (f.kind != service::stat_kind::latency) {
+            stats.*f.count = next++;
+            continue;
+        }
+        const double v = static_cast<double>(next);
+        stats.*f.latency = {v + 0.5, v + 0.75, v + 0.875, next + 1, v + 0.25, {next + 2, next + 3}};
+        next += 4;
+    }
 
     const std::vector<api::response> responses{
         api::response(api::building_response{21, report}),
@@ -295,11 +300,20 @@ TEST(codec, response_round_trips_every_type) {
 
     const auto sr = std::get<api::stats_response>(
         *api::decode_response(api::encode(api::response(api::stats_response{22, stats}))).value);
-    EXPECT_EQ(sr.stats.jobs_submitted, 4u);
-    EXPECT_EQ(sr.stats.jobs_cancelled, 1u);
-    EXPECT_EQ(sr.stats.cache_hits, 6u);
-    EXPECT_EQ(sr.stats.cache_misses, 2u);
-    EXPECT_EQ(sr.stats.latency_p90, 0.125);
+    for (const service::stat_field& f : service::k_service_stat_fields) {
+        if (f.kind != service::stat_kind::latency) {
+            EXPECT_EQ(sr.stats.*f.count, stats.*f.count) << f.metric;
+            continue;
+        }
+        const obs::latency_summary& got = sr.stats.*f.latency;
+        const obs::latency_summary& want = stats.*f.latency;
+        EXPECT_EQ(got.p50, want.p50) << f.metric;
+        EXPECT_EQ(got.p90, want.p90) << f.metric;
+        EXPECT_EQ(got.p99, want.p99) << f.metric;
+        EXPECT_EQ(got.count, want.count) << f.metric;
+        EXPECT_EQ(got.sum, want.sum) << f.metric;
+        EXPECT_EQ(got.le, want.le) << f.metric;
+    }
 
     const auto er = std::get<api::error_response>(
         *api::decode_response(
@@ -449,14 +463,14 @@ TEST(codec, telemetry_messages_round_trip) {
 
     // The stats payload grew the histogram exposition triplet.
     service::service_stats stats;
-    stats.latency_count = 200;
-    stats.latency_sum = 12.75;
-    stats.latency_le = {1, 2, 3, 50, 200};
+    stats.latency.count = 200;
+    stats.latency.sum = 12.75;
+    stats.latency.le = {1, 2, 3, 50, 200};
     const auto sr = std::get<api::stats_response>(
         *api::decode_response(api::encode(api::response(api::stats_response{54, stats}))).value);
-    EXPECT_EQ(sr.stats.latency_count, 200u);
-    EXPECT_DOUBLE_EQ(sr.stats.latency_sum, 12.75);
-    EXPECT_EQ(sr.stats.latency_le, (std::vector<std::uint64_t>{1, 2, 3, 50, 200}));
+    EXPECT_EQ(sr.stats.latency.count, 200u);
+    EXPECT_DOUBLE_EQ(sr.stats.latency.sum, 12.75);
+    EXPECT_EQ(sr.stats.latency.le, (std::vector<std::uint64_t>{1, 2, 3, 50, 200}));
 }
 
 TEST(codec, hostile_append_batch_count_fails_cleanly) {
@@ -647,12 +661,7 @@ TEST(codec, golden_frame_bytes) {
     stats.buildings_ok = 9;
     stats.buildings_failed = 1;
     stats.buildings_cancelled = 29;
-    stats.latency_p50 = 0.0625;
-    stats.latency_p90 = 0.25;
-    stats.latency_p99 = 1.5;
-    stats.latency_count = 31;
-    stats.latency_sum = 3.375;
-    stats.latency_le = {3, 5, 7, 30};
+    stats.latency = {0.0625, 0.25, 1.5, 31, 3.375, {3, 5, 7, 30}};
     stats.cache_hits = 6;
     stats.cache_misses = 4;
     stats.cache_evictions = 37;

@@ -32,6 +32,7 @@
 #include "federation/federated_server.hpp"
 #include "federation/router.hpp"
 #include "federation/store_registry.hpp"
+#include "net/metrics.hpp"
 #include "runtime/batch_runner.hpp"
 #include "service/floor_service.hpp"
 #include "service/ndjson_export.hpp"
@@ -309,51 +310,60 @@ TEST(router, rejects_degenerate_inputs) {
 // --- merged stats -----------------------------------------------------------
 
 TEST(merge_backend_stats, sums_counters_and_pools_latencies) {
-    service::service_stats a;
-    a.jobs_submitted = 3;
-    a.jobs_done = 3;
-    a.buildings_done = 5;
-    a.buildings_ok = 5;
-    a.cache_hits = 2;
-    a.cache_misses = 3;
-    a.cache_evictions = 1;
-    service::service_stats b;
-    b.jobs_submitted = 1;
-    b.jobs_done = 1;
-    b.buildings_done = 2;
-    b.buildings_ok = 1;
-    b.buildings_failed = 1;
-    b.cache_misses = 2;
-    b.cache_evictions = 4;
-
-    obs::latency_histogram la, lb, pooled;
+    // Every counter and gauge row of the stats table gets its own value in
+    // each snapshot, so a row the merge skips or mixes up shows.
+    service::service_snapshot a, b;
+    std::size_t next = 1;
+    for (const service::stat_field& f : service::k_service_stat_fields) {
+        if (f.kind == service::stat_kind::latency) continue;
+        a.stats.*f.count = next;
+        b.stats.*f.count = 100 * next;
+        ++next;
+    }
+    obs::latency_histogram pooled;
     for (const double x : {0.1, 0.2, 0.3, 0.4, 0.5}) {
-        la.add(x);
+        a.latencies.add(x);
         pooled.add(x);
     }
     for (const double x : {1.0, 2.0}) {
-        lb.add(x);
+        b.latencies.add(x);
         pooled.add(x);
     }
 
-    const service::service_stats merged = federation::merge_backend_stats({a, b}, {la, lb});
-    EXPECT_EQ(merged.jobs_submitted, 4u);
-    EXPECT_EQ(merged.jobs_done, 4u);
-    EXPECT_EQ(merged.buildings_done, 7u);
-    EXPECT_EQ(merged.buildings_ok, 6u);
-    EXPECT_EQ(merged.buildings_failed, 1u);
-    EXPECT_EQ(merged.cache_hits, 2u);
-    EXPECT_EQ(merged.cache_misses, 5u);
-    EXPECT_EQ(merged.cache_evictions, 5u);
-    EXPECT_DOUBLE_EQ(merged.latency_p50, pooled.percentile(50.0));
-    EXPECT_DOUBLE_EQ(merged.latency_p90, pooled.percentile(90.0));
-    EXPECT_DOUBLE_EQ(merged.latency_p99, pooled.percentile(99.0));
+    const service::service_stats merged = federation::merge_backend_stats({a, b});
+    for (const service::stat_field& f : service::k_service_stat_fields) {
+        if (f.kind != service::stat_kind::latency) {
+            EXPECT_EQ(merged.*f.count, a.stats.*f.count + b.stats.*f.count) << f.metric;
+            continue;
+        }
+        const obs::latency_summary& l = merged.*f.latency;
+        EXPECT_DOUBLE_EQ(l.p50, pooled.percentile(50.0)) << f.metric;
+        EXPECT_DOUBLE_EQ(l.p90, pooled.percentile(90.0)) << f.metric;
+        EXPECT_DOUBLE_EQ(l.p99, pooled.percentile(99.0)) << f.metric;
+        EXPECT_EQ(l.count, 7u) << f.metric;
+        EXPECT_DOUBLE_EQ(l.sum, pooled.sum()) << f.metric;
+        EXPECT_EQ(l.le, pooled.le_counts()) << f.metric;
+    }
 
-    EXPECT_THROW(static_cast<void>(federation::merge_backend_stats({a, b}, {la})),
-                 std::invalid_argument);
-    const service::service_stats empty = federation::merge_backend_stats({}, {});
+    // Every row reaches the page: its family, and on the latency row the
+    // histogram family too.
+    const std::string page = net::render_metrics({}, merged, {});
+    for (const service::stat_field& f : service::k_service_stat_fields) {
+        if (f.kind != service::stat_kind::latency) {
+            EXPECT_NE(page.find(std::string(f.metric) + " " +
+                                std::to_string(merged.*f.count) + "\n"),
+                      std::string::npos)
+                << f.metric;
+            continue;
+        }
+        EXPECT_NE(page.find(std::string("# TYPE ") + f.metric + " summary\n"),
+                  std::string::npos);
+        EXPECT_NE(page.find(std::string(f.histogram) + "_count 7\n"), std::string::npos);
+    }
+
+    const service::service_stats empty = federation::merge_backend_stats({});
     EXPECT_EQ(empty.jobs_submitted, 0u);
-    EXPECT_DOUBLE_EQ(empty.latency_p50, 0.0);
+    EXPECT_DOUBLE_EQ(empty.latency.p50, 0.0);
 }
 
 // --- federated_server -------------------------------------------------------

@@ -187,7 +187,7 @@ TEST_F(ObsTest, RingWrapDropsOldestKeepsNewestIntact) {
     // aggregates are not.
     const std::vector<obs::stage_snapshot> stages = obs::stage_stats();
     ASSERT_EQ(stages.size(), 1u);
-    EXPECT_EQ(stages[0].count, 20u);
+    EXPECT_EQ(stages[0].latency.count, 20u);
 }
 
 // --- lifecycle ---------------------------------------------------------------
@@ -264,11 +264,11 @@ TEST_F(ObsTest, StageStatsAccumulateExactPercentiles) {
     const std::vector<obs::stage_snapshot> stages = obs::stage_stats();
     ASSERT_EQ(stages.size(), 2u);  // sorted by name (map order)
     EXPECT_EQ(stages[0].stage, "stage.a");
-    EXPECT_EQ(stages[0].count, 10u);
-    EXPECT_GE(stages[0].p99, stages[0].p50);
-    EXPECT_GT(stages[0].total_seconds, 0.0);
+    EXPECT_EQ(stages[0].latency.count, 10u);
+    EXPECT_GE(stages[0].latency.p99, stages[0].latency.p50);
+    EXPECT_GT(stages[0].latency.sum, 0.0);
     EXPECT_EQ(stages[1].stage, "stage.b");
-    EXPECT_EQ(stages[1].count, 1u);
+    EXPECT_EQ(stages[1].latency.count, 1u);
 }
 
 // --- the observe-don't-steer contract ---------------------------------------

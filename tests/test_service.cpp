@@ -329,8 +329,8 @@ TEST(floor_service, building_submits_match_batch_runner_bitwise) {
     EXPECT_EQ(stats.jobs_done, 3u);
     EXPECT_EQ(stats.buildings_ok, 3u);
     EXPECT_EQ(stats.buildings_done, 3u);
-    EXPECT_GT(stats.latency_p50, 0.0);
-    EXPECT_GE(stats.latency_p99, stats.latency_p50);
+    EXPECT_GT(stats.latency.p50, 0.0);
+    EXPECT_GE(stats.latency.p99, stats.latency.p50);
 }
 
 TEST(floor_service, shard_job_streams_and_matches_batch) {

@@ -338,12 +338,7 @@ std::string full_metrics_page() {
     s.requests_shed_draining = 1;
     s.bytes_received = 123456;
     s.bytes_sent = 654321;
-    s.request_latency_p50 = lat.percentile(50.0);
-    s.request_latency_p90 = lat.percentile(90.0);
-    s.request_latency_p99 = lat.percentile(99.0);
-    s.request_latency_count = lat.count();
-    s.request_latency_sum = lat.sum();
-    s.request_latency_le = lat.le_counts();
+    s.request_latency = obs::summarize(lat);
     s.telemetry_ticks = 12;
     s.uptime_seconds = 3.5;
 
@@ -357,12 +352,7 @@ std::string full_metrics_page() {
     svc.buildings_ok = 24;
     svc.buildings_failed = 1;
     svc.buildings_cancelled = 5;
-    svc.latency_p50 = lat.percentile(50.0);
-    svc.latency_p90 = lat.percentile(90.0);
-    svc.latency_p99 = lat.percentile(99.0);
-    svc.latency_count = lat.count();
-    svc.latency_sum = lat.sum();
-    svc.latency_le = lat.le_counts();
+    svc.latency = obs::summarize(lat);
     svc.cache_hits = 7;
     svc.cache_misses = 13;
     svc.cache_evictions = 6;
@@ -377,15 +367,7 @@ std::string full_metrics_page() {
     cache.entries = 5;
     cache.evictions = 1;
     extras.backend_caches = {cache, cache};
-    obs::stage_snapshot stage;
-    stage.stage = "api.identify";
-    stage.count = lat.count();
-    stage.total_seconds = lat.sum();
-    stage.p50 = lat.percentile(50.0);
-    stage.p90 = lat.percentile(90.0);
-    stage.p99 = lat.percentile(99.0);
-    stage.le_counts = lat.le_counts();
-    extras.stages = {stage};
+    extras.stages = {{"api.identify", obs::summarize(lat)}};
     federation::health_snapshot health;
     health.retries = 2;
     health.failovers = 1;
