@@ -20,14 +20,17 @@
 ///  - the instrumented run stays within --max-overhead percent;
 ///  - the stream actually pushed `stats_update` frames (the run measured
 ///    the real thing).
+/// Unless --buildings pins it, the fleet grows (up to three times) until
+/// the fastest of three telemetry-off TCP probe passes spans five 50 ms
+/// windows, so each telemetry-on pass spans at least four however fast
+/// the host trains.
 ///
 /// Run:  ./bench_trace_overhead [--quick] [--json] [--out BENCH_trace.json]
 ///                              [--buildings N] [--samples-per-floor M]
 ///                              [--reps R] [--max-overhead PCT] [--seed S]
 ///
-///  --quick   CI-sized fleet: 24 buildings, 40 scans/floor, so each TCP
-///            pass spans two or three 50 ms telemetry windows (about 13 s
-///            on a 4-vCPU host)
+///  --quick   CI-sized fleet: 24 buildings (before growing), 40
+///            scans/floor
 ///  --json    write the JSON report (schema `fisone-bench-trace/v1`) to --out
 ///
 /// The JSON schema is documented in README.md § Observability.
@@ -35,6 +38,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
@@ -217,8 +221,7 @@ int main(int argc, char** argv) try {
     const bool quick = args.has("quick");
     const bool emit_json = args.has("json");
     const std::string out_path = args.get("out", "BENCH_trace.json");
-    const auto buildings =
-        static_cast<std::size_t>(args.get_int("buildings", quick ? 24 : 32));
+    auto buildings = static_cast<std::size_t>(args.get_int("buildings", quick ? 24 : 32));
     const auto samples =
         static_cast<std::size_t>(args.get_int("samples-per-floor", quick ? 40 : 60));
     const auto reps = static_cast<std::size_t>(args.get_int("reps", 21));
@@ -228,8 +231,26 @@ int main(int argc, char** argv) try {
 
     std::cerr << "Synthesising " << buildings << " buildings (" << samples
               << " scans/floor)...\n";
-    const std::vector<data::building> fleet =
-        bench::make_fleet(buildings, samples, seed).buildings;
+    std::vector<data::building> fleet = bench::make_fleet(buildings, samples, seed).buildings;
+
+    // A telemetry-on pass of one or two windows leaves the zero-frames
+    // check one window away and the overhead median riding on a tick or
+    // two, so the passes are made to span at least four.
+    const std::uint32_t tel_window_ms = 50;
+    // A pass's time grows more slowly than its fleet (more buildings keep
+    // the workers busier), so the fleet is probed again after each growth.
+    const double target = 5.0 * tel_window_ms / 1000.0;
+    for (int round = 0; round < 3 && !args.has("buildings"); ++round) {
+        double probe = run_tcp_pass(fleet, seed, 0, false).wall;
+        for (int i = 0; i < 2; ++i)
+            probe = std::min(probe, run_tcp_pass(fleet, seed, 0, false).wall);
+        std::cerr << "Fastest telemetry-off probe pass over " << buildings << " buildings: "
+                  << probe << "s (target " << target << "s)\n";
+        if (probe >= target) break;
+        buildings = static_cast<std::size_t>(
+            std::ceil(static_cast<double>(buildings) * target / probe));
+        fleet = bench::make_fleet(buildings, samples, seed).buildings;
+    }
 
     // Each rep runs one back-to-back off/on pair, so slow machine drift
     // lands on both sides of it alike, and gives one paired overhead
@@ -273,12 +294,12 @@ int main(int argc, char** argv) try {
 
     // Telemetry phase: same fleet through the TCP front door, telemetry
     // ticking off vs a fast window plus a live subscribe_stats stream.
-    const std::uint32_t tel_window_ms = 50;
     std::cerr << "Telemetry phase: TCP passes, window off vs " << tel_window_ms
               << "ms + subscriber...\n";
     std::vector<double> tel_off_walls, tel_on_walls;
     std::string tel_off_ndjson, tel_on_ndjson;
     std::uint64_t stats_updates = 0;
+    std::uint64_t min_stats_updates = ~std::uint64_t{0};
     for (std::size_t rep = 0; rep < reps; ++rep) {
         std::uint64_t rep_updates = 0;
         const auto off_pass = [&] {
@@ -294,6 +315,7 @@ int main(int argc, char** argv) try {
             tel_on_walls.push_back(on.wall);
             rep_updates = on.stats_updates;
             stats_updates = std::max(stats_updates, on.stats_updates);
+            min_stats_updates = std::min(min_stats_updates, on.stats_updates);
             if (tel_on_ndjson.empty())
                 tel_on_ndjson = on.ndjson;
             else if (on.ndjson != tel_on_ndjson)
@@ -341,7 +363,8 @@ int main(int argc, char** argv) try {
               << "% of throughput, median paired (contract: <= "
               << util::table_printer::num(max_overhead, 1)
               << "%).  NDJSON byte-identical telemetry on/off: "
-              << (tel_identical ? "yes" : "NO") << "\n";
+              << (tel_identical ? "yes" : "NO") << "\nstats_update frames per telemetry-on pass: "
+              << min_stats_updates << " to " << stats_updates << "\n";
 
     if (emit_json) {
         std::ofstream f(out_path);
