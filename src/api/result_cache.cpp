@@ -135,7 +135,8 @@ void result_cache::warm_load() {
         // The frame already holds the tail's bytes: slice, don't re-encode.
         auto cached = std::make_shared<cached_report>();
         cached->tail = bytes.substr(building_head_size(hit->report));
-        cached->report = std::move(hit->report);
+        cached->head = std::move(hit->report);
+        cached->head.result = {};
         entries_.emplace_front(*key, std::move(cached));
         index_.emplace(*key, entries_.begin());
         ++warm_loaded_;
@@ -155,16 +156,22 @@ std::shared_ptr<const cached_report> result_cache::lookup(const cache_key& key) 
 }
 
 std::shared_ptr<const cached_report> result_cache::insert(const cache_key& key,
-                                                          runtime::building_report report) {
+                                                          const runtime::building_report& report) {
     auto entry = std::make_shared<cached_report>();
+    entry->head = runtime::building_report{.index = report.index,
+                                           .name = report.name,
+                                           .ok = report.ok,
+                                           .error = report.error,
+                                           .seed = report.seed,
+                                           .seconds = report.seconds,
+                                           .result = {}};
     entry->tail = encode_result_tail(report.result);
-    entry->report = std::move(report);
     if (spill_.enabled()) {
         // On disk before visible: the file lands (renamed whole, not
         // fsynced) before the entry can be served. Serialized as the
         // building_response frame a warm load replays.
         atomic_spill_write(fs::path(spill_.dir), spill_name(key),
-                           encode_building_head(0, entry->report, entry->tail.size()),
+                           encode_building_head(0, entry->head, entry->tail.size()),
                            entry->tail, spill_.shard_index);
     }
     const std::lock_guard<std::mutex> lock(m_);

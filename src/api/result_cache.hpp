@@ -19,12 +19,13 @@
 /// the cache itself stores whatever it is given. Thread-safe; eviction is
 /// strict LRU on lookup-or-insert recency.
 ///
-/// **Shared entries.** Each entry is immutable and shared: the report plus
-/// `tail`, the encoded bytes of its result (`encode_result_tail`), built
-/// once when the entry is made. `lookup` hands out the entry itself, so a
-/// hit copies no report and encodes only its per-answer head
-/// (`encode_building_head`); holders may keep an entry alive after it is
-/// evicted or replaced.
+/// **Shared entries.** Each entry is immutable and shared: the report's
+/// head (the report without its result) plus `tail`, the encoded bytes of
+/// its result (`encode_result_tail`), built once when the entry is made.
+/// The result is kept only as those bytes, not a second time in typed
+/// form. `lookup` hands out the entry itself, so a hit copies no report and
+/// encodes only its per-answer head (`encode_building_head`); holders may
+/// keep an entry alive after it is evicted or replaced.
 ///
 /// **Persistent spill.** With a `cache_spill_config`, every insert is also
 /// written to disk as one file per entry — named by the key
@@ -70,9 +71,12 @@ struct cache_key {
 /// One immutable cache entry, shared by the cache and every answer served
 /// from it.
 struct cached_report {
-    runtime::building_report report;
-    /// `encode_result_tail(report.result)`: the bytes every
-    /// `building_result` frame of this report ends with.
+    /// The report with an empty `result`: the name, ok, error and seed an
+    /// answer's head copies, and the index and seconds of the run that
+    /// made the entry.
+    runtime::building_report head;
+    /// `encode_result_tail(result)`: the bytes every `building_result`
+    /// frame of this report ends with, and the only copy of its result.
     std::string tail;
 };
 
@@ -107,7 +111,8 @@ public:
     [[nodiscard]] std::shared_ptr<const cached_report> lookup(const cache_key& key);
 
     /// Insert (or replace) the entry for \p report under \p key, encoding
-    /// its tail once and evicting the least recently used entry when full.
+    /// its tail once (the entry keeps no typed copy of the result) and
+    /// evicting the least recently used entry when full.
     /// Does not count a hit or miss. With spill enabled the entry is
     /// written to disk (write-then-rename: never torn, not fsynced)
     /// *before* it becomes visible in memory; a spill I/O failure is
@@ -117,7 +122,7 @@ public:
     /// \returns the entry just made, so a caller can answer from it as a
     ///          hit would.
     std::shared_ptr<const cached_report> insert(const cache_key& key,
-                                                runtime::building_report report);
+                                                const runtime::building_report& report);
 
     [[nodiscard]] result_cache_stats stats() const;
     [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }

@@ -29,10 +29,10 @@ building_answer answer_from(std::shared_ptr<const cached_report> entry, std::siz
                             double seconds) {
     building_answer a;
     a.report.index = index;
-    a.report.name = entry->report.name;
-    a.report.ok = entry->report.ok;
-    a.report.error = entry->report.error;
-    a.report.seed = entry->report.seed;
+    a.report.name = entry->head.name;
+    a.report.ok = entry->head.ok;
+    a.report.error = entry->head.error;
+    a.report.seed = entry->head.seed;
     a.report.seconds = seconds;
     a.cached = std::move(entry);
     return a;
@@ -121,10 +121,13 @@ void server::session::handle(const request& req) {
                 const std::size_t index = m.has_index
                                               ? static_cast<std::size_t>(m.corpus_index)
                                               : svc.allocate_corpus_index();
-                std::optional<service::floor_service::job> job = st->srv->identify(
-                    m.b, data::content_hash(m.b), index, m.no_cache,
-                    [st, corr](building_answer a) { st->emit(corr, std::move(a)); });
-                if (job) st->jobs.remember(corr, std::move(*job));
+                const std::uint64_t hash = data::content_hash(m.b);
+                report_sink emit = [st, corr](building_answer a) {
+                    st->emit(corr, std::move(a));
+                };
+                if (!m.no_cache && st->srv->probe(hash, index, emit)) return;
+                st->jobs.remember(corr, st->srv->run(m.b, hash, index, m.no_cache,
+                                                     std::move(emit)));
             } else if constexpr (std::is_same_v<T, identify_shard_request>) {
                 obs::scoped_span span("api.identify");
                 const std::uint64_t corr = m.correlation_id;
@@ -239,25 +242,27 @@ void server::serve(std::istream& in, std::ostream& out) {
     s.finish();
 }
 
-std::optional<service::floor_service::job> server::identify(const data::building& b,
-                                                            std::uint64_t content_hash,
-                                                            std::size_t index, bool no_cache,
-                                                            report_sink on_report) {
+bool server::probe(std::uint64_t content_hash, std::size_t index, const report_sink& on_report) {
+    if (!cache_) return false;
+    const clock::time_point start = clock::now();
+    obs::scoped_span span("api.cache_probe");
+    std::shared_ptr<const cached_report> hit =
+        cache_->lookup(cache_key{content_hash, task_fingerprint(index)});
+    if (!hit) return false;
+    // Keep index assignment identical to a cache-off run even though the
+    // service never sees this one.
+    svc_->advance_corpus_index(index + 1);
+    on_report(answer_from(std::move(hit), index,
+                          std::chrono::duration<double>(clock::now() - start).count()));
+    return true;
+}
+
+service::floor_service::job server::run(const data::building& b, std::uint64_t content_hash,
+                                        std::size_t index, bool no_cache,
+                                        report_sink on_report) {
     obs::scoped_span span("api.identify");
     std::optional<cache_key> key;
-    if (cache_ && !no_cache) {
-        const clock::time_point start = clock::now();
-        obs::scoped_span probe_span("api.cache_probe");
-        key = cache_key{content_hash, task_fingerprint(index)};
-        if (std::shared_ptr<const cached_report> hit = cache_->lookup(*key)) {
-            // Keep index assignment identical to a cache-off run even
-            // though the service never sees this one.
-            svc_->advance_corpus_index(index + 1);
-            on_report(answer_from(std::move(hit), index,
-                                  std::chrono::duration<double>(clock::now() - start).count()));
-            return std::nullopt;
-        }
-    }
+    if (cache_ && !no_cache) key = cache_key{content_hash, task_fingerprint(index)};
     // A run that fills the cache answers from the entry it just made: its
     // result is encoded once, for the entry, and not copied again.
     return svc_->submit(b, index,

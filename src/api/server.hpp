@@ -14,12 +14,14 @@
 ///    sink — the exact same codec path as the framed stream, so the two
 ///    transports are byte-identical by construction.
 ///
-/// The building path itself is one typed entry point, `server::identify`:
-/// cache-key computation, cache probe, submission, and cache fill on
-/// success. A session's `identify_building` calls it, and so does
-/// `federation::federated_server`, which calls each backend's `identify`
-/// (and, for shards, its `backing_service().submit`) directly rather than
-/// speaking frames to it.
+/// The building path itself is two typed steps: `server::probe`, the cache
+/// probe by (content hash, corpus index) that answers a hit inline, and
+/// `server::run`, which submits the building and fills the cache on
+/// success. A session's `identify_building` calls both, and so does
+/// `federation::federated_server`, which calls each backend's `probe` and
+/// `run` (and, for shards, its `backing_service().submit`) directly rather
+/// than speaking frames to it; it reads a resident building only when the
+/// probe misses.
 ///
 /// Result caching: `identify_building` requests are content-addressed
 /// through an `api::result_cache` keyed by (building content hash,
@@ -100,14 +102,14 @@ private:
     std::unordered_map<std::uint64_t, service::floor_service::job> jobs_;
 };
 
-/// A building's one answer from `server::identify`. A run that does not
-/// fill the cache (a failure, or caching off for it) hands over its whole
-/// report and no entry. A cache hit, and a run that fills the cache, hand
-/// over the shared entry instead of a copy: `report` then holds only the
-/// answer's head — its index and `seconds` (a hit's own index and probe
-/// time), the entry's name, ok, error and seed — with an empty result.
-/// The result is `cached->report.result`, and its encoded bytes are
-/// `cached->tail`.
+/// A building's one answer from `server::probe` or `server::run`. A run
+/// that does not fill the cache (a failure, or caching off for it) hands
+/// over its whole report and no entry. A cache hit, and a run that fills
+/// the cache, hand over the shared entry instead of a copy: `report` then
+/// holds only the answer's head — its index and `seconds` (a hit's own
+/// index and probe time), the entry's name, ok, error and seed — with an
+/// empty result. The result exists only as `cached->tail`, its encoded
+/// bytes; a typed reader decodes it from the joined frame.
 struct building_answer {
     runtime::building_report report;
     std::shared_ptr<const cached_report> cached;  ///< set on a cache hit or fill
@@ -119,7 +121,7 @@ public:
     /// session; the sink must not re-enter the session or block on it.
     using frame_sink = std::function<void(std::string_view)>;
 
-    /// Receives a building's one answer from `identify`.
+    /// Receives a building's one answer from `probe` or `run`.
     using report_sink = std::function<void(building_answer)>;
 
     /// One client connection: a correlation-id namespace (for `cancel_job`)
@@ -173,22 +175,29 @@ public:
     /// Returns after every accepted job has answered (implicit `finish`).
     void serve(std::istream& in, std::ostream& out);
 
-    /// The building path of every front-end: probe the result cache (unless
-    /// \p no_cache) under the task's key, else submit \p b at corpus index
-    /// \p index and fill the cache when the run succeeds. The key is
-    /// (\p content_hash, the task's config fingerprint); \p content_hash
-    /// must be `data::content_hash(b)`, which the caller already holds (the
-    /// fleet hashes a building once per request, a resident building once
-    /// per load), so `identify` never walks the scans itself. \p on_report
-    /// gets the building's one answer under the service's callback rules;
-    /// on a hit it runs inline, before `identify` returns no job, and
-    /// copies no report. Spans
-    /// `api.identify` and `api.cache_probe`.
+    /// The cache step of every front-end's building path: look up
+    /// (\p content_hash, the task fingerprint of \p index) in the result
+    /// cache, counting one hit or one miss. A hit answers through
+    /// \p on_report inline, copying no report, and `probe` returns true; it
+    /// also advances the service's corpus-index counter past \p index, as
+    /// the run it replaces would. False on a miss, and with caching off
+    /// (nothing counted). The probe needs no building, so a caller that
+    /// reads its building from a store reads it only when this misses.
+    /// Span `api.cache_probe`.
+    bool probe(std::uint64_t content_hash, std::size_t index, const report_sink& on_report);
+
+    /// The run step: submit \p b at corpus index \p index. Unless
+    /// \p no_cache, a successful run fills the cache under
+    /// (\p content_hash, the task fingerprint of \p index) and answers from
+    /// the entry it made. \p content_hash must be `data::content_hash(b)`,
+    /// which the caller already holds (the fleet hashes a building once per
+    /// request, a resident building once per read), so `run` never walks
+    /// the scans itself. It does not probe: a caller that wants a cached
+    /// answer calls `probe` first. \p on_report gets the building's one
+    /// answer under the service's callback rules. Span `api.identify`.
     /// \throws whatever `floor_service::submit` throws (an injected crash).
-    std::optional<service::floor_service::job> identify(const data::building& b,
-                                                        std::uint64_t content_hash,
-                                                        std::size_t index, bool no_cache,
-                                                        report_sink on_report);
+    service::floor_service::job run(const data::building& b, std::uint64_t content_hash,
+                                    std::size_t index, bool no_cache, report_sink on_report);
 
     /// Service stats with the cache counters folded in — exactly what a
     /// `get_stats` request returns.

@@ -14,6 +14,7 @@
 #include "api/codec.hpp"
 #include "ingest/ingest_manager.hpp"
 #include "obs/trace.hpp"
+#include "resident_directory.hpp"
 #include "util/hash.hpp"
 #include "watch_registry.hpp"
 
@@ -75,74 +76,6 @@ struct federated_server::routing {
     }
 };
 
-/// Name → building cache over the mounted stores for `identify_resident`
-/// (resident mode pins served buildings in memory — that is its point:
-/// neither the wire nor the disk should gate the pipeline). A miss reads
-/// only the named building, through the stores' per-building reads of the
-/// effective view, and hashes it once: the entry is immutable, so every
-/// later read of the name reuses that content hash for routing and the
-/// backend cache key. Appends land through the ingest manager's own store
-/// handle, so the front-end reports each successful one here: the touched
-/// names leave the cache (their hashes with them) and the store's handle is
-/// reopened on the next miss, which resolves the post-append scans and any
-/// new names at their tail indices. Cached resolutions of untouched names
-/// stay.
-struct federated_server::resident_directory {
-    struct hit {
-        std::size_t global_index = 0;
-        std::shared_ptr<const data::building> b;
-        std::uint64_t content_hash = 0;  ///< `data::content_hash(*b)`
-    };
-
-    explicit resident_directory(const store_registry& reg) {
-        for (std::size_t s = 0; s < reg.num_stores(); ++s) {
-            stores.push_back(reg.store(s));
-            offsets.push_back(reg.store_offset(s));
-        }
-        appended.assign(stores.size(), false);
-    }
-
-    std::mutex m;
-    std::vector<data::corpus_store> stores;  ///< one handle per mounted store
-    std::vector<std::size_t> offsets;        ///< global index of each store's first building
-    std::vector<bool> appended;  ///< an append landed since the handle was opened
-    std::unordered_map<std::string, hit> cache;
-
-    /// Resolve \p name to (global index, building), reading the building
-    /// from its store on a cache miss. Serialised under the directory lock;
-    /// a miss reads one building, so it stalls concurrent resolutions only
-    /// briefly. Stores are searched in mount order.
-    std::optional<hit> resolve(const std::string& name) {
-        const std::lock_guard<std::mutex> lock(m);
-        if (const auto cached = cache.find(name); cached != cache.end()) return cached->second;
-        obs::scoped_span span("federation.resident_load");
-        for (std::size_t s = 0; s < stores.size(); ++s) {
-            if (appended[s]) {
-                stores[s] = stores[s].reopen();
-                appended[s] = false;
-            }
-            std::optional<data::located_building> found = stores[s].read_effective(name);
-            if (!found) continue;
-            const std::uint64_t hash = data::content_hash(found->b);
-            hit h{offsets[s] + found->index,
-                  std::make_shared<const data::building>(std::move(found->b)), hash};
-            cache.emplace(name, h);
-            return h;
-        }
-        return std::nullopt;
-    }
-
-    /// An append (written then renamed, not fsynced) to the store serving
-    /// \p corpus_name carried
-    /// \p touched: only those buildings (and new names) changed.
-    void on_append(const std::string& corpus_name, const std::vector<std::string>& touched) {
-        const std::lock_guard<std::mutex> lock(m);
-        for (std::size_t s = 0; s < stores.size(); ++s)
-            if (stores[s].manifest().corpus_name == corpus_name) appended[s] = true;
-        for (const std::string& name : touched) cache.erase(name);
-    }
-};
-
 // Named (not anonymous) so session::state — an external-linkage type — may
 // hold it without GCC's -Wsubobject-linkage firing.
 namespace detail {
@@ -155,9 +88,13 @@ namespace detail {
 /// that).
 struct attempt {
     std::uint64_t client_corr = 0;
+    /// Null for a resident building until a try reads it (a cache hit
+    /// never does); kept from then on, for the retries.
     std::shared_ptr<const data::building> b;
+    std::string resident;  ///< the name a resident building is read by
     /// `data::content_hash(*b)`, computed once: the router's affinity key
-    /// and the backend's cache key on every try.
+    /// and the backend's cache key on every try. A resident building's read
+    /// replaces it with the hash of the building it read.
     std::uint64_t content_hash = 0;
     std::size_t index = 0;        ///< pinned: every retry reruns the same task
     bool no_cache = false;
@@ -255,7 +192,7 @@ struct federated_server::session::state {
     /// registry.
     std::shared_ptr<ingest::ingest_manager> ingest;
     std::shared_ptr<watch_registry> watches;
-    std::shared_ptr<federated_server::resident_directory> residents;
+    std::shared_ptr<resident_directory> residents;
 
     /// Shard jobs by client correlation id.
     api::job_table jobs;
@@ -297,15 +234,19 @@ struct federated_server::session::state {
 /// backend it last failed on and every circuit-broken backend — though
 /// when nothing is available the natural choice still gets the work, so
 /// a single-backend fleet keeps retrying toward exhaustion rather than
-/// failing early), hand it to that backend's `identify`, arm its deadline.
-/// Runs on the submitting thread for the first try and on the fleet_health
-/// watchdog for retries — never inside a completion callback.
+/// failing early), probe that backend's cache, and on a miss hand the
+/// building to its `run` and arm the deadline. A resident building not yet
+/// read is read here, after the probe missed. Runs on the submitting
+/// thread for the first try and on the fleet_health watchdog for retries —
+/// never inside a completion callback.
 void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& st,
                                         std::uint64_t attempt_id) {
     detail::attempt_tracker& tr = *st->tracker;
     fleet_health& health = *st->health;
 
     std::shared_ptr<const data::building> b;
+    std::string resident;
+    std::uint64_t client = 0;
     std::uint64_t content_hash = 0;
     std::size_t index = 0;
     bool no_cache = false;
@@ -320,6 +261,8 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
         ++a.tries;
         tries = a.tries;
         b = a.b;
+        if (!b) resident = a.resident;
+        client = a.client_corr;
         content_hash = a.content_hash;
         index = a.index;
         no_cache = a.no_cache;
@@ -360,8 +303,9 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
     // emitter are co-owned, so reports that arrive after the session handle
     // died still resolve or fail the attempt.
     std::weak_ptr<session::state> w = st;
-    auto on_report = [w, out = st->out, tracker = st->tracker, health = st->health,
-                      attempt_id](api::building_answer answer) {
+    api::server::report_sink on_report = [w, out = st->out, tracker = st->tracker,
+                                          health = st->health,
+                                          attempt_id](api::building_answer answer) {
         std::size_t backend = 0;
         std::uint64_t client = 0;
         bool transient = false;
@@ -407,9 +351,46 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
                                          "backend failed and the session is gone"});
         tracker->cv.notify_all();
     };
-    std::optional<service::floor_service::job> job;
+    api::server& backend = st->backend(k);
+    // A hit answers inline.
+    if (!no_cache && backend.probe(content_hash, index, on_report)) return;
+    if (!b) {
+        // The probe missed, or the request is `fresh`: read the resident
+        // building now, and run it under the hash of what was read, so an
+        // append that landed since the resolve keys the cache on the
+        // post-append building.
+        std::optional<resident_directory::hit> read;
+        std::string failure;
+        try {
+            read = st->residents->read(resident);
+        } catch (const std::exception& e) {
+            failure = e.what();
+        }
+        if (!read) {
+            // A store that lost the name or failed the read. The attempt
+            // has no job yet, so nothing else can resolve it.
+            st->out->respond(api::error_response{
+                client, api::error_code::bad_request,
+                "identify_resident: cannot read '" + resident + "' from the mounted stores" +
+                    (failure.empty() ? "" : ": " + failure)});
+            {
+                const std::lock_guard<std::mutex> lock(tr.m);
+                tr.erase(attempt_id);
+            }
+            tr.cv.notify_all();
+            return;
+        }
+        b = std::move(read->b);
+        content_hash = read->content_hash;
+        const std::lock_guard<std::mutex> lock(tr.m);
+        const auto it = tr.attempts.find(attempt_id);
+        if (it == tr.attempts.end()) return;
+        it->second.b = b;
+        it->second.content_hash = content_hash;
+    }
+    service::floor_service::job job;
     try {
-        job = st->backend(k).identify(*b, content_hash, index, no_cache, std::move(on_report));
+        job = backend.run(*b, content_hash, index, no_cache, std::move(on_report));
     } catch (const std::exception& e) {
         // Submit-time crash: no backend job exists, no report will come.
         health.on_failure(k);
@@ -417,12 +398,11 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
                       std::string("backend crashed on submit: ") + e.what());
         return;
     }
-    if (!job) return;  // a cache hit answered inline
     {
         const std::lock_guard<std::mutex> lock(tr.m);
         const auto it = tr.attempts.find(attempt_id);
         if (it == tr.attempts.end()) return;  // already answered
-        it->second.job = *job;
+        it->second.job = job;
     }
     if (health.config().request_timeout.count() > 0) {
         health.schedule(fleet_health::clock::now() + health.config().request_timeout,
@@ -518,18 +498,21 @@ void federated_server::expire_attempt(const std::shared_ptr<session::state>& st,
 /// Register a building request as a fresh attempt and dispatch it. The
 /// index is already pinned: the identity must survive failover — every
 /// retry reruns the SAME task. \p content_hash is the building's one hash
-/// for the whole request: a resident building brings the hash its directory
-/// entry computed at load, an ingest re-run the hash its dirty check
-/// computed; a client-supplied one passes nullopt and is hashed here.
+/// for the whole request: a resident building brings its directory entry's
+/// hash, an ingest re-run the hash its dirty check computed; a
+/// client-supplied one passes nullopt and is hashed here. A resident
+/// building passes \p resident, its name, and \p b only when its resolve
+/// just read it; with \p b null the dispatch reads it on a cache miss.
 void federated_server::start_attempt(const std::shared_ptr<session::state>& st,
                                      std::uint64_t corr,
                                      std::shared_ptr<const data::building> b,
                                      std::optional<std::uint64_t> content_hash,
-                                     std::size_t index, bool no_cache) {
+                                     std::size_t index, bool no_cache, std::string resident) {
     detail::attempt a;
     a.client_corr = corr;
     a.content_hash = content_hash ? *content_hash : data::content_hash(*b);
     a.b = std::move(b);
+    a.resident = std::move(resident);
     a.index = index;
     a.no_cache = no_cache;
     a.trace = obs::current_context();
@@ -675,8 +658,9 @@ void federated_server::session::handle(const api::request& req) {
             } else if constexpr (std::is_same_v<T, api::identify_resident_request>) {
                 // Resolve the name against the mounted stores, then dispatch
                 // as a pinned identify_building: resident requests ride the
-                // exact routing/retry path client-supplied buildings do,
-                // without copying the cached building.
+                // exact routing/retry path client-supplied buildings do. A
+                // known name brings only its hash; the building is read
+                // only if the backend's cache cannot answer.
                 if (st->fleet->registry_.num_stores() == 0) {
                     st->out->respond(api::error_response{
                         m.correlation_id, api::error_code::bad_request,
@@ -694,7 +678,7 @@ void federated_server::session::handle(const api::request& req) {
                 obs::scoped_span span("federation.dispatch");
                 st->routing->advance_index(hit->global_index + 1);
                 start_attempt(st, m.correlation_id, hit->b, hit->content_hash, hit->global_index,
-                              m.fresh);
+                              m.fresh, m.name);
             } else if constexpr (std::is_same_v<T, api::subscribe_stats_request>) {
                 st->out->respond(api::error_response{
                     m.correlation_id, api::error_code::bad_request,
@@ -799,20 +783,26 @@ federated_server::federated_server(federation_config cfg) : cfg_(std::move(cfg))
         // `ingest` pointer stays null — the manager must not own a session
         // that owns the manager. The bridge breaks the remaining knot: the
         // session's sink needs the manager, the manager needs the session.
-        // It is the fleet's one typed reader of results: a re-run answered
-        // from cache arrives as a head plus the shared entry, and the
-        // manager gets the whole report rebuilt from the two.
+        // It is the fleet's one typed reader of results: an ok re-run
+        // arrives as a head plus the shared cache entry (it filled the
+        // cache, or was answered from it), whose result exists only as the
+        // entry's encoded tail, so the manager gets the whole report
+        // decoded from the head's frame joined to the tail.
         auto bridge = std::make_shared<std::weak_ptr<ingest::ingest_manager>>();
         const session internal =
-            open([bridge](const api::response& resp, std::string_view,
+            open([bridge](const api::response& resp, std::string_view frame,
                           const std::shared_ptr<const api::cached_report>& cached) {
                 const std::shared_ptr<ingest::ingest_manager> mgr = bridge->lock();
                 if (!mgr) return;
                 if (const auto* br = std::get_if<api::building_response>(&resp)) {
                     if (!cached) return mgr->on_reindex_result(br->correlation_id, &br->report);
-                    runtime::building_report whole = br->report;
-                    whole.result = cached->report.result;
-                    mgr->on_reindex_result(br->correlation_id, &whole);
+                    std::string whole(frame);
+                    whole += cached->tail;
+                    const api::decode_result<api::response> decoded = api::decode_response(whole);
+                    const auto* full = decoded.value
+                                           ? std::get_if<api::building_response>(&*decoded.value)
+                                           : nullptr;
+                    mgr->on_reindex_result(br->correlation_id, full ? &full->report : nullptr);
                 } else if (const auto* er = std::get_if<api::error_response>(&resp)) {
                     mgr->on_reindex_result(er->correlation_id, nullptr);
                 }

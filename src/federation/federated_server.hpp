@@ -16,10 +16,11 @@
 ///    backend (round-robin, least-queue-depth over bounded-queue occupancy,
 ///    or content-hash affinity so repeat buildings hit the backend whose
 ///    result cache is warm). A building goes through that backend's
-///    `api::server::identify` (cache probe, submit, cache fill); a shard
-///    goes straight to its `floor_service::submit`. Each report is encoded
-///    once, under the client's correlation id, as the job produces it, so
-///    completion order interleaves across backends exactly as jobs finish.
+///    `api::server::probe` (the cache) and, on a miss, its `run` (submit,
+///    cache fill); a shard goes straight to its `floor_service::submit`.
+///    Each report is encoded once, under the client's correlation id, as
+///    the job produces it, so completion order interleaves across backends
+///    exactly as jobs finish.
 ///    A cache hit encodes only its head (the per-answer fields) and hands
 ///    the sink the backend cache's shared entry, whose result bytes were
 ///    encoded once when the entry was made.
@@ -44,16 +45,18 @@
 ///    to the subscribed connection as a `push_update`.
 ///  - `identify_resident` — the request names a building already resident
 ///    in a mounted store; the front-end resolves the name through the
-///    server-wide resident directory, which on a miss reads that one
-///    building of the store's effective view (and its global corpus index)
-///    into an in-memory cache and hashes it once (span
-///    `federation.resident_load`). A successful append drops the names it
-///    touched, hashes included, so they and new names resolve to the
-///    post-append scans. The request then dispatches as a pinned
-///    `identify_building` carrying the cached hash — so resident requests
-///    ride the exact routing/retry path client-supplied buildings do,
-///    with a few name bytes on the wire instead of the whole building and
-///    no hashing on a cached read.
+///    server-wide `resident_directory`, which keeps only each name's global
+///    corpus index and content hash (the first resolve of a name reads and
+///    hashes that one building, span `federation.resident_load`, and the
+///    request runs on that read). The request then dispatches as a pinned
+///    `identify_building` carrying the hash — so resident requests ride the
+///    exact routing/retry path client-supplied buildings do, with a few
+///    name bytes on the wire instead of the whole building. A cached read
+///    reads and hashes nothing; a request that must run (a cache miss, or
+///    `fresh`) reads the building again, and runs and caches it under the
+///    hash of what it read, so an append that lands between the resolve
+///    and the read is seen whole. A successful append drops the names it
+///    touched, so they and new names resolve to the post-append scans.
 ///    Unknown names and store-less fleets answer `bad_request`.
 ///  - `subscribe_stats` — answered `bad_request`: telemetry windows live at
 ///    the TCP front door (`net::tcp_server`, which serves this class
@@ -122,9 +125,10 @@
 ///    so any thread may read it while backend workers insert and evict.
 ///    The TCP front door does so: it queues the entry's tail on the
 ///    connection and holds it until the kernel has taken the bytes. The
-///    typed `building_response` of a hit carries only the answer's head;
-///    a typed reader that needs the result (the ingest bridge) takes it
-///    from the entry.
+///    typed `building_response` of a hit carries only the answer's head,
+///    and the entry holds the result only as encoded bytes: a typed reader
+///    that needs the result (the ingest bridge) decodes the frame joined
+///    to the entry's tail.
 ///  - *Who joins which thread.* The destructor destroys `ingest_` first
 ///    (it joins the ingest worker after its queued appends land and its
 ///    re-runs are answered, while the backends can still answer them),
@@ -154,6 +158,7 @@ class ingest_manager;
 
 namespace fisone::federation {
 
+class resident_directory;
 class watch_registry;
 
 /// Fleet configuration.
@@ -199,7 +204,7 @@ public:
     /// cache hit comes with its shared entry \p cached instead: `resp` is a
     /// `building_response` holding the answer's head (result empty), and
     /// `frame` is only the head's bytes — the whole frame is `frame`
-    /// followed by `cached->tail`, the whole result `cached->report.result`.
+    /// followed by `cached->tail`, which holds the only copy of the result.
     using response_sink =
         std::function<void(const api::response& resp, std::string_view frame,
                            const std::shared_ptr<const api::cached_report>& cached)>;
@@ -269,7 +274,7 @@ public:
 
     /// Backend \p k: the `api::server` holding that backend's service and
     /// result cache (its stats, cache stats, `backing_service()`). The
-    /// fleet calls its `identify` and its service directly; sessions opened
+    /// fleet calls its `probe`, `run` and service directly; sessions opened
     /// on it bypass the fleet's routing and retries.
     /// \throws std::out_of_range on a bad index.
     [[nodiscard]] api::server& backend(std::size_t k);
@@ -279,12 +284,11 @@ public:
 
 private:
     struct routing;
-    struct resident_directory;
 
     static void start_attempt(const std::shared_ptr<session::state>& st, std::uint64_t corr,
                               std::shared_ptr<const data::building> b,
                               std::optional<std::uint64_t> content_hash, std::size_t index,
-                              bool no_cache);
+                              bool no_cache, std::string resident = {});
     static void dispatch_attempt(const std::shared_ptr<session::state>& st,
                                  std::uint64_t attempt_id);
     static void expire_attempt(const std::shared_ptr<session::state>& st,
@@ -302,9 +306,10 @@ private:
     /// stops its watchdog after `backends_` drain, so the watchdog outlives
     /// draining jobs and never runs the last fleet_health release itself.
     std::shared_ptr<fleet_health> health_;
-    /// The in-memory cache of buildings `identify_resident` has served,
-    /// over per-building reads of the mounted stores. Shared with every
-    /// session; each successful append drops the names it touched.
+    /// Name → (global index, content hash) for `identify_resident`, over
+    /// per-building reads of the mounted stores; it holds no building.
+    /// Shared with every session; each successful append drops the names
+    /// it touched.
     std::shared_ptr<resident_directory> residents_;
     /// Standing `watch` subscriptions, shared with every session. Entries
     /// expire with their connection's emitter, so no teardown ordering

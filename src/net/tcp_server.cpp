@@ -950,12 +950,19 @@ struct tcp_server::loop {
     /// streams: every subscription whose interval has elapsed gets one
     /// `stats_update` frame carrying the window just closed. Runs on the
     /// loop thread; frames ride the same bounded write buffers as every
-    /// other response (flushed by the next evaluation pass).
+    /// other response (flushed by the next evaluation pass). The window is
+    /// copied out of the ring (a ~26 KB histogram) only when a stream is
+    /// due.
     void telemetry_tick() {
         const auto now = clock_type::now();
         if (srv.cfg_.telemetry_window_ms == 0 || now < next_tick) return;
         co().registry.tick(std::chrono::duration<double>(now - co().started).count());
         next_tick = now + std::chrono::milliseconds(srv.cfg_.telemetry_window_ms);
+        const bool due = std::any_of(conns.begin(), conns.end(), [now](const auto& entry) {
+            const conn& c = *entry.second.c;
+            return c.stats_sub && now >= c.stats_sub->next_due;
+        });
+        if (!due) return;
         const std::optional<obs::telemetry_registry::window> w = co().registry.latest();
         if (!w) return;
         std::size_t pushed = 0, dropped = 0;

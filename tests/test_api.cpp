@@ -552,7 +552,7 @@ std::vector<std::string> split_building_frames(std::uint64_t corr,
                                                const runtime::building_report& report) {
     namespace fs = std::filesystem;
     const auto from_entry = [&](const api::cached_report& entry) {
-        runtime::building_report head = entry.report;
+        runtime::building_report head = entry.head;
         head.index = report.index;
         head.seconds = report.seconds;
         return api::encode_building_head(corr, head, entry.tail.size()) + entry.tail;
@@ -1138,7 +1138,7 @@ TEST(result_cache, spill_persists_and_warm_loads_only_its_shard) {
         EXPECT_EQ(cache.stats().entries, 4u);
         const auto hit = cache.lookup({2, 77});
         ASSERT_NE(hit, nullptr);
-        EXPECT_EQ(hit->report.name, "spilled");
+        EXPECT_EQ(hit->head.name, "spilled");
         EXPECT_EQ(cache.lookup({2, 78}), nullptr);  // fingerprint is part of the key
     }
     // Two fleet members sharing the directory each load only their own
@@ -1257,32 +1257,78 @@ TEST(api_server, memoised_task_fingerprint_equals_a_fresh_one) {
 
 // A run that fills the cache answers from the entry it just made, like a
 // hit: a head carrying the run's own index and seconds, the result left to
-// the shared entry. Head plus the entry's tail is the frame a whole-report
-// encode gives.
+// the shared entry, which keeps it only as the tail's bytes. Head plus the
+// entry's tail is the frame a whole-report encode gives.
 TEST(api_server, cache_fill_answers_from_the_new_entry) {
     api::server srv(fast_server_config(true));
     const data::building b = tiny_building(0);
+    const std::uint64_t hash = data::content_hash(b);
     std::mutex m;
     std::vector<api::building_answer> answers;
-    const auto sink = [&](api::building_answer a) {
+    const api::server::report_sink sink = [&](api::building_answer a) {
         const std::lock_guard<std::mutex> lock(m);
         answers.push_back(std::move(a));
     };
-    static_cast<void>(srv.identify(b, data::content_hash(b), 3, false, sink));
+    EXPECT_FALSE(srv.probe(hash, 3, sink));  // a miss answers nothing
+    static_cast<void>(srv.run(b, hash, 3, false, sink));
     srv.backing_service().wait_all();
-    static_cast<void>(srv.identify(b, data::content_hash(b), 3, false, sink));  // a hit
-    ASSERT_EQ(answers.size(), 2u);
+    EXPECT_TRUE(srv.probe(hash, 3, sink));  // a hit, answered inline
+    static_cast<void>(srv.run(b, hash, 3, true, sink));  // no_cache: the whole report
+    srv.backing_service().wait_all();
+    ASSERT_EQ(answers.size(), 3u);
     const api::building_answer& fill = answers[0];
     ASSERT_TRUE(fill.cached);
     ASSERT_TRUE(fill.report.ok);
     EXPECT_TRUE(fill.report.result.assignment.empty());
+    EXPECT_TRUE(fill.cached->head.result.assignment.empty());
+    EXPECT_EQ(fill.cached->head.result.embeddings.size(), 0u);
     EXPECT_EQ(fill.report.index, 3u);
-    EXPECT_EQ(fill.report.index, fill.cached->report.index);
-    EXPECT_EQ(fill.report.seconds, fill.cached->report.seconds);
+    EXPECT_EQ(fill.report.index, fill.cached->head.index);
+    EXPECT_EQ(fill.report.seconds, fill.cached->head.seconds);
     EXPECT_EQ(answers[1].cached, fill.cached);
+    ASSERT_FALSE(answers[2].cached);
+    runtime::building_report whole = answers[2].report;
+    whole.seconds = fill.report.seconds;
     EXPECT_EQ(api::encode_building_head(7, fill.report, fill.cached->tail.size()) +
                   fill.cached->tail,
-              api::encode(api::building_response{7, fill.cached->report}));
+              api::encode(api::building_response{7, whole}));
+    const api::result_cache_stats cs = srv.cache_stats();
+    EXPECT_EQ(cs.misses, 1u);
+    EXPECT_EQ(cs.hits, 1u);
+}
+
+// The probe is the one place a building request counts against the cache:
+// a cold read counts one miss, a warm read one hit, and a no_cache read
+// neither, in what `get_stats` returns.
+TEST(api_server, each_read_counts_one_hit_or_one_miss_in_get_stats) {
+    const data::building b = tiny_building(1);
+    api::server srv(fast_server_config(true));
+    api::client cli(srv);
+    using counts = std::pair<std::size_t, std::size_t>;  // cache hits, misses
+    const auto stats_counts = [&] {
+        static_cast<void>(cli.flush());
+        static_cast<void>(cli.get_stats());
+        const std::optional<service::service_stats> st = cli.last_stats();
+        EXPECT_TRUE(st.has_value());
+        return st ? counts{st->cache_hits, st->cache_misses} : counts{};
+    };
+    static_cast<void>(cli.identify(b, 5));
+    EXPECT_EQ(stats_counts(), (counts{0, 1}));
+    static_cast<void>(cli.identify(b, 5));
+    EXPECT_EQ(stats_counts(), (counts{1, 1}));
+    static_cast<void>(cli.identify(b, 6));  // another index: another key
+    EXPECT_EQ(stats_counts(), (counts{1, 2}));
+    api::identify_building_request fresh;
+    fresh.correlation_id = 900;
+    fresh.has_index = true;
+    fresh.corpus_index = 5;
+    fresh.no_cache = true;
+    fresh.b = b;
+    api::server::session s = srv.open([](std::string_view) {});
+    s.handle(api::request{fresh});
+    s.handle(api::request{api::flush_request{901}});
+    EXPECT_EQ(stats_counts(), (counts{1, 2}));
+    EXPECT_EQ(srv.stats().buildings_done, 3u);
 }
 
 }  // namespace

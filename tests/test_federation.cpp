@@ -12,15 +12,20 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <variant>
 #include <vector>
 
 #include "service/fault_plan.hpp"
@@ -30,6 +35,8 @@
 #include "data/corpus_store.hpp"
 #include "federation/fault_tolerance.hpp"
 #include "federation/federated_server.hpp"
+#include "federation/resident_directory.hpp"
+#include "ingest/append.hpp"
 #include "federation/router.hpp"
 #include "federation/store_registry.hpp"
 #include "net/metrics.hpp"
@@ -49,6 +56,82 @@
 #elif defined(__SANITIZE_THREAD__)
 #define FISONE_TSAN 1
 #endif
+
+// Live-heap counter: every replaceable operator new and delete moves
+// `g_live_bytes` by the block's requested size, kept in a header in front of
+// the block, so a test can tell how many heap bytes the process still holds
+// after a call (RSS cannot: the allocator keeps freed pages).
+namespace {
+std::atomic<std::int64_t> g_live_bytes{0};
+
+void* counted_new(std::size_t n, std::size_t align) noexcept {
+    const std::size_t pad = std::max(align, alignof(std::max_align_t));
+    char* base = static_cast<char*>(
+        pad == alignof(std::max_align_t) ? std::malloc(n + pad)
+                                         : std::aligned_alloc(pad, (n + 2 * pad - 1) / pad * pad));
+    if (base == nullptr) return nullptr;
+    std::memcpy(base + pad - sizeof n, &n, sizeof n);
+    g_live_bytes.fetch_add(static_cast<std::int64_t>(n), std::memory_order_relaxed);
+    return base + pad;
+}
+
+void* counted_new_or_throw(std::size_t n, std::size_t align) {
+    void* p = counted_new(n, align);
+    if (p == nullptr) throw std::bad_alloc();
+    return p;
+}
+
+void counted_delete(void* p, std::size_t align) noexcept {
+    if (p == nullptr) return;
+    const std::size_t pad = std::max(align, alignof(std::max_align_t));
+    char* const block = static_cast<char*>(p);
+    std::size_t n = 0;
+    std::memcpy(&n, block - sizeof n, sizeof n);
+    g_live_bytes.fetch_sub(static_cast<std::int64_t>(n), std::memory_order_relaxed);
+    std::free(block - pad);
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_new_or_throw(n, 0); }
+void* operator new[](std::size_t n) { return counted_new_or_throw(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+    return counted_new_or_throw(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+    return counted_new_or_throw(n, static_cast<std::size_t>(a));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return counted_new(n, 0); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return counted_new(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a, const std::nothrow_t&) noexcept {
+    return counted_new(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a, const std::nothrow_t&) noexcept {
+    return counted_new(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { counted_delete(p, 0); }
+void operator delete[](void* p) noexcept { counted_delete(p, 0); }
+void operator delete(void* p, std::size_t) noexcept { counted_delete(p, 0); }
+void operator delete[](void* p, std::size_t) noexcept { counted_delete(p, 0); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { counted_delete(p, 0); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_delete(p, 0); }
+void operator delete(void* p, std::align_val_t a) noexcept {
+    counted_delete(p, static_cast<std::size_t>(a));
+}
+void operator delete[](void* p, std::align_val_t a) noexcept {
+    counted_delete(p, static_cast<std::size_t>(a));
+}
+void operator delete(void* p, std::size_t, std::align_val_t a) noexcept {
+    counted_delete(p, static_cast<std::size_t>(a));
+}
+void operator delete[](void* p, std::size_t, std::align_val_t a) noexcept {
+    counted_delete(p, static_cast<std::size_t>(a));
+}
+void operator delete(void* p, std::align_val_t a, const std::nothrow_t&) noexcept {
+    counted_delete(p, static_cast<std::size_t>(a));
+}
+void operator delete[](void* p, std::align_val_t a, const std::nothrow_t&) noexcept {
+    counted_delete(p, static_cast<std::size_t>(a));
+}
 
 namespace {
 
@@ -1389,6 +1472,368 @@ TEST(live_ingestion, cached_resident_hash_leaves_with_an_append) {
                                                         effective.buildings[index], false),
                              effective.buildings[index].name);
     }
+}
+
+/// The one stats_response a get_stats request on \p s answers with.
+service::service_stats stats_over_the_session(federation::federated_server::session& s,
+                                              response_collector& collected,
+                                              std::uint64_t corr) {
+    s.handle(api::request{api::get_stats_request{corr}});
+    for (const api::stats_response& st : collected.of<api::stats_response>())
+        if (st.correlation_id == corr) return st.stats;
+    ADD_FAILURE() << "no stats_response for " << corr;
+    return {};
+}
+
+// A known name is read again only when it must run, and each probe counts
+// exactly one hit or one miss: a cold read a miss, a warm read a hit, a
+// read whose entry was evicted a miss (then a read of the building and a
+// run), a fresh read neither. Every answer is the task over its building.
+TEST(federated_server, identify_resident_counts_one_hit_or_miss_and_rereads_on_a_miss) {
+    const std::string root = scratch_dir("resident_counts");
+    const data::corpus city = tiny_corpus(3);
+    const std::vector<std::string> dirs = split_into_stores(city, 1, root, 2);
+
+    federation::federation_config cfg;
+    cfg.service = fast_service_config(1);
+    cfg.num_backends = 1;
+    cfg.cache_capacity = 1;  // reading fed-2 evicts fed-1's entry
+    cfg.store_dirs = dirs;
+    federation::federated_server srv(cfg);
+    response_collector collected;
+    federation::federated_server::session s = srv.open(collected.sink());
+
+    const std::vector<std::tuple<std::uint64_t, std::string, bool, std::size_t, std::size_t>>
+        steps = {
+            // corr, name, fresh, then cache hits and misses after the read
+            {10, "fed-1", false, 0, 1},  // cold: a miss, run on the resolve's read
+            {11, "fed-1", false, 1, 1},  // warm: a hit, nothing read
+            {12, "fed-2", false, 1, 2},  // a miss; its fill evicts fed-1
+            {13, "fed-1", false, 1, 3},  // known name, entry gone: a miss, read, run
+            {14, "fed-1", true, 1, 3},   // fresh: no probe, read, run
+            {15, "fed-1", false, 2, 3},  // the run of step 13 refilled the cache
+        };
+    std::uint64_t stats_corr = 100;
+    for (const auto& [corr, name, fresh, hits, misses] : steps) {
+        s.handle(api::request{api::identify_resident_request{corr, name, fresh}});
+        s.handle(api::flush_request{corr + 1000});
+        const service::service_stats st = stats_over_the_session(s, collected, ++stats_corr);
+        EXPECT_EQ(st.cache_hits, hits) << "after read " << corr;
+        EXPECT_EQ(st.cache_misses, misses) << "after read " << corr;
+    }
+    s.finish();
+    ASSERT_TRUE(collected.of<api::error_response>().empty())
+        << collected.of<api::error_response>().front().message;
+    EXPECT_EQ(srv.stats().buildings_done, 4u);  // steps 10, 12, 13 and 14 ran
+
+    const std::vector<api::building_response> served = collected.of<api::building_response>();
+    ASSERT_EQ(served.size(), steps.size());
+    for (const api::building_response& b : served) {
+        const std::size_t index = b.report.name == "fed-1" ? 1 : 2;
+        expect_bit_identical(b.report,
+                             runtime::run_building_task(fast_pipeline(), 4242, index,
+                                                        city.buildings[index], false),
+                             "read " + std::to_string(b.correlation_id));
+    }
+}
+
+// A known name is read from its store when it must run; a read that fails
+// (here: the store's shard files are gone) answers a typed bad_request and
+// leaves nothing in flight, so the flush barrier still returns.
+TEST(federated_server, identify_resident_answers_a_failed_read_with_a_typed_error) {
+    const std::string root = scratch_dir("resident_read_fails");
+    const data::corpus city = tiny_corpus(2);
+    const std::vector<std::string> dirs = split_into_stores(city, 1, root, 1);
+
+    federation::federation_config cfg;
+    cfg.service = fast_service_config(1);
+    cfg.num_backends = 1;
+    cfg.store_dirs = dirs;
+    federation::federated_server srv(cfg);
+    response_collector collected;
+    federation::federated_server::session s = srv.open(collected.sink());
+    s.handle(api::request{api::identify_resident_request{1, "fed-1", false}});
+    s.handle(api::flush_request{2});
+    ASSERT_EQ(collected.of<api::building_response>().size(), 1u);
+
+    for (const auto& entry : std::filesystem::directory_iterator(dirs[0]))
+        if (entry.path().filename() != "manifest.csv") std::filesystem::remove(entry.path());
+    s.handle(api::request{api::identify_resident_request{3, "fed-1", false}});  // a hit
+    s.handle(api::request{api::identify_resident_request{4, "fed-1", true}});   // must read
+    s.handle(api::flush_request{5});
+    s.finish();
+
+    EXPECT_EQ(collected.of<api::building_response>().size(), 2u);
+    const std::vector<api::error_response> errors = collected.of<api::error_response>();
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_EQ(errors[0].correlation_id, 4u);
+    EXPECT_EQ(errors[0].code, api::error_code::bad_request);
+    ASSERT_EQ(collected.of<api::flush_response>().size(), 2u);
+}
+
+// The fleet keeps no building once it has answered: after every building of
+// a store is served through identify_resident, fresh, cold and warm, the
+// heap holds a small fraction of one copy of the store's buildings. (A
+// directory that kept the buildings it served held at least one copy.)
+TEST(federated_server, serving_every_resident_building_keeps_none_in_memory) {
+    const std::string root = scratch_dir("resident_memory");
+    const data::corpus city = tiny_corpus(8);
+    const std::vector<std::string> dirs = split_into_stores(city, 1, root, 4);
+
+    std::int64_t corpus_bytes = 0;
+    {
+        const std::int64_t before = g_live_bytes.load();
+        const data::corpus effective = data::corpus_store::open(dirs[0]).load_all_effective();
+        corpus_bytes = g_live_bytes.load() - before;
+        ASSERT_EQ(effective.buildings.size(), city.buildings.size());
+    }
+    ASSERT_GT(corpus_bytes, 0);
+
+    federation::federation_config cfg;
+    cfg.service = fast_service_config(1);
+    cfg.num_backends = 1;
+    cfg.cache_capacity = 1;  // results are not what this test weighs
+    cfg.store_dirs = dirs;
+    federation::federated_server srv(cfg);
+    std::atomic<std::size_t> answers{0};
+    federation::federated_server::session s = srv.open([&](std::string_view frame) {
+        const api::decode_result<api::response> r = api::decode_response(frame);
+        if (r.value && std::holds_alternative<api::building_response>(*r.value)) ++answers;
+    });
+    std::uint64_t corr = 0;
+    const auto serve = [&](std::size_t i, bool fresh) {
+        s.handle(api::request{
+            api::identify_resident_request{++corr, city.buildings[i].name, fresh}});
+    };
+    // Warm up every lazily built structure (the store's block index, the
+    // first job) on one building before weighing.
+    serve(0, true);
+    s.handle(api::flush_request{++corr});
+    const std::int64_t before = g_live_bytes.load();
+    for (std::size_t i = 0; i < city.buildings.size(); ++i) {
+        serve(i, true);   // fresh: read, run, not cached
+        serve(i, false);  // cold: a miss, read again, run, cached
+        s.handle(api::flush_request{++corr});
+        serve(i, false);  // warm: a hit, nothing read
+        s.handle(api::flush_request{++corr});
+    }
+    s.finish();
+    // A backend worker frees its job's copy of the building just after the
+    // answer: give the last one a moment.
+    std::int64_t held = g_live_bytes.load() - before;
+    for (int i = 0; i < 200 && held >= corpus_bytes / 4; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        held = g_live_bytes.load() - before;
+    }
+    EXPECT_EQ(answers.load(), 1 + 3 * city.buildings.size());
+    EXPECT_EQ(srv.stats().cache_hits, city.buildings.size());
+    EXPECT_LT(held, corpus_bytes / 4) << "held " << held << " bytes after serving a store of "
+                                      << corpus_bytes << " bytes";
+}
+
+// The directory hands each building it reads to its caller and keeps only
+// the name's entry: once the caller drops the building, nothing holds it.
+TEST(resident_directory, hands_out_buildings_it_does_not_keep) {
+    const std::string root = scratch_dir("directory_weak");
+    const data::corpus city = tiny_corpus(4);
+    const std::vector<std::string> dirs = split_into_stores(city, 2, root, 1);
+    federation::store_registry reg;
+    for (const std::string& d : dirs) static_cast<void>(reg.mount(d));
+    federation::resident_directory dir(reg);
+
+    std::optional<federation::resident_directory::hit> first = dir.resolve("fed-3");
+    ASSERT_TRUE(first.has_value());
+    ASSERT_NE(first->b, nullptr);  // the first resolve reads the building
+    EXPECT_EQ(first->global_index, 3u);
+    EXPECT_EQ(first->content_hash, data::content_hash(city.buildings[3]));
+    std::weak_ptr<const data::building> held = first->b;
+    first.reset();
+    EXPECT_TRUE(held.expired());
+
+    const std::optional<federation::resident_directory::hit> known = dir.resolve("fed-3");
+    ASSERT_TRUE(known.has_value());
+    EXPECT_EQ(known->b, nullptr);  // a known name reads nothing
+    EXPECT_EQ(known->global_index, 3u);
+    EXPECT_EQ(known->content_hash, data::content_hash(city.buildings[3]));
+
+    std::optional<federation::resident_directory::hit> read = dir.read("fed-3");
+    ASSERT_TRUE(read.has_value());
+    ASSERT_NE(read->b, nullptr);
+    EXPECT_EQ(read->content_hash, known->content_hash);
+    held = read->b;
+    read.reset();
+    EXPECT_TRUE(held.expired());
+
+    EXPECT_FALSE(dir.resolve("no-such-building").has_value());
+    EXPECT_FALSE(dir.read("no-such-building").has_value());
+}
+
+// A request resolved a name to its entry; then an append to that building
+// landed; then the request's run read the building. The read returns the
+// post-append building, its hash and its index, and refreshes the entry, so
+// the run caches under the hash of the building that ran and the next
+// resolve reads nothing.
+TEST(resident_directory, a_read_after_an_append_returns_and_records_the_post_append_building) {
+    const std::string root = scratch_dir("directory_race");
+    const data::corpus city = tiny_corpus(3);
+    const std::vector<std::string> dirs = split_into_stores(city, 1, root, 2);
+    federation::store_registry reg;
+    static_cast<void>(reg.mount(dirs[0]));
+    federation::resident_directory dir(reg);
+
+    static_cast<void>(dir.resolve("fed-1"));  // an earlier request read it
+    const std::optional<federation::resident_directory::hit> resolved = dir.resolve("fed-1");
+    ASSERT_TRUE(resolved.has_value());
+    EXPECT_EQ(resolved->b, nullptr);
+
+    const ingest::append_outcome landed =
+        ingest::append_scans(dirs[0], {fresh_scans_for(1, 7301)});
+    dir.on_append("fed-city-part-0", landed.touched);
+
+    const std::optional<data::located_building> post =
+        data::corpus_store::open(dirs[0]).read_effective(std::string("fed-1"));
+    ASSERT_TRUE(post.has_value());
+    const std::uint64_t post_hash = data::content_hash(post->b);
+    ASSERT_NE(post_hash, resolved->content_hash);
+
+    const std::optional<federation::resident_directory::hit> read = dir.read("fed-1");
+    ASSERT_TRUE(read.has_value());
+    ASSERT_NE(read->b, nullptr);
+    EXPECT_EQ(read->content_hash, post_hash);
+    EXPECT_EQ(data::content_hash(*read->b), post_hash);
+    EXPECT_EQ(read->global_index, 1u);
+
+    const std::optional<federation::resident_directory::hit> after = dir.resolve("fed-1");
+    ASSERT_TRUE(after.has_value());
+    EXPECT_EQ(after->b, nullptr);
+    EXPECT_EQ(after->content_hash, post_hash);
+}
+
+// A request resolves a name to its cached entry, then an append to that
+// building lands, then the request misses the cache and reads the building.
+// The race is laid out here in one thread: fed-1's scans are written to the
+// store directly (as an append the directory has not yet been told of), and
+// an append of another building through the fleet makes the directory
+// reopen the store, leaving fed-1's pre-append entry in place. The read must
+// run the post-append building and cache it under that building's hash, so
+// the next read is a hit; every answer is the task over the effective
+// corpus.
+TEST(live_ingestion, a_read_racing_an_append_caches_the_building_it_ran) {
+    const std::string root = scratch_dir("ingest_read_race");
+    const data::corpus city = tiny_corpus(3);
+    const std::vector<std::string> dirs = split_into_stores(city, 1, root, 2);
+
+    federation::federation_config cfg;
+    cfg.service = fast_service_config(1);
+    cfg.num_backends = 1;
+    cfg.cache_capacity = 1;
+    cfg.store_dirs = dirs;
+    federation::federated_server srv(cfg);
+    response_collector collected;
+    federation::federated_server::session s = srv.open(collected.sink());
+    const auto read = [&](std::uint64_t corr, const std::string& name) {
+        s.handle(api::request{api::identify_resident_request{corr, name, false}});
+        s.handle(api::flush_request{corr + 1000});
+    };
+    read(1, "fed-1");  // fed-1's entry and its cached result, pre-append
+    read(2, "fed-2");  // evicts fed-1's result
+
+    static_cast<void>(ingest::append_scans(dirs[0], {fresh_scans_for(1, 7501)}));
+    api::append_scans_request ap;
+    ap.correlation_id = 3;
+    ap.corpus_name = "fed-city-part-0";
+    ap.records = {fresh_scans_for(0, 7502)};
+    s.handle(api::request{std::move(ap)});
+    s.handle(api::flush_request{4});
+    ASSERT_EQ(collected.of<api::append_response>().size(), 1u);
+
+    const service::service_stats before = srv.stats();
+    read(5, "fed-1");  // the stale entry's probe misses: read, run, fill
+    const service::service_stats ran = srv.stats();
+    EXPECT_EQ(ran.buildings_done, before.buildings_done + 1);
+    read(6, "fed-1");  // cached under the hash of the building that ran
+    const service::service_stats hit = srv.stats();
+    EXPECT_EQ(hit.cache_hits, ran.cache_hits + 1);
+    EXPECT_EQ(hit.buildings_done, ran.buildings_done);
+    for (const auto& [corr, name] :
+         std::vector<std::pair<std::uint64_t, std::string>>{{10, "fed-0"}, {11, "fed-2"}})
+        read(corr, name);
+    s.finish();
+    ASSERT_TRUE(collected.of<api::error_response>().empty())
+        << collected.of<api::error_response>().front().message;
+
+    const data::corpus effective = data::corpus_store::open(dirs[0]).load_all_effective();
+    ASSERT_EQ(effective.buildings.size(), 3u);
+    std::vector<runtime::building_report> served;
+    for (const api::building_response& b : collected.of<api::building_response>()) {
+        if (b.correlation_id == 5 || b.correlation_id >= 10) served.push_back(b.report);
+        if (b.correlation_id == 6)
+            expect_bit_identical(b.report,
+                                 runtime::run_building_task(fast_pipeline(), 4242, 1,
+                                                            effective.buildings[1], false),
+                                 "the hit");
+    }
+    ASSERT_EQ(served.size(), 3u);
+    std::ostringstream served_out;
+    service::export_input_order(served_out, std::move(served));
+    EXPECT_EQ(served_out.str(), cold_rebuild_ndjson(effective.buildings));
+}
+
+// An append's dirty re-run whose result is already cached (a client ran
+// the post-append building at its index first) is answered from the cache,
+// whose entry keeps the result only as encoded bytes; the push still
+// carries the whole report, bit for bit the task's.
+TEST(live_ingestion, rerun_answered_from_the_cache_pushes_the_whole_report) {
+    const std::string root = scratch_dir("ingest_rerun_hit");
+    const data::corpus city = tiny_corpus(3);
+    const std::vector<std::string> dirs = split_into_stores(city, 1, root, 2);
+    const data::building scans = fresh_scans_for(1, 7401);
+
+    // The post-append building, from a twin of the store.
+    const std::vector<std::string> twin = split_into_stores(city, 1, root + "/twin", 2);
+    static_cast<void>(ingest::append_scans(twin[0], {scans}));
+    const std::optional<data::located_building> post =
+        data::corpus_store::open(twin[0]).read_effective(std::string("fed-1"));
+    ASSERT_TRUE(post.has_value());
+
+    federation::federation_config cfg;
+    cfg.service = fast_service_config(1);
+    cfg.num_backends = 1;
+    cfg.store_dirs = dirs;
+    federation::federated_server srv(cfg);
+    response_collector collected;
+    federation::federated_server::session s = srv.open(collected.sink());
+
+    api::identify_building_request req;
+    req.correlation_id = 1;
+    req.has_index = true;
+    req.corpus_index = 1;
+    req.b = post->b;
+    s.handle(api::request{req});
+    s.handle(api::flush_request{2});
+    const service::service_stats filled = srv.stats();
+    EXPECT_EQ(filled.buildings_done, 1u);
+
+    s.handle(api::request{api::watch_request{3, "fed-1", true}});
+    api::append_scans_request ap;
+    ap.correlation_id = 4;
+    ap.corpus_name = "fed-city-part-0";
+    ap.records = {scans};
+    s.handle(api::request{std::move(ap)});
+    s.handle(api::flush_request{5});
+    s.finish();
+
+    const service::service_stats after = srv.stats();
+    EXPECT_EQ(after.buildings_done, filled.buildings_done);  // the re-run never ran
+    EXPECT_EQ(after.cache_hits, filled.cache_hits + 1);
+    ASSERT_TRUE(collected.of<api::error_response>().empty())
+        << collected.of<api::error_response>().front().message;
+    const std::vector<api::push_response> pushes = collected.of<api::push_response>();
+    ASSERT_EQ(pushes.size(), 1u);
+    EXPECT_EQ(pushes[0].correlation_id, 3u);
+    expect_bit_identical(pushes[0].report,
+                         runtime::run_building_task(fast_pipeline(), 4242, 1, post->b, false),
+                         "push");
 }
 
 TEST(live_ingestion, crash_mid_append_leaves_manifest_intact_for_warm_restart) {
